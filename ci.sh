@@ -44,6 +44,20 @@ echo "== kernel bench smoke (BENCH_kernels.json + ISA dispatch gate) =="
 EDSR_BENCH_QUICK=1 cargo run -q --release -p edsr-bench --bin kernels
 test -s BENCH_kernels.json
 
+echo "== perfbench self-tests + one-unit boundary smoke =="
+# The end-to-end benchmark (BENCHMARK.json) must keep building, pass its
+# own tests, and answer correctly: one boundary unit, checked through the
+# final JSON line.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+PERF_LAST=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload boundary --seed 1 --seconds 1 --trace 0 | tail -n 1)
+python3 - "$PERF_LAST" <<'EOF'
+import json, sys
+doc = json.loads(sys.argv[1])
+assert doc["correct"] is True and doc["failed"] == 0, f"perfbench smoke failed: {doc}"
+print(f"perfbench smoke: boundary run_s {doc['metrics']['run_s']['value']:.2f} s, correct")
+EOF
+
 echo "== serve smoke (snapshot -> serve -> query -> graceful drain) =="
 # Train one quick run exporting serve snapshots, serve the newest on an
 # ephemeral port, hit every wire op through `edsr query`, then shut down

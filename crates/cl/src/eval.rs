@@ -25,26 +25,27 @@ pub fn knn_classify(
         "knn_classify: reference labels misaligned"
     );
     let num_classes = train_labels.iter().copied().max().unwrap_or(0) + 1;
-    let query = KnnQuery::new(train_reps, k).metric(Metric::Cosine);
-    let mut scratch = Vec::with_capacity(train_reps.rows());
-    let mut neighbors = Vec::with_capacity(k);
-    let mut out = Vec::with_capacity(test_reps.rows());
-    for t in 0..test_reps.rows() {
-        query.search_into(test_reps.row(t), &mut scratch, &mut neighbors);
-        let mut votes = vec![0.0f32; num_classes];
-        for n in &neighbors {
-            let w = (n.score / KNN_TEMPERATURE).exp();
-            votes[train_labels[n.index]] += w;
-        }
-        let best = votes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        out.push(best);
-    }
-    out
+    let mut neighbors = Vec::new();
+    KnnQuery::new(train_reps, k)
+        .metric(Metric::Cosine)
+        .search_batch_into(test_reps, &mut neighbors);
+    let mut votes = vec![0.0f32; num_classes];
+    neighbors
+        .iter()
+        .map(|found| {
+            votes.fill(0.0);
+            for n in found {
+                let w = (n.score / KNN_TEMPERATURE).exp();
+                votes[train_labels[n.index]] += w;
+            }
+            votes
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        })
+        .collect()
 }
 
 /// Fraction of agreeing entries between predictions and ground truth.
@@ -65,6 +66,7 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edsr_linalg::stats::cosine_similarity;
     use edsr_tensor::rng::{gaussian, seeded};
 
     /// Two clearly separated clusters in representation space.
@@ -119,6 +121,62 @@ mod tests {
     fn accuracy_counts() {
         assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 4]), 2.0 / 3.0);
         assert_eq!(accuracy(&[0], &[0]), 1.0);
+    }
+
+    /// The per-query classifier as it was before queries were batched:
+    /// full stable sort of every cosine score, a fresh vote vector per
+    /// query. Kept as the regression reference for [`knn_classify`].
+    fn per_query_reference(
+        train_reps: &Matrix,
+        train_labels: &[usize],
+        test_reps: &Matrix,
+        k: usize,
+    ) -> Vec<usize> {
+        let num_classes = train_labels.iter().copied().max().unwrap_or(0) + 1;
+        (0..test_reps.rows())
+            .map(|t| {
+                let query = test_reps.row(t);
+                let mut scored: Vec<(usize, f32)> = (0..train_reps.rows())
+                    .map(|i| (i, cosine_similarity(train_reps.row(i), query)))
+                    .collect();
+                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+                scored.truncate(k);
+                let mut votes = vec![0.0f32; num_classes];
+                for (index, score) in scored {
+                    votes[train_labels[index]] += (score / KNN_TEMPERATURE).exp();
+                }
+                votes
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_classifier_matches_per_query_reference_at_any_thread_count() {
+        // Large enough (160 x 120 scores) for the batch to fan out over
+        // the pool, with duplicate and all-zero rows forcing score ties.
+        let mut rng = seeded(322);
+        let mut train = Matrix::randn(160, 6, 1.0, &mut rng);
+        for r in (0..160).step_by(7) {
+            let src = train.row((r + 3) % 160).to_vec();
+            for (c, v) in src.into_iter().enumerate() {
+                train.set(r, c, if r % 2 == 0 { v } else { 0.0 });
+            }
+        }
+        let labels: Vec<usize> = (0..160).map(|i| (i * 7) % 5).collect();
+        let test = Matrix::randn(120, 6, 1.0, &mut rng);
+        for k in [1, 15, 200] {
+            let want = per_query_reference(&train, &labels, &test, k);
+            for threads in [1usize, 2, 7] {
+                let got =
+                    edsr_par::with_threads(threads, || knn_classify(&train, &labels, &test, k));
+                assert_eq!(got, want, "k={k} threads={threads}");
+            }
+        }
     }
 
     #[test]

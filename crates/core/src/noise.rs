@@ -23,16 +23,13 @@ pub fn noise_magnitudes(all_reps: &Matrix, selected: &[usize], k: usize) -> Vec<
     if k == 0 {
         return vec![0.0; selected.len()];
     }
-    let mut scratch = Vec::with_capacity(all_reps.rows());
     let mut neighbors = Vec::with_capacity(k);
     let mags: Vec<f32> = selected
         .iter()
         .map(|&idx| {
-            KnnQuery::new(all_reps, k).exclude(idx).search_into(
-                all_reps.row(idx),
-                &mut scratch,
-                &mut neighbors,
-            );
+            KnnQuery::new(all_reps, k)
+                .exclude(idx)
+                .search_into(all_reps.row(idx), &mut neighbors);
             if neighbors.is_empty() {
                 return 0.0;
             }

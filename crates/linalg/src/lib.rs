@@ -15,11 +15,7 @@ pub mod stats;
 
 pub use eigen::{sym_eigen, SymEigen};
 pub use kmeans::{kmeans, kmeanspp_indices, nearest_to_centers, KMeansResult};
-#[allow(deprecated)] // legacy free functions stay reachable during migration
-pub use knn::{
-    knn_search, knn_search_batch, knn_search_batch_into, knn_search_into, knn_search_with_scratch,
-};
-pub use knn::{KnnQuery, Metric, Neighbor};
+pub use knn::{top_k_into, KnnQuery, Metric, Neighbor};
 pub use pca::{coding_length_entropy, coding_length_entropy_reference, trace_surrogate, Pca};
 
 #[cfg(test)]

@@ -94,10 +94,19 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
 /// [`sq_euclidean`]), so it is likewise bit-identical across ISAs.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    let dot = edsr_tensor::simd::dot(a, b);
-    let na = edsr_tensor::simd::dot(a, a).sqrt();
-    let nb = edsr_tensor::simd::dot(b, b).sqrt();
-    let denom = na * nb;
+    cosine_from_parts(edsr_tensor::simd::dot(a, b), norm(a), norm(b))
+}
+
+/// Euclidean norm of a slice, from the canonical-tree [`edsr_tensor::simd::dot`].
+pub(crate) fn norm(a: &[f32]) -> f32 {
+    edsr_tensor::simd::dot(a, a).sqrt()
+}
+
+/// Cosine similarity from a dot product and the two norms (0 when either
+/// norm is ~0). [`cosine_similarity`] is this over [`norm`]s, so callers
+/// that compute norms once and reuse them get the same bits.
+pub(crate) fn cosine_from_parts(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    let denom = norm_a * norm_b;
     if denom < 1e-12 {
         0.0
     } else {

@@ -1,6 +1,6 @@
 //! Quantized kNN over the int8 memory grid, plus the accuracy-delta gate.
 
-use edsr_linalg::{KnnQuery, Metric, Neighbor};
+use edsr_linalg::{top_k_into, KnnQuery, Metric, Neighbor};
 use edsr_tensor::{simd, Matrix};
 
 use crate::tensor::QuantTensor;
@@ -57,14 +57,13 @@ impl QuantMemory {
         );
     }
 
-    /// Quantized counterpart of `edsr_linalg::KnnQuery::search_into`, with
-    /// identical ordering semantics: Euclidean ascending, cosine
-    /// descending, ties kept in row order, `out` truncated to
-    /// `k.min(eligible rows)`. Scores are converted back to f32 units
-    /// (`i32 distance x scale²`; cosine scales cancel), one exact `i32`
-    /// reduction per candidate — bit-identical across ISA levels and
-    /// thread counts.
-    #[allow(clippy::too_many_arguments)]
+    /// Quantized counterpart of `edsr_linalg::KnnQuery::search_into`,
+    /// selecting through the same [`top_k_into`] so the ordering contract
+    /// is identical: Euclidean ascending, cosine descending, ties kept in
+    /// row order, `out` truncated to `k.min(eligible rows)`. Scores are
+    /// converted back to f32 units (`i32 distance x scale²`; cosine scales
+    /// cancel), one exact `i32` reduction per candidate — bit-identical
+    /// across ISA levels and thread counts.
     pub fn search_into(
         &self,
         query: &[f32],
@@ -72,7 +71,6 @@ impl QuantMemory {
         metric: Metric,
         exclude: Option<usize>,
         qbuf: &mut Vec<i8>,
-        scratch: &mut Vec<Neighbor>,
         out: &mut Vec<Neighbor>,
     ) {
         assert_eq!(query.len(), self.cols(), "QuantMemory: query dim");
@@ -80,11 +78,7 @@ impl QuantMemory {
         let s = self.grid.row_scale(0);
         let qq = simd::i8_dot(qbuf, qbuf);
         let qnorm = (qq as f32).sqrt();
-        scratch.clear();
-        for r in 0..self.rows() {
-            if exclude == Some(r) {
-                continue;
-            }
+        let candidates = (0..self.rows()).filter(|&r| exclude != Some(r)).map(|r| {
             let score = match metric {
                 Metric::Euclidean => simd::i8_sq_euclidean(qbuf, self.grid.row(r)) as f32 * s * s,
                 Metric::Cosine => {
@@ -96,22 +90,9 @@ impl QuantMemory {
                     }
                 }
             };
-            scratch.push(Neighbor { index: r, score });
-        }
-        match metric {
-            Metric::Euclidean => scratch.sort_by(|a, b| {
-                a.score
-                    .partial_cmp(&b.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            }),
-            Metric::Cosine => scratch.sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            }),
-        }
-        out.clear();
-        out.extend_from_slice(&scratch[..k.min(scratch.len())]);
+            Neighbor { index: r, score }
+        });
+        top_k_into(candidates, k, metric, out);
     }
 }
 
@@ -160,14 +141,13 @@ pub fn knn_gate(memory: &Matrix, tasks: &[u64], qmem: &QuantMemory) -> GateRepor
     }
     let mut f32_hits = 0usize;
     let mut int8_hits = 0usize;
-    let mut scratch = Vec::new();
     let mut qbuf = Vec::new();
     let mut out = Vec::new();
     for r in 0..n {
-        let got = KnnQuery::new(memory, 1)
+        KnnQuery::new(memory, 1)
             .exclude(r)
-            .search_with_scratch(memory.row(r), &mut scratch);
-        if tasks[got[0].index] == tasks[r] {
+            .search_into(memory.row(r), &mut out);
+        if tasks[out[0].index] == tasks[r] {
             f32_hits += 1;
         }
         qmem.search_into(
@@ -176,7 +156,6 @@ pub fn knn_gate(memory: &Matrix, tasks: &[u64], qmem: &QuantMemory) -> GateRepor
             Metric::Euclidean,
             Some(r),
             &mut qbuf,
-            &mut scratch,
             &mut out,
         );
         if tasks[out[0].index] == tasks[r] {
@@ -201,14 +180,13 @@ mod tests {
     fn euclidean_ranking_matches_f32_knn() {
         let m = grid();
         let qmem = QuantMemory::from_matrix(&m);
-        let (mut qbuf, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut qbuf, mut out) = (Vec::new(), Vec::new());
         qmem.search_into(
             &[0.95, 0.0],
             2,
             Metric::Euclidean,
             None,
             &mut qbuf,
-            &mut scratch,
             &mut out,
         );
         let want = KnnQuery::new(&m, 2).search(&[0.95, 0.0]);
@@ -223,16 +201,8 @@ mod tests {
         rows.set(3, 0, 0.0);
         rows.set(3, 1, 0.0); // zero row: cosine undefined, scored 0.0
         let qmem = QuantMemory::from_matrix(&rows);
-        let (mut qbuf, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        qmem.search_into(
-            &[1.0, 0.05],
-            3,
-            Metric::Cosine,
-            None,
-            &mut qbuf,
-            &mut scratch,
-            &mut out,
-        );
+        let (mut qbuf, mut out) = (Vec::new(), Vec::new());
+        qmem.search_into(&[1.0, 0.05], 3, Metric::Cosine, None, &mut qbuf, &mut out);
         let want = KnnQuery::new(&rows, 3)
             .metric(Metric::Cosine)
             .search(&[1.0, 0.05]);
@@ -245,16 +215,8 @@ mod tests {
     fn exclude_skips_the_query_row() {
         let m = grid();
         let qmem = QuantMemory::from_matrix(&m);
-        let (mut qbuf, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        qmem.search_into(
-            m.row(0),
-            1,
-            Metric::Euclidean,
-            Some(0),
-            &mut qbuf,
-            &mut scratch,
-            &mut out,
-        );
+        let (mut qbuf, mut out) = (Vec::new(), Vec::new());
+        qmem.search_into(m.row(0), 1, Metric::Euclidean, Some(0), &mut qbuf, &mut out);
         assert_eq!(out[0].index, 1);
     }
 

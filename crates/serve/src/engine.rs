@@ -3,8 +3,8 @@
 //! One engine owns a backend — either the restored f32 model with a
 //! reusable [`Workspace`] (warm forwards run on the zero-alloc tape
 //! pools) or the int8 [`QuantEncoder`] with its ping-pong scratch —
-//! plus input staging matrices, a scratch-backed kNN path over the
-//! snapshot's replay representations, and the LRU [`EmbedCache`].
+//! plus input staging matrices, a kNN path over the snapshot's replay
+//! representations, and the LRU [`EmbedCache`].
 //!
 //! The f32 path uses the encoder's *eval-mode* forward (batch
 //! standardization skipped), which computes each output row
@@ -64,7 +64,6 @@ pub struct Engine {
     gather: Matrix,
     miss_idx: Vec<usize>,
     row_buf: Vec<f32>,
-    knn_scratch: Vec<Neighbor>,
     cache: EmbedCache,
 }
 
@@ -90,7 +89,6 @@ impl Engine {
             gather: Matrix::zeros(0, 0),
             miss_idx: Vec::new(),
             row_buf: Vec::new(),
-            knn_scratch: Vec::new(),
             cache: EmbedCache::new(cache_capacity),
         })
     }
@@ -116,7 +114,6 @@ impl Engine {
             gather: Matrix::zeros(0, 0),
             miss_idx: Vec::new(),
             row_buf: Vec::new(),
-            knn_scratch: Vec::new(),
             cache: EmbedCache::new(cache_capacity),
         })
     }
@@ -341,7 +338,7 @@ impl Engine {
 
     /// The `k` stored replay representations nearest to `query`, closest
     /// first, written into `out` (cleared first; steady-state calls make
-    /// no heap allocations thanks to the engine-owned scratch).
+    /// no heap allocations once `out` holds `k` neighbours).
     pub fn knn_into(
         &mut self,
         query: &[f32],
@@ -359,19 +356,14 @@ impl Engine {
         if k == 0 {
             return Err("knn k must be >= 1".into());
         }
-        let Engine {
-            backend,
-            knn_scratch,
-            ..
-        } = self;
-        match backend {
+        match &mut self.backend {
             Backend::F32 { memory, .. } => {
                 KnnQuery::new(memory, k)
                     .metric(metric)
-                    .search_into(query, knn_scratch, out);
+                    .search_into(query, out);
             }
             Backend::Quant { memory, qquery, .. } => {
-                memory.search_into(query, k, metric, None, qquery, knn_scratch, out);
+                memory.search_into(query, k, metric, None, qquery, out);
             }
         }
         Ok(())

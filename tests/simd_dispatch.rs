@@ -8,16 +8,17 @@
 //!
 //! 1. the raw per-row `dot` / `sq_euclidean` vtable entries agree
 //!    bit-for-bit with the scalar kernel for every supported ISA, and
-//! 2. a full `knn_search_batch` (both metrics) returns identical neighbor
-//!    lists — same indices, same score bits — whether the process pins
-//!    `EDSR_ISA` to `scalar` or to a SIMD level.
+//! 2. a full `KnnQuery::search_batch` (both metrics) returns identical
+//!    neighbor lists — same indices, same score bits — and the evaluation
+//!    protocol's `knn_classify` the same predictions, whether the process
+//!    pins `EDSR_ISA` to `scalar` or to a SIMD level.
 //!
 //! Unsupported ISA levels are skipped loudly, never silently passed.
 //! Test 2 mutates the process-global ISA selection, so it lives in its
 //! own integration binary; test 1 only uses explicit vtables and is safe
 //! to run concurrently with it.
 
-use edsr::cl::{ContinualModel, ModelConfig, ServeSnapshot};
+use edsr::cl::{knn_classify, ContinualModel, ModelConfig, ServeSnapshot};
 use edsr::linalg::{KnnQuery, Metric, Neighbor};
 use edsr::tensor::rng::seeded;
 use edsr::tensor::simd::{self, Isa, IsaRequest, Kernel};
@@ -92,19 +93,22 @@ fn per_row_distance_kernels_bit_identical_across_isas() {
 fn knn_search_batch_matches_scalar_exactly_under_simd_dispatch() {
     let (memory, queries) = fixture();
     // Pin the process-global dispatch to one ISA and run both metrics
-    // through the full batch path (scoring, top-k selection, ordering).
-    let batch_with = |isa: Isa| -> Vec<Vec<Vec<Neighbor>>> {
+    // through the full batch path (scoring, top-k selection, ordering),
+    // plus the kNN classifier over the memory rows' task labels.
+    let labels: Vec<usize> = (0..MEMORY_ROWS).map(|i| i % 3).collect();
+    let batch_with = |isa: Isa| -> (Vec<Vec<Vec<Neighbor>>>, Vec<usize>) {
         simd::set_isa(IsaRequest::Fixed(isa)).expect("ISA support checked by caller");
-        [Metric::Euclidean, Metric::Cosine]
+        let batches = [Metric::Euclidean, Metric::Cosine]
             .into_iter()
             .map(|metric| {
                 KnnQuery::new(&memory, K)
                     .metric(metric)
                     .search_batch(&queries)
             })
-            .collect()
+            .collect();
+        (batches, knn_classify(&memory, &labels, &queries, K))
     };
-    let want = batch_with(Isa::Scalar);
+    let (want, want_preds) = batch_with(Isa::Scalar);
     for isa in [Isa::Avx2, Isa::Avx512] {
         if !isa.supported() {
             eprintln!(
@@ -113,7 +117,13 @@ fn knn_search_batch_matches_scalar_exactly_under_simd_dispatch() {
             );
             continue;
         }
-        let got = batch_with(isa);
+        let (got, got_preds) = batch_with(isa);
+        assert_eq!(
+            want_preds,
+            got_preds,
+            "knn_classify predictions depend on ISA {}",
+            isa.name()
+        );
         for (m, (want_batch, got_batch)) in want.iter().zip(&got).enumerate() {
             assert_eq!(want_batch.len(), got_batch.len());
             for (q, (wn, gn)) in want_batch.iter().zip(got_batch).enumerate() {
