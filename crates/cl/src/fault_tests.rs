@@ -305,8 +305,7 @@ fn checkpointing_requires_state_hooks() {
     assert!(matches!(err, TrainError::InvalidConfig(_)), "{err}");
 }
 
-/// Regression for the legacy `RunOptions::with_resume` silent no-op:
-/// asking to resume without naming a snapshot source must fail fast, not
+/// Asking to resume without naming a snapshot source must fail fast, not
 /// quietly start from scratch.
 #[test]
 fn resume_without_snapshot_source_is_an_explicit_error() {

@@ -38,7 +38,7 @@ impl Default for GuardConfig {
 
 /// Epoch-granular rollback state.
 ///
-/// Usage protocol (what `run_sequence` does):
+/// Usage protocol (what [`RunBuilder::run`](crate::RunBuilder::run) does):
 /// 1. [`begin_task`](Self::begin_task) before an increment's first step;
 /// 2. per step, check [`is_divergent`](Self::is_divergent) — healthy
 ///    losses go to [`observe`](Self::observe);

@@ -33,14 +33,9 @@ pub use methods::{Cassle, Der, Finetune, LinReplay, Lump, Si};
 pub use metrics::{mean_std, AccuracyMatrix};
 pub use model::{ContinualModel, FrozenModel, ModelConfig};
 pub use trainer::{
-    apply_step, compute_step_grads, epoch_base_lr, evaluate_cell, evaluate_row, image_augmenters,
-    run_multitask, tabular_augmenters, GradCapture, Method, MultitaskResult, NoopObserver,
-    Observer, OptimizerKind, RunBuilder, RunOptions, RunResult, StepRecord, TrainConfig,
-};
-#[allow(deprecated)] // legacy entry points stay reachable during migration
-pub use trainer::{
-    evaluate_cell_seq, evaluate_row_seq, run_multitask_seq, run_sequence, run_sequence_with,
-    tabular_augmenters_seq,
+    apply_step, evaluate_row, image_augmenters, run_multitask, tabular_augmenters, Method,
+    MultitaskResult, NoopObserver, Observer, OptimizerKind, RunBuilder, RunResult, StepRecord,
+    TrainConfig,
 };
 
 #[cfg(test)]

@@ -112,7 +112,7 @@ impl Method for Si {
         let value = ws.tape.value(loss).get(0, 0);
         if !value.is_finite() {
             // Divergent step: leave weights, moments, and the path
-            // integral untouched; the guard in `run_sequence` recovers.
+            // integral untouched; the runner's divergence guard recovers.
             return value;
         }
         let grads = ws.tape.backward(loss);

@@ -20,7 +20,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use edsr_data::{materialize, Augmenter, BatchIter, Dataset, TaskSequence, TaskSource};
+use edsr_data::{materialize, Augmenter, BatchIter, Dataset, TaskSource};
 use edsr_nn::io::{
     optim_state_from_bytes, optim_state_to_bytes, params_from_bytes, params_to_bytes,
 };
@@ -123,13 +123,9 @@ impl TrainConfig {
 
 /// The schedule's base learning rate for `epoch` of an increment —
 /// cosine decay from `cfg.lr` down to `cfg.lr × cosine_floor` when the
-/// floor is below 1.0, flat `cfg.lr` otherwise. The single source of
-/// truth for both the in-process runner and the distributed parameter
-/// server ([DESIGN.md §14]): any process that evaluates it for the same
-/// `(cfg, epoch)` gets bit-identical rates, which the dist layer's
-/// bit-identity guarantee depends on. The divergence guard's backoff
-/// multiplies on top of this value.
-pub fn epoch_base_lr(cfg: &TrainConfig, epoch: usize) -> f32 {
+/// floor is below 1.0, flat `cfg.lr` otherwise. The divergence guard's
+/// backoff multiplies on top of this value.
+fn epoch_base_lr(cfg: &TrainConfig, epoch: usize) -> f32 {
     if cfg.cosine_floor < 1.0 {
         CosineSchedule::new(
             cfg.lr,
@@ -324,12 +320,11 @@ impl RunResult {
 /// Evaluates one accuracy-matrix cell `A_{·,j}` with the kNN protocol:
 /// builds a classifier from task `j`'s train-split representations under
 /// the model's *current* weights and classifies its test split. Pure in
-/// the model and RNG-free, so cells can be computed in any order — or on
-/// different machines — and assembled into the same row, which is how the
-/// distributed runner fans evaluation out across workers. The source is
-/// `&mut` only so streaming sources can rotate buffers; the data returned
-/// for a given `col` is identical on every call.
-pub fn evaluate_cell(
+/// the model and RNG-free, so a cell's value does not depend on when it
+/// is computed. The source is `&mut` only so streaming sources can rotate
+/// buffers; the data returned for a given `col` is identical on every
+/// call.
+fn evaluate_cell(
     model: &ContinualModel,
     source: &mut dyn TaskSource,
     col: usize,
@@ -342,8 +337,8 @@ pub fn evaluate_cell(
     Ok(accuracy(&preds, &task.test.labels))
 }
 
-/// Evaluates `A_{i,j}` for all `j ≤ i` with the kNN protocol: one
-/// [`evaluate_cell`] per learned task.
+/// Evaluates `A_{i,j}` for all `j ≤ i` with the kNN protocol, one cell
+/// per learned task.
 pub fn evaluate_row(
     model: &ContinualModel,
     source: &mut dyn TaskSource,
@@ -353,106 +348,6 @@ pub fn evaluate_row(
     (0..=upto)
         .map(|j| evaluate_cell(model, source, j, eval_k))
         .collect()
-}
-
-/// Legacy cell evaluation over a concrete sequence.
-#[deprecated(
-    since = "0.1.0",
-    note = "use evaluate_cell with any TaskSource (e.g. `&mut &seq`)"
-)]
-pub fn evaluate_cell_seq(
-    model: &ContinualModel,
-    seq: &TaskSequence,
-    col: usize,
-    eval_k: usize,
-) -> f32 {
-    evaluate_cell(model, &mut &*seq, col, eval_k).expect("col within sequence")
-}
-
-/// Legacy row evaluation over a concrete sequence.
-#[deprecated(
-    since = "0.1.0",
-    note = "use evaluate_row with any TaskSource (e.g. `&mut &seq`)"
-)]
-pub fn evaluate_row_seq(
-    model: &ContinualModel,
-    seq: &TaskSequence,
-    upto: usize,
-    eval_k: usize,
-) -> Vec<f32> {
-    evaluate_row(model, &mut &*seq, upto, eval_k).expect("upto within sequence")
-}
-
-/// An [`Optimizer`] whose `step` is a no-op: after [`apply_step`] runs
-/// with it, the routed gradients survive in `model.params` untouched by
-/// any update rule. Distributed workers drive [`Method::train_step`]
-/// through it to *compute* a step's gradients locally while the real
-/// optimizer — and its moment buffers — live only on the parameter
-/// server. Carries a learning rate so methods that read `opt.lr()`
-/// inside their loss see the server's effective rate.
-#[derive(Debug, Clone, Copy)]
-pub struct GradCapture {
-    lr: f32,
-}
-
-impl GradCapture {
-    /// A capture "optimizer" reporting the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-}
-
-impl Optimizer for GradCapture {
-    fn step(&mut self, _params: &mut edsr_nn::ParamSet) {}
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn export_state(&self) -> edsr_nn::OptimState {
-        // Shaped like momentum-free SGD so the export is well-formed, but
-        // a capture pass has no state worth persisting.
-        edsr_nn::OptimState::Sgd {
-            lr: self.lr,
-            velocity: Vec::new(),
-        }
-    }
-
-    fn import_state(&mut self, _state: edsr_nn::OptimState) -> Result<(), String> {
-        Err("GradCapture holds no optimizer state to restore".into())
-    }
-}
-
-/// Runs one method step purely for its gradients: drives
-/// [`Method::train_step`] with a [`GradCapture`] in place of the real
-/// optimizer, so the batch's gradients are left in `model.params`
-/// (readable via `params.grad(id)`) and **no parameter update happens**.
-/// Returns the step's loss.
-///
-/// This is the worker half of a distributed step. Bit-identity with the
-/// in-process runner holds because `train_step` consumes the same RNG
-/// draws and records the same tape regardless of what the optimizer
-/// does with the result. A non-finite loss short-circuits inside
-/// [`apply_step`] *before* gradients are written — callers must treat
-/// the gradient buffers as garbage whenever the returned loss is
-/// non-finite.
-#[allow(clippy::too_many_arguments)] // the step's full context, mirroring Method::train_step
-pub fn compute_step_grads(
-    method: &mut dyn Method,
-    model: &mut ContinualModel,
-    augmenters: &[Augmenter],
-    batch: &Matrix,
-    task_idx: usize,
-    lr: f32,
-    ws: &mut Workspace,
-    rng: &mut StdRng,
-) -> f32 {
-    let mut capture = GradCapture::new(lr);
-    method.train_step(model, &mut capture, augmenters, batch, task_idx, ws, rng)
 }
 
 /// One training step as seen by an [`Observer`].
@@ -546,53 +441,8 @@ pub struct NoopObserver;
 
 impl Observer for NoopObserver {}
 
-/// Robustness knobs of the deprecated [`run_sequence_with`] entry point.
-/// New code configures the same knobs on [`RunBuilder`] directly.
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Snapshot the run state after every increment. Requires a method
-    /// whose [`Method::save_state`] returns `Some`.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Scan `checkpoint` for the newest valid snapshot and continue from
-    /// it (no-op when none exists or checkpointing is off).
-    pub resume: bool,
-    /// Divergence-guard tunables.
-    pub guard: GuardConfig,
-    /// Return early (with a partial result) after this many increments —
-    /// an interruption hook for resume tests and budgeted sweeps.
-    pub stop_after: Option<usize>,
-}
-
-impl RunOptions {
-    /// Default options (no checkpointing, default guard).
-    pub fn new() -> Self {
-        Self {
-            checkpoint: None,
-            resume: false,
-            guard: GuardConfig::default(),
-            stop_after: None,
-        }
-    }
-
-    /// Enables per-increment snapshots under `cfg`.
-    pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> Self {
-        self.checkpoint = Some(cfg);
-        self
-    }
-
-    /// Enables resume-from-latest-valid-snapshot.
-    ///
-    /// Note: without a checkpoint config this silently no-ops — the
-    /// legacy behaviour [`RunBuilder::resume`] fixes by failing fast.
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-}
-
-/// Builder for a continual run: one composable entry point replacing the
-/// `run_sequence`/`run_sequence_with` split. Checkpointing, resume,
-/// guard tuning, early stop, and an [`Observer`] all plug in here.
+/// Builder for a continual run, and the only training loop: checkpointing,
+/// resume, guard tuning, early stop, and an [`Observer`] all plug in here.
 ///
 /// ```no_run
 /// # use edsr_cl::trainer::{RunBuilder, TrainConfig};
@@ -669,9 +519,7 @@ impl<'a> RunBuilder<'a> {
     /// Resumes from the newest valid snapshot in the
     /// [`checkpoint`](Self::checkpoint) location. [`run`](Self::run)
     /// fails with [`TrainError::InvalidConfig`] when no checkpoint
-    /// source is configured — the legacy `RunOptions::with_resume`
-    /// silently no-opped in that case, losing runs whose snapshot dir
-    /// differed from the write dir.
+    /// source is configured, rather than silently training from scratch.
     pub fn resume(mut self) -> Self {
         self.resume = true;
         self
@@ -707,7 +555,7 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// Runs `method` over any [`TaskSource`] — an in-RAM
-    /// [`TaskSequence`] (pass `&mut seq` or `&mut &seq`) or an
+    /// [`TaskSequence`](edsr_data::TaskSequence) (pass `&mut seq` or `&mut &seq`) or an
     /// out-of-core `ShardStream` — evaluating after every increment.
     /// The runner's access pattern is sequential with a bounded
     /// evaluation look-back, so a streaming source never holds more
@@ -968,65 +816,6 @@ impl<'a> RunBuilder<'a> {
         observer.on_run_end(&result);
         Ok(result)
     }
-
-    /// Legacy entry point over a concrete `&TaskSequence`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run(...) with any TaskSource (e.g. `&mut seq` or `&mut &seq`)"
-    )]
-    pub fn run_seq(
-        self,
-        method: &mut dyn Method,
-        model: &mut ContinualModel,
-        seq: &TaskSequence,
-        augmenters: &[Augmenter],
-        rng: &mut StdRng,
-    ) -> Result<RunResult, TrainError> {
-        self.run(method, model, &mut &*seq, augmenters, rng)
-    }
-}
-
-/// Runs a method over a task sequence with default options.
-#[deprecated(since = "0.1.0", note = "use RunBuilder::new(cfg).run(...)")]
-pub fn run_sequence(
-    method: &mut dyn Method,
-    model: &mut ContinualModel,
-    seq: &TaskSequence,
-    augmenters: &[Augmenter],
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-) -> Result<RunResult, TrainError> {
-    RunBuilder::new(cfg).run(method, model, &mut &*seq, augmenters, rng)
-}
-
-/// Runs a method with explicit [`RunOptions`]. Preserves the legacy
-/// quirk that `resume` without `checkpoint` silently no-ops (the
-/// builder's [`RunBuilder::resume`] fails fast instead).
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder::new(cfg).checkpoint(..).resume().guard(..).stop_after(..).run(...)"
-)]
-#[allow(clippy::too_many_arguments)] // mirrors run_sequence + options
-pub fn run_sequence_with(
-    method: &mut dyn Method,
-    model: &mut ContinualModel,
-    seq: &TaskSequence,
-    augmenters: &[Augmenter],
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-    opts: &RunOptions,
-) -> Result<RunResult, TrainError> {
-    let mut builder = RunBuilder::new(cfg).guard(opts.guard.clone());
-    if let Some(ckpt) = &opts.checkpoint {
-        builder = builder.checkpoint(ckpt.clone());
-        if opts.resume {
-            builder = builder.resume();
-        }
-    }
-    if let Some(n) = opts.stop_after {
-        builder = builder.stop_after(n);
-    }
-    builder.run(method, model, &mut &*seq, augmenters, rng)
 }
 
 /// Applies a loaded run state to the live objects, validating that it
@@ -1171,21 +960,6 @@ pub fn run_multitask(
     })
 }
 
-/// Legacy joint-training entry point over a concrete sequence.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_multitask with any TaskSource (e.g. `&mut &seq`)"
-)]
-pub fn run_multitask_seq(
-    model: &mut ContinualModel,
-    seq: &TaskSequence,
-    augmenters: &[Augmenter],
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-) -> Result<MultitaskResult, TrainError> {
-    run_multitask(model, &mut &*seq, augmenters, cfg, rng)
-}
-
 /// Builds the per-task augmenters for an image benchmark (shared op
 /// pipeline over the preset's grid). Only the source's length is read,
 /// so any `TaskSource` works without fetching — `&seq` coerces.
@@ -1212,13 +986,4 @@ pub fn tabular_augmenters(
             ))
         })
         .collect()
-}
-
-/// Legacy tabular-augmenter builder over a concrete sequence.
-#[deprecated(
-    since = "0.1.0",
-    note = "use tabular_augmenters with any TaskSource (e.g. `&mut &seq`)"
-)]
-pub fn tabular_augmenters_seq(seq: &TaskSequence, corruption_prob: f32) -> Vec<Augmenter> {
-    tabular_augmenters(&mut &*seq, corruption_prob).expect("in-RAM sequence cannot fail")
 }

@@ -97,7 +97,7 @@ fn evaluate_row_length_matches_upto() {
 }
 
 #[test]
-fn run_sequence_fills_matrix_times_and_losses() {
+fn run_fills_matrix_times_and_losses() {
     let seq = toy_sequence(3);
     let augs = toy_augmenters(seq.len());
     let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(4));
@@ -115,7 +115,7 @@ fn run_sequence_fills_matrix_times_and_losses() {
 }
 
 #[test]
-fn run_sequence_rejects_wrong_augmenter_count() {
+fn run_rejects_wrong_augmenter_count() {
     let seq = toy_sequence(6);
     let augs = toy_augmenters(1);
     let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(7));
@@ -310,33 +310,6 @@ fn observer_hooks_fire_in_order_with_consistent_payloads() {
     }
     assert!(!rec.steps.is_empty());
     assert!(rec.steps.iter().all(|s| s.task < 2 && s.loss.is_finite()));
-}
-
-/// The deprecated free functions are one-line shims: same result as the
-/// builder for identical seeds.
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_sequence_matches_builder() {
-    let seq = toy_sequence(33);
-    let augs = toy_augmenters(seq.len());
-    let cfg = tiny_cfg();
-
-    let mut model_a = ContinualModel::new(&ModelConfig::image(8), &mut seeded(34));
-    let mut method_a = Finetune::new();
-    let mut rng_a = seeded(35);
-    let via_shim =
-        crate::trainer::run_sequence(&mut method_a, &mut model_a, &seq, &augs, &cfg, &mut rng_a)
-            .expect("shim run");
-
-    let mut model_b = ContinualModel::new(&ModelConfig::image(8), &mut seeded(34));
-    let mut method_b = Finetune::new();
-    let mut rng_b = seeded(35);
-    let via_builder = RunBuilder::new(&cfg)
-        .run(&mut method_b, &mut model_b, &mut &seq, &augs, &mut rng_b)
-        .expect("builder run");
-
-    assert_eq!(via_shim.matrix.rows(), via_builder.matrix.rows());
-    assert_eq!(via_shim.task_losses, via_builder.task_losses);
 }
 
 /// GridSpec sanity for the toy dims used above (regression guard for the

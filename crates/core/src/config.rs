@@ -24,10 +24,6 @@
 //! | serve read timeout (ms) | `--serve-read-timeout-ms N` | `EDSR_SERVE_READ_TIMEOUT_MS` | server default |
 //! | serve stall cap (ms) | `--serve-stall-ms N` | `EDSR_SERVE_STALL_MS` | server default |
 //! | serve int8 quantized | `--quantized` | `EDSR_SERVE_QUANT` | off |
-//! | dist bind/connect address | `--dist-addr ADDR` | `EDSR_DIST_ADDR` | dist default |
-//! | dist worker count | `--dist-workers N` | `EDSR_DIST_WORKERS` | dist default |
-//! | dist push timeout (ms) | `--dist-push-timeout-ms N` | `EDSR_DIST_PUSH_TIMEOUT_MS` | dist default |
-//! | dist sparse threshold | `--dist-sparse-threshold F` | `EDSR_DIST_SPARSE_THRESHOLD` | dist default |
 //!
 //! Boolean env vars are truthy unless empty, `0`, `false`, or `off`
 //! (case-insensitive). [`EnvConfig::resolve`] is pure — the environment is
@@ -87,20 +83,6 @@ pub struct EnvConfig {
     /// snapshots in-process (v2 snapshots always serve quantized) and
     /// `edsr query` asserts the server is quantized before sending.
     pub serve_quant: bool,
-    /// Bind address for `edsr ps` / connect address for `edsr worker`
-    /// (`None` = dist default).
-    pub dist_addr: Option<String>,
-    /// Worker count a parameter server waits for before starting the run
-    /// (`None` = dist default).
-    pub dist_workers: Option<usize>,
-    /// How long the parameter server waits for an assigned gradient push
-    /// before reissuing the work item to another worker (`None` = dist
-    /// default).
-    pub dist_push_timeout_ms: Option<u64>,
-    /// Density cutoff for the sparse gradient codec, in `0.0..=1.0`:
-    /// tensors with a nonzero fraction above it ship dense (`None` =
-    /// dist default).
-    pub dist_sparse_threshold: Option<f32>,
     /// Arguments `resolve` did not consume (positionals and unknown
     /// flags), in their original order, for the caller's own parser.
     pub rest: Vec<String>,
@@ -124,10 +106,6 @@ impl Default for EnvConfig {
             serve_read_timeout_ms: None,
             serve_stall_ms: None,
             serve_quant: false,
-            dist_addr: None,
-            dist_workers: None,
-            dist_push_timeout_ms: None,
-            dist_sparse_threshold: None,
             rest: Vec::new(),
         }
     }
@@ -201,20 +179,6 @@ impl EnvConfig {
         if let Some(v) = env("EDSR_SERVE_QUANT") {
             cfg.serve_quant = truthy(&v);
         }
-        if let Some(v) = env("EDSR_DIST_ADDR") {
-            if !v.is_empty() {
-                cfg.dist_addr = Some(v);
-            }
-        }
-        if let Some(v) = env("EDSR_DIST_WORKERS") {
-            cfg.dist_workers = Some(parse_count("EDSR_DIST_WORKERS", &v)?);
-        }
-        if let Some(v) = env("EDSR_DIST_PUSH_TIMEOUT_MS") {
-            cfg.dist_push_timeout_ms = Some(parse_ms_nonzero("EDSR_DIST_PUSH_TIMEOUT_MS", &v)?);
-        }
-        if let Some(v) = env("EDSR_DIST_SPARSE_THRESHOLD") {
-            cfg.dist_sparse_threshold = Some(parse_fraction("EDSR_DIST_SPARSE_THRESHOLD", &v)?);
-        }
 
         // CLI layer (wins). Both `--flag value` and `--flag=value` work.
         let mut it = args.iter().peekable();
@@ -276,21 +240,6 @@ impl EnvConfig {
                     cfg.serve_stall_ms = Some(parse_ms_nonzero("--serve-stall-ms", &v)?);
                 }
                 "--quantized" => cfg.serve_quant = true,
-                "--dist-addr" => cfg.dist_addr = Some(value(&mut it)?),
-                "--dist-workers" => {
-                    let v = value(&mut it)?;
-                    cfg.dist_workers = Some(parse_count("--dist-workers", &v)?);
-                }
-                "--dist-push-timeout-ms" => {
-                    let v = value(&mut it)?;
-                    cfg.dist_push_timeout_ms =
-                        Some(parse_ms_nonzero("--dist-push-timeout-ms", &v)?);
-                }
-                "--dist-sparse-threshold" => {
-                    let v = value(&mut it)?;
-                    cfg.dist_sparse_threshold =
-                        Some(parse_fraction("--dist-sparse-threshold", &v)?);
-                }
                 _ => cfg.rest.push(arg.clone()),
             }
         }
@@ -363,15 +312,6 @@ fn parse_ms_nonzero(source: &str, value: &str) -> Result<u64, String> {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!(
             "{source}: expected milliseconds >= 1, got {value:?}"
-        )),
-    }
-}
-
-fn parse_fraction(source: &str, value: &str) -> Result<f32, String> {
-    match value.trim().parse::<f32>() {
-        Ok(f) if (0.0..=1.0).contains(&f) => Ok(f),
-        _ => Err(format!(
-            "{source}: expected a fraction in 0.0..=1.0, got {value:?}"
         )),
     }
 }
@@ -594,82 +534,6 @@ mod tests {
         let env_on = |k: &str| (k == "EDSR_SERVE_QUANT").then(|| "1".to_string());
         assert!(EnvConfig::resolve(env_on, &[]).unwrap().serve_quant);
         assert!(!EnvConfig::resolve(no_env, &[]).unwrap().serve_quant);
-    }
-
-    #[test]
-    fn dist_addr_cli_beats_env() {
-        let env = |k: &str| (k == "EDSR_DIST_ADDR").then(|| "10.0.0.1:7000".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--dist-addr", "127.0.0.1:0"])).unwrap();
-        assert_eq!(cfg.dist_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().dist_addr.as_deref(),
-            Some("10.0.0.1:7000")
-        );
-        assert_eq!(EnvConfig::resolve(no_env, &[]).unwrap().dist_addr, None);
-        // An empty env value means "unset", matching EDSR_CHECKPOINT.
-        let empty = |k: &str| (k == "EDSR_DIST_ADDR").then(String::new);
-        assert_eq!(EnvConfig::resolve(empty, &[]).unwrap().dist_addr, None);
-        assert!(EnvConfig::resolve(no_env, &args(&["--dist-addr"])).is_err());
-    }
-
-    #[test]
-    fn dist_workers_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_DIST_WORKERS").then(|| "4".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--dist-workers", "2"])).unwrap();
-        assert_eq!(cfg.dist_workers, Some(2));
-        assert_eq!(EnvConfig::resolve(env, &[]).unwrap().dist_workers, Some(4));
-        assert_eq!(EnvConfig::resolve(no_env, &[]).unwrap().dist_workers, None);
-        // A parameter server with zero workers can never start a run.
-        assert!(EnvConfig::resolve(no_env, &args(&["--dist-workers", "0"])).is_err());
-        let bad = |k: &str| (k == "EDSR_DIST_WORKERS").then(|| "many".to_string());
-        assert!(EnvConfig::resolve(bad, &[]).is_err());
-    }
-
-    #[test]
-    fn dist_push_timeout_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_DIST_PUSH_TIMEOUT_MS").then(|| "5000".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--dist-push-timeout-ms=750"])).unwrap();
-        assert_eq!(cfg.dist_push_timeout_ms, Some(750));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().dist_push_timeout_ms,
-            Some(5000)
-        );
-        assert_eq!(
-            EnvConfig::resolve(no_env, &[])
-                .unwrap()
-                .dist_push_timeout_ms,
-            None
-        );
-        // A zero timeout would reissue every outstanding step instantly.
-        assert!(EnvConfig::resolve(no_env, &args(&["--dist-push-timeout-ms", "0"])).is_err());
-    }
-
-    #[test]
-    fn dist_sparse_threshold_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_DIST_SPARSE_THRESHOLD").then(|| "0.5".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--dist-sparse-threshold", "0.1"])).unwrap();
-        assert_eq!(cfg.dist_sparse_threshold, Some(0.1));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().dist_sparse_threshold,
-            Some(0.5)
-        );
-        assert_eq!(
-            EnvConfig::resolve(no_env, &[])
-                .unwrap()
-                .dist_sparse_threshold,
-            None
-        );
-        // Both endpoints are meaningful: 0.0 = always dense, 1.0 = always
-        // sparse-eligible.
-        assert_eq!(
-            EnvConfig::resolve(no_env, &args(&["--dist-sparse-threshold", "0"]))
-                .unwrap()
-                .dist_sparse_threshold,
-            Some(0.0)
-        );
-        assert!(EnvConfig::resolve(no_env, &args(&["--dist-sparse-threshold", "1.5"])).is_err());
-        assert!(EnvConfig::resolve(no_env, &args(&["--dist-sparse-threshold", "-0.1"])).is_err());
-        assert!(EnvConfig::resolve(no_env, &args(&["--dist-sparse-threshold", "dense"])).is_err());
     }
 
     #[test]

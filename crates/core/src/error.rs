@@ -27,10 +27,6 @@ pub enum Error {
     /// A parallel worker panicked (payload text from
     /// `edsr_par::catch_panic`).
     Worker(String),
-    /// The distributed-training layer failed (stringified
-    /// `edsr_dist::DistError`; kept as text so `edsr-core` stays below
-    /// `edsr-dist` in the dependency graph).
-    Dist(String),
 }
 
 impl fmt::Display for Error {
@@ -42,7 +38,6 @@ impl fmt::Display for Error {
             Error::Config(msg) => write!(f, "config: {msg}"),
             Error::Io(e) => write!(f, "io: {e}"),
             Error::Worker(msg) => write!(f, "parallel worker panicked: {msg}"),
-            Error::Dist(msg) => write!(f, "dist: {msg}"),
         }
     }
 }
@@ -53,7 +48,7 @@ impl std::error::Error for Error {
             Error::Train(e) => Some(e),
             Error::Checkpoint(e) => Some(e),
             Error::Io(e) => Some(e),
-            Error::Data(_) | Error::Config(_) | Error::Worker(_) | Error::Dist(_) => None,
+            Error::Data(_) | Error::Config(_) | Error::Worker(_) => None,
         }
     }
 }

@@ -38,10 +38,8 @@ pub mod prelude {
     pub use edsr_cl::{
         image_augmenters, run_multitask, tabular_augmenters, Cassle, CheckpointConfig,
         ContinualModel, Der, Finetune, Lump, Method, ModelConfig, NoopObserver, Observer,
-        RunBuilder, RunOptions, RunResult, Si, StepRecord, TrainConfig, TrainError,
+        RunBuilder, RunResult, Si, StepRecord, TrainConfig, TrainError,
     };
-    #[allow(deprecated)] // legacy entry points stay reachable during migration
-    pub use edsr_cl::{run_sequence, run_sequence_with};
     pub use edsr_data::{
         build_scenario, cifar100_sim, cifar10_sim, domainnet_sim, test_sim, tiny_imagenet_sim,
         write_scenario, ShardStream, TaskSource, SCENARIO_NAMES,

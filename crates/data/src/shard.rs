@@ -373,7 +373,7 @@ mod tests {
         }
     }
 
-    fn toy_seq() -> TaskSequence {
+    fn toy_sequence() -> TaskSequence {
         TaskSequence {
             name: "toy-stream".into(),
             tasks: (0..3).map(|i| toy_task(500 + i)).collect(),
@@ -460,7 +460,7 @@ mod tests {
     fn shard_dir_and_manifest_round_trip() {
         let dir = std::env::temp_dir().join("edsr_shard_dir_rt");
         std::fs::remove_dir_all(&dir).ok();
-        let seq = toy_seq();
+        let seq = toy_sequence();
         let manifest = write_shard_dir(&dir, &seq).unwrap();
         assert_eq!(manifest.shards.len(), 3);
         assert_eq!(manifest.dim, 5);

@@ -70,9 +70,8 @@ impl TaskSource for TaskSequence {
     }
 }
 
-/// A shared sequence is also a source: `fetch` never mutates, so the
-/// deprecated `&TaskSequence` trainer shims can wrap their argument in
-/// `&mut &TaskSequence` without cloning.
+/// A shared sequence is also a source: `fetch` never mutates, so a caller
+/// holding `&TaskSequence` can pass `&mut &seq` without cloning.
 impl TaskSource for &TaskSequence {
     fn name(&self) -> &str {
         &self.name

@@ -226,7 +226,7 @@ mod tests {
     use edsr_tensor::rng::seeded;
     use edsr_tensor::Matrix;
 
-    fn toy_seq(tasks: usize) -> TaskSequence {
+    fn toy_sequence(tasks: usize) -> TaskSequence {
         let mut rng = seeded(700);
         TaskSequence {
             name: "stream-test".into(),
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn sequential_walk_matches_sequence_with_two_resident() {
         let dir = tmp_dir("walk");
-        let seq = toy_seq(8);
+        let seq = toy_sequence(8);
         write_shard_dir(&dir, &seq).unwrap();
         let mut stream = ShardStream::open(&dir).unwrap();
         assert_eq!(TaskSource::name(&stream), "stream-test");
@@ -292,7 +292,7 @@ mod tests {
     fn trainer_access_pattern_stays_within_budget() {
         // Train-then-evaluate look-back: fetch(i), then 0..=i, repeatedly.
         let dir = tmp_dir("lookback");
-        let seq = toy_seq(5);
+        let seq = toy_sequence(5);
         write_shard_dir(&dir, &seq).unwrap();
         let mut stream = ShardStream::open(&dir).unwrap();
         for i in 0..5 {
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn refetching_resident_shard_is_free() {
         let dir = tmp_dir("refetch");
-        write_shard_dir(&dir, &toy_seq(3)).unwrap();
+        write_shard_dir(&dir, &toy_sequence(3)).unwrap();
         let mut stream = ShardStream::open(&dir).unwrap();
         stream.fetch(0).unwrap();
         let loads = stream.sync_loads() + stream.prefetch_hits();
@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn corrupt_shard_surfaces_structured_error_on_fetch() {
         let dir = tmp_dir("corrupt");
-        write_shard_dir(&dir, &toy_seq(4)).unwrap();
+        write_shard_dir(&dir, &toy_sequence(4)).unwrap();
         // Corrupt shard 2 in the middle of its payload.
         let victim = dir.join("task0002.shard");
         let mut bytes = std::fs::read(&victim).unwrap();
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn out_of_range_fetch_is_rejected() {
         let dir = tmp_dir("range");
-        write_shard_dir(&dir, &toy_seq(2)).unwrap();
+        write_shard_dir(&dir, &toy_sequence(2)).unwrap();
         let mut stream = ShardStream::open(&dir).unwrap();
         assert!(matches!(
             stream.fetch(2),

@@ -104,7 +104,7 @@ impl From<io::Error> for CheckpointError {
 // CRC32 + envelope: shared with the wire layer (edsr-wire). The helpers
 // below keep this module's historical public API — `CheckpointError` out,
 // same semantics — while the byte-level mechanics live in one place for
-// checkpoints, serve snapshots, and the dist protocol alike.
+// checkpoints and serve snapshots alike.
 // ---------------------------------------------------------------------------
 
 /// CRC32 (IEEE) of `bytes` — the integrity check in the v2 trailer.

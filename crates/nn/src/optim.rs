@@ -30,10 +30,7 @@ pub enum OptimState {
 }
 
 /// Gradient-descent optimizer interface over a [`ParamSet`].
-///
-/// `Send` is a supertrait so a boxed optimizer can live inside state
-/// shared across server threads (edsr-dist's coordinator).
-pub trait Optimizer: Send {
+pub trait Optimizer {
     /// Applies one update from the accumulated gradients, then leaves the
     /// gradient buffers untouched (call [`ParamSet::zero_grads`] yourself —
     /// the trainer owns the zeroing so losses can be accumulated).

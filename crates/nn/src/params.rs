@@ -69,15 +69,6 @@ impl ParamSet {
         &self.grads[id.0]
     }
 
-    /// Mutable gradient buffer of a parameter. Lets a caller *install*
-    /// a gradient bit-exactly (a parameter server restoring a worker's
-    /// pushed gradients) — [`accumulate_grad`](Self::accumulate_grad)
-    /// into a zeroed buffer is not equivalent, since `0.0 + (-0.0)`
-    /// loses the sign of zero.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.grads[id.0]
-    }
-
     /// Name given at registration.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]

@@ -53,7 +53,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use edsr_cl::checkpoint::{load_any_serve_snapshot, AnyServeSnapshot};
@@ -303,12 +303,18 @@ impl Batcher {
     /// Starts the live-rotation thread: poll the snapshot directory,
     /// validate candidates, build fresh engines off-lock, swap between
     /// flushes. Stopped (and joined) together with the batcher.
+    ///
+    /// Returns once the watcher is running, so its thread start-up (and
+    /// the allocations that come with it) never lands after the call.
     pub fn start_rotation(&mut self, cfg: RotateConfig) {
         let shared = Arc::clone(&self.shared);
+        let started = Arc::new(Barrier::new(2));
+        let watcher_started = Arc::clone(&started);
         let handle = std::thread::Builder::new()
             .name("edsr-serve-rotate".into())
-            .spawn(move || rotation_worker(&shared, cfg))
+            .spawn(move || rotation_worker(&shared, cfg, &watcher_started))
             .expect("spawn rotation thread");
+        started.wait();
         self.rotator = Some(handle);
     }
 
@@ -361,7 +367,13 @@ impl Batcher {
     }
 
     fn stop_worker(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        {
+            // Under the rotator's mutex: it checks `stop` and waits
+            // atomically, so this store cannot slip in between and lose
+            // the notify below.
+            let _rotate = lock(&self.shared.rotate_mx);
+            self.shared.stop.store(true, Ordering::SeqCst);
+        }
         self.shared.queue_cv.notify_all();
         self.shared.rotate_cv.notify_all();
         if let Some(w) = self.worker.take() {
@@ -720,16 +732,17 @@ fn try_rotate(shared: &BatchShared, cfg: &RotateConfig, current: &mut Option<Pat
     }
 }
 
-/// The rotator thread: sleep on its condvar (woken early by stop),
-/// then attempt one rotation per poll tick.
-fn rotation_worker(shared: &BatchShared, cfg: RotateConfig) {
-    let mut current = cfg.current.clone();
+/// The rotator thread: meet `started`, then sleep on its condvar (woken
+/// early by stop) and attempt one rotation per poll tick.
+fn rotation_worker(shared: &BatchShared, mut cfg: RotateConfig, started: &Barrier) {
+    let mut current = cfg.current.take();
+    started.wait();
     loop {
         {
             let guard = lock(&shared.rotate_mx);
             let _ = shared
                 .rotate_cv
-                .wait_timeout(guard, cfg.poll)
+                .wait_timeout_while(guard, cfg.poll, |_| !shared.stop.load(Ordering::SeqCst))
                 .unwrap_or_else(|e| e.into_inner());
         }
         if shared.stop.load(Ordering::SeqCst) {
@@ -1391,5 +1404,33 @@ mod tests {
         );
         batcher.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `stop()` right after `start_rotation()` must not wait out the
+    /// poll: the stop flag and the watcher's wait are ordered under one
+    /// mutex, so the wake-up cannot be lost. A regression hangs an
+    /// iteration for the full hour-long poll; the watchdog turns that
+    /// into a failure.
+    #[test]
+    fn stop_right_after_start_rotation_returns_promptly() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..200 {
+                let mut batcher = Batcher::new(engine(), 4, Duration::from_micros(100));
+                batcher.start_rotation(RotateConfig {
+                    dir: std::env::temp_dir().join("edsr-rotate-never-polled"),
+                    poll: Duration::from_secs(3600),
+                    cache_capacity: 16,
+                    current: None,
+                    quantize: false,
+                });
+                batcher.stop();
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("stop() blocked on the rotation poll: lost wake-up");
+        cycles.join().expect("start/stop cycles");
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The shared wire substrate: every byte-level integrity mechanism the
 //! workspace uses, in one place. Extracted from `edsr-serve`'s protocol
-//! module and `edsr-nn`'s checkpoint IO so the serving layer and the
-//! distributed-training layer (`edsr-dist`) frame and validate bytes
-//! identically.
+//! module and `edsr-nn`'s checkpoint IO so serving, checkpoints, data
+//! shards and quantized snapshots frame and validate bytes identically.
 //!
 //! Three building blocks:
 //!
@@ -151,7 +150,7 @@ fn crc32_table() -> [u32; 256] {
 }
 
 /// CRC32 (IEEE) of `bytes` — the integrity check in envelope trailers and
-/// on dist-protocol state digests.
+/// on the quantized snapshot's f32-source digests.
 pub fn crc32(bytes: &[u8]) -> u32 {
     // Table construction is allocation-free and cheap to call; the
     // compiler hoists it, and integrity checks are far from any hot loop.

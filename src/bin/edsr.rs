@@ -7,8 +7,6 @@
 //! edsr metrics [PATH]                summarize a JSONL metrics file
 //! edsr serve <SNAPSHOT> [opts]       serve embeddings + kNN over TCP
 //! edsr query <ADDR> <op> [opts]      talk to a running server
-//! edsr ps <preset> <method> [opts]   host a distributed training run
-//! edsr worker <ADDR>                 join a distributed training run
 //! edsr scenario list                 list the scenario zoo
 //! edsr scenario write <name> <dir>   materialize a scenario as shards
 //! edsr scenario run <name> <method>  train on a scenario, in RAM or
@@ -48,16 +46,6 @@
 //!          edsr query ADDR shutdown
 //!          --quantized   assert the server answers on the int8 backend
 //!                        (one stats round-trip) before sending the op
-//!
-//! ps:      same run flags as `run` (--seed/--epochs/--memory/--save) plus
-//!          --dist-addr A                 bind address (default 127.0.0.1:0)
-//!          --dist-workers N              workers to wait for (default 1)
-//!          --dist-push-timeout-ms N      work-item reissue timeout
-//!          --dist-sparse-threshold F     gradient codec density cutoff
-//!          The run starts once all N workers have registered and is
-//!          bit-identical to `edsr run` with the same flags (DESIGN.md §14).
-//!
-//! worker:  edsr worker ADDR   (or --dist-addr / EDSR_DIST_ADDR)
 //! ```
 //!
 //! `--threads`, `--isa`, `--checkpoint`, `--resume`, `--obs`,
@@ -81,7 +69,6 @@ use edsr::data::{
     tiny_imagenet_sim, write_scenario, Preset, ShardStream, TabularConfig, SCENARIO_NAMES,
     TABULAR_SPECS,
 };
-use edsr::dist::{run_worker, serve_ps, DistSpec, PsConfig, WorkerOptions};
 use edsr::serve::{
     serve, Client, Engine, RetryPolicy, RotateConfig, ServeError, ServerConfig, WireMetric,
 };
@@ -89,7 +76,7 @@ use edsr::tensor::rng::seeded;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--isa L] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr ps <preset> <method> [--seed N] [--epochs N] [--memory N] [--save PATH]\n          [--dist-addr A] [--dist-workers N] [--dist-push-timeout-ms N] [--dist-sparse-threshold F]\n  edsr worker <ADDR>   (or --dist-addr / EDSR_DIST_ADDR)\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--isa (or EDSR_ISA) pins the SIMD kernel level: auto | scalar | avx2 |\navx512; results are bit-identical at any level (DESIGN.md \u{a7}15).\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12).\n`edsr ps` + N×`edsr worker` reproduce `edsr run` bit-identically over\nTCP (DESIGN.md \u{a7}14)."
+        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--isa L] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--isa (or EDSR_ISA) pins the SIMD kernel level: auto | scalar | avx2 |\navx512; results are bit-identical at any level (DESIGN.md \u{a7}15).\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12)."
     );
     std::process::exit(2);
 }
@@ -239,8 +226,7 @@ fn cmd_run(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
             }
         }
         if env_cfg.resume {
-            // Without --checkpoint this fails fast with InvalidConfig
-            // (the silent-no-op behaviour of the old RunOptions is gone).
+            // Without --checkpoint this fails fast with InvalidConfig.
             builder = builder.resume();
         }
         let result = builder.run(
@@ -564,117 +550,6 @@ fn cmd_query(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
     Ok(())
 }
 
-fn dist_err(e: edsr::dist::DistError) -> Error {
-    Error::Dist(e.to_string())
-}
-
-/// `edsr ps <preset> <method>` — host a distributed run: bind the
-/// parameter server, wait for `--dist-workers` workers, sequence the run,
-/// and print the same per-task report as `edsr run` (bit-identical
-/// results — DESIGN.md §14).
-fn cmd_ps(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
-    let (Some(preset_name), Some(method_name)) = (args.first(), args.get(1)) else {
-        usage()
-    };
-    let seed: u64 = match parse_flag(args, "--seed") {
-        Some(v) => parse_num(&v, "--seed")?,
-        None => 11,
-    };
-    let mut train = TrainConfig::image();
-    if let Some(e) = parse_flag(args, "--epochs") {
-        train.epochs_per_task = parse_num(&e, "--epochs")?;
-    }
-    let memory = match parse_flag(args, "--memory") {
-        Some(m) => Some(parse_num(&m, "--memory")?),
-        None => None,
-    };
-    let spec = DistSpec::new(preset_name, method_name, seed, &train, memory);
-    let mut cfg = PsConfig::default();
-    if let Some(a) = &env_cfg.dist_addr {
-        cfg.addr = a.clone();
-    }
-    if let Some(w) = env_cfg.dist_workers {
-        cfg.workers = w;
-    }
-    if let Some(t) = env_cfg.dist_push_timeout_ms {
-        cfg.push_timeout_ms = t;
-    }
-    if let Some(s) = env_cfg.dist_sparse_threshold {
-        cfg.sparse_threshold = s;
-    }
-    let save = parse_flag(args, "--save").map(std::path::PathBuf::from);
-    cfg.save = save.clone();
-
-    let workers = cfg.workers;
-    let handle = serve_ps(spec, cfg).map_err(dist_err)?;
-    println!(
-        "listening on {} ({workers} workers expected) — join with: edsr worker {}",
-        handle.addr(),
-        handle.addr()
-    );
-    let report = handle.wait().map_err(dist_err)?;
-    println!(
-        "{} on {} ({} workers): Acc {:.2}%  Fgt {:.2}%  ({:.1}s)",
-        method_name,
-        preset_name,
-        workers,
-        report.matrix.final_acc() * 100.0,
-        report.matrix.final_fgt() * 100.0,
-        report.task_seconds.iter().sum::<f64>()
-    );
-    for i in 0..report.matrix.num_increments() {
-        println!(
-            "  after task {i:>2}: Acc_i {:5.1}%  Fgt_i {:4.1}%  (new-task {:5.1}%)",
-            report.matrix.acc_at(i) * 100.0,
-            report.matrix.fgt_at(i) * 100.0,
-            report.matrix.get(i, i) * 100.0
-        );
-    }
-    let s = report.stats;
-    println!(
-        "drained: {} steps (v{}), {} barriers, {} eval cells, {} reissues, {} reconnects, {}/{} pull/push bytes",
-        s.steps,
-        report.final_version,
-        s.barriers,
-        s.eval_cells,
-        s.reissues,
-        report.reconnects,
-        s.pull_bytes,
-        s.push_bytes
-    );
-    if let Some(path) = save {
-        println!("checkpoint written to {}", path.display());
-    }
-    Ok(())
-}
-
-/// `edsr worker <ADDR>` — join a distributed run hosted by `edsr ps` and
-/// keep pulling work until the server drains us.
-fn cmd_worker(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
-    let addr = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .or_else(|| env_cfg.dist_addr.clone())
-        .ok_or_else(|| {
-            Error::Dist(
-                "worker needs an address: edsr worker ADDR (or --dist-addr / EDSR_DIST_ADDR)"
-                    .into(),
-            )
-        })?;
-    let report = run_worker(&addr, WorkerOptions::default()).map_err(dist_err)?;
-    println!(
-        "worker {} drained: {} steps, {} eval cells, {} boundaries, {} reconnects (final v{})",
-        report.worker_id,
-        report.steps,
-        report.eval_cells,
-        report.boundaries,
-        report.reconnects,
-        report.final_version
-    );
-    Ok(())
-}
-
 /// `edsr scenario list | write <name> <dir> | run <name> <method> …`.
 ///
 /// `write` materializes a scenario-zoo stream as an `EDSRDS01` shard
@@ -804,8 +679,6 @@ fn main() {
         Some("metrics") => cmd_metrics(&args[1..], &env_cfg),
         Some("serve") => cmd_serve(&args[1..], &env_cfg),
         Some("query") => cmd_query(&args[1..], &env_cfg),
-        Some("ps") => cmd_ps(&args[1..], &env_cfg),
-        Some("worker") => cmd_worker(&args[1..], &env_cfg),
         Some("scenario") => cmd_scenario(&args[1..]),
         _ => usage(),
     };

@@ -10,7 +10,6 @@
 pub use edsr_cl as cl;
 pub use edsr_core as core;
 pub use edsr_data as data;
-pub use edsr_dist as dist;
 pub use edsr_linalg as linalg;
 pub use edsr_nn as nn;
 pub use edsr_obs as obs;

@@ -7,10 +7,18 @@
 //! batch iteration, and memory sampling, which own their outputs by design.
 //! The claim holds at one thread (`EDSR_THREADS=1`); pool dispatch
 //! allocates per-spawn closure state at higher thread counts.
+//!
+//! The allocation counter is process-global, so no other thread may
+//! allocate while a window is open. Each test first takes `ALLOC_LOCK`
+//! (one measurement at a time), then waits until libtest has stopped
+//! allocating: starting a test thread, booking a finished test in and
+//! printing its result all allocate, and libtest does that on its own
+//! threads while a test runs. Helper threads (batcher, rotation watcher)
+//! are up before any window opens.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use edsr::cl::{
@@ -60,6 +68,38 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Returns once no thread has allocated for 100 ms (giving up after 5 s,
+/// which leaves the windows to report the noise). libtest's main thread
+/// books a test in (a few allocations) after starting its thread, and
+/// when a test ends it books the result, prints it and may start the next
+/// test's thread; the finished test's thread allocates to send its
+/// result. On a loaded host all of that can run well after the next
+/// measuring test has taken the lock, so no window may open before it.
+fn wait_for_harness_to_settle() {
+    for _ in 0..50 {
+        let before = allocations();
+        std::thread::sleep(Duration::from_millis(100));
+        if allocations() == before {
+            return;
+        }
+    }
+}
+
+/// Takes the measuring lock and readies the process for a window: one
+/// pool thread, no obs sink, a quiet harness. Hold the guard for the
+/// whole test.
+fn measure_alone() -> MutexGuard<'static, ()> {
+    let serialized = ALLOC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Must be set before the first pool touch; single-thread keeps the
+    // whole step on this thread (no spawn bookkeeping).
+    std::env::set_var("EDSR_THREADS", "1");
+    // No sink installed: the instrumented paths must cost nothing.
+    assert!(edsr::obs::uninstall().is_none(), "stray sink installed");
+    assert!(!edsr::obs::enabled());
+    wait_for_harness_to_settle();
+    serialized
+}
+
 /// Runs warm-up steps (pool growth, optimizer moment init, kernel pack
 /// buffers), then returns the allocation count across `measured` further
 /// steps — which must be zero.
@@ -101,13 +141,7 @@ fn steady_state_allocs(
 
 #[test]
 fn steady_state_train_step_makes_no_hot_path_allocations() {
-    let _serialized = ALLOC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Must be set before the first pool touch; single-thread keeps the
-    // whole step on this thread (no spawn bookkeeping).
-    std::env::set_var("EDSR_THREADS", "1");
-    // No sink installed: the instrumented step must cost nothing.
-    assert!(edsr::obs::uninstall().is_none(), "stray sink installed");
-    assert!(!edsr::obs::enabled());
+    let _serialized = measure_alone();
     let mut observer = NoopObserver;
     let mut rng = seeded(7);
     let x1 = Matrix::randn(16, 16, 1.0, &mut rng);
@@ -153,9 +187,7 @@ fn serve_batcher(cache_capacity: usize) -> Batcher {
 
 #[test]
 fn warm_serve_embed_is_alloc_free_on_hits_and_bounded_on_misses() {
-    let _serialized = ALLOC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("EDSR_THREADS", "1");
-    assert!(edsr::obs::uninstall().is_none(), "stray sink installed");
+    let _serialized = measure_alone();
 
     // --- Cache-hit path: repeated input, zero steady-state allocations.
     // The full robustness config is live — deadline checks, bounded
@@ -250,9 +282,7 @@ fn warm_serve_embed_is_alloc_free_on_hits_and_bounded_on_misses() {
 
 #[test]
 fn warm_quantized_serve_embed_is_alloc_free_on_hits() {
-    let _serialized = ALLOC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("EDSR_THREADS", "1");
-    assert!(edsr::obs::uninstall().is_none(), "stray sink installed");
+    let _serialized = measure_alone();
 
     // Same shape as the f32 hit-path test above, served on the int8
     // backend: the quantized engine owns its scratch (the int8 GEMM
