@@ -1,13 +1,20 @@
-//! Parallel-runtime micro-benchmark: times the four `edsr-par`-wired
-//! kernels (matmul, conv forward, batched kNN, PCA fit) at 1 thread and at
-//! the configured maximum, and writes `BENCH_par.json` (repo root) with
-//! one record per (op, thread count) plus the max-thread speedup. When the
-//! configured maximum *is* 1 thread the max-thread rows are skipped — they
-//! would re-measure the identical configuration and differ only by timer
-//! noise (historically recorded as phantom speedup regressions).
+//! Parallel-runtime micro-benchmark: times the `edsr-par`-wired kernels
+//! (matmul, conv forward, batched kNN, PCA fit) plus the shapes the
+//! `edsr-par` cut-off was set from — the 64-row train-step products and
+//! one `boundary` eval cell (the 1,600 x 300 x 96 forward and a 400 x 1,600
+//! cosine kNN at d=48) — at 1 thread and at the configured maximum, and
+//! writes `BENCH_par.json` (repo root) with one record per (op, thread
+//! count) plus the max-thread speedup. When the configured maximum *is* 1
+//! thread the max-thread rows are skipped — they would re-measure the
+//! identical configuration and differ only by timer noise.
 //!
-//! `EDSR_BENCH_QUICK=1` shrinks sizes and iteration counts to a smoke run
-//! (used by `ci.sh`). The JSON format is documented in DESIGN.md §9.
+//! Exits non-zero when any max-thread row runs more than 1.5x slower than
+//! its 1-thread row: work too small to pay for a pool hand-off must run
+//! inline (DESIGN.md §9).
+//!
+//! `EDSR_BENCH_QUICK=1` shrinks the first four ops and the iteration
+//! count to a smoke run (used by `ci.sh`); the cut-off shapes keep their
+//! real sizes. The JSON format is documented in DESIGN.md §9.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -15,7 +22,7 @@ use std::time::Instant;
 use edsr_cl::ModelConfig;
 use edsr_core::prelude::seeded;
 use edsr_core::EnvConfig;
-use edsr_linalg::{KnnQuery, Pca};
+use edsr_linalg::{KnnQuery, Metric, Pca};
 use edsr_tensor::Matrix;
 
 /// One timed configuration of one op.
@@ -28,24 +35,28 @@ struct Record {
     speedup: f64,
 }
 
-/// Median-of-iters wall time for one closure, in ns/iter.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    // One warmup pass (also forces lazy pool spawn out of the timing).
-    f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as f64
-        })
-        .collect();
+/// Wall time of one call of `f` at `threads`, in ns, timed after an
+/// untimed call at the same setting: caches then hold what this setting
+/// leaves behind (and the pool is spawned), not what the other left.
+fn time_once(threads: usize, f: &mut dyn FnMut()) -> f64 {
+    edsr_par::with_threads(threads, || {
+        f();
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as f64
+    })
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     samples[samples.len() / 2]
 }
 
-/// Times `f` at 1 thread and at `max_threads`, appending both records.
-/// With `max_threads == 1` only the 1-thread record is taken: a second
-/// sample of the same configuration carries no information.
+/// Times `f` at 1 thread and at `max_threads` (median of `iters` calls
+/// each, the two settings alternating so host noise hits both alike),
+/// appending both records. With `max_threads == 1` only the 1-thread
+/// record is taken: a second sample of the same configuration carries no
+/// information.
 fn bench_op(
     records: &mut Vec<Record>,
     op: &'static str,
@@ -54,7 +65,14 @@ fn bench_op(
     max_threads: usize,
     f: &mut dyn FnMut(),
 ) {
-    let t1 = edsr_par::with_threads(1, || time_ns(iters, &mut *f));
+    let (mut s1, mut sm) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    for _ in 0..iters {
+        s1.push(time_once(1, f));
+        if max_threads > 1 {
+            sm.push(time_once(max_threads, f));
+        }
+    }
+    let t1 = median(s1);
     records.push(Record {
         op,
         size: size.clone(),
@@ -65,7 +83,7 @@ fn bench_op(
     if max_threads == 1 {
         return;
     }
-    let tm = edsr_par::with_threads(max_threads, || time_ns(iters, &mut *f));
+    let tm = median(sm);
     records.push(Record {
         op,
         size,
@@ -82,7 +100,7 @@ fn main() -> Result<(), edsr_core::Error> {
     env_cfg.apply()?;
     let quick = env_cfg.bench_quick;
     let max_threads = edsr_par::configured_threads();
-    let iters = if quick { 3 } else { 15 };
+    let iters = if quick { 7 } else { 15 };
     let mut records = Vec::new();
     let mut rng = seeded(9000);
 
@@ -151,6 +169,52 @@ fn main() -> Result<(), edsr_core::Error> {
         },
     );
 
+    // The shapes the `edsr-par` cut-off was set from, at their real sizes
+    // in quick mode too: the train step's largest and smallest products
+    // (64-row batch, 192 -> 96 -> 48 encoder), which must stay inline,
+    // and one `boundary` eval cell, which must keep using the pool.
+    let shapes: [(&'static str, usize, usize, usize, bool); 3] = [
+        ("train_matmul", 64, 192, 96, false),
+        ("train_grad_matmul", 48, 64, 48, true),
+        ("eval_forward", 1600, 300, 96, false),
+    ];
+    for (op, r, d, c, transposed) in shapes {
+        // `transposed`: the weight-gradient form `xᵀ·dy` with x of d x r.
+        let x = if transposed {
+            Matrix::randn(d, r, 1.0, &mut rng)
+        } else {
+            Matrix::randn(r, d, 1.0, &mut rng)
+        };
+        let w = Matrix::randn(d, c, 1.0, &mut rng);
+        bench_op(
+            &mut records,
+            op,
+            format!("{r}x{d}x{c}"),
+            iters,
+            max_threads,
+            &mut || {
+                if transposed {
+                    std::hint::black_box(x.transpose_matmul(&w));
+                } else {
+                    std::hint::black_box(x.matmul(&w));
+                }
+            },
+        );
+    }
+    let reference = Matrix::randn(1600, 48, 1.0, &mut rng);
+    let qs = Matrix::randn(400, 48, 1.0, &mut rng);
+    bench_op(
+        &mut records,
+        "eval_knn_cosine",
+        "400q/1600ref/d48".to_string(),
+        iters,
+        max_threads,
+        &mut || {
+            let query = KnnQuery::new(&reference, 15).metric(Metric::Cosine);
+            std::hint::black_box(query.search_batch(&qs));
+        },
+    );
+
     // The parallelism that was actually measured, not just requested:
     // worker threads the pool really spawned plus the helping caller,
     // alongside what the hardware offers.
@@ -160,23 +224,19 @@ fn main() -> Result<(), edsr_core::Error> {
         .unwrap_or(1);
     let single_core = hardware_threads == 1;
 
-    // Zero-worker regression gate: with no pool workers, every max-thread
-    // row takes the flat fall-through in `edsr_par::par_for_chunks` and
-    // runs the exact code of its 1-thread row, so the speedup must sit
-    // near 1.0. A large slowdown means chunking overhead leaked back into
-    // the zero-worker path. The 0.66 floor leaves headroom for timer
-    // noise while still catching a real (>1.5x) regression.
-    if pool_workers == 0 {
-        for r in records.iter().filter(|r| r.threads > 1) {
-            if r.speedup < 0.66 {
-                eprintln!(
-                    "REGRESSION: {} at {} threads has speedup {:.3} < 0.66 with a \
-                     zero-worker pool; the flat fall-through is not engaging",
-                    r.op, r.threads, r.speedup
-                );
-                std::process::exit(1);
-            }
-        }
+    // Hand-off regression gate: a max-thread row may not run more than
+    // 1.5x slower than its 1-thread row. Work below the `edsr-par` cut-off
+    // (and every row on a zero-worker pool) runs the exact 1-thread code
+    // inline, so its speedup sits near 1.0; work past the cut-off must pay
+    // for its hand-off. The 0.66 floor leaves headroom for timer noise.
+    let mut slow = false;
+    for r in records.iter().filter(|r| r.threads > 1 && r.speedup < 0.66) {
+        eprintln!(
+            "REGRESSION: {} {} at {} threads has speedup {:.3} < 0.66 \
+             ({pool_workers} pool workers): the pool hand-off costs more than it saves",
+            r.op, r.size, r.threads, r.speedup
+        );
+        slow = true;
     }
 
     // Hand-rolled JSON (no serde in the workspace).
@@ -225,5 +285,8 @@ fn main() -> Result<(), edsr_core::Error> {
     println!("wrote BENCH_par.json ({} records)", records.len());
     edsr_par::emit_pool_metrics();
     edsr_obs::flush();
+    if slow {
+        std::process::exit(1);
+    }
     Ok(())
 }

@@ -112,7 +112,7 @@ fn main() -> Result<(), edsr_core::Error> {
         (
             "matmul",
             Box::new(|out: &mut [f32]| {
-                edsr_par::par_for_rows(out, n, |rows, chunk| {
+                edsr_par::par_for_rows(out, n, n * n * n, |rows, chunk| {
                     kernel::naive::matmul_chunk(a.data(), b.data(), n, n, rows, chunk);
                 });
             }),
@@ -123,7 +123,7 @@ fn main() -> Result<(), edsr_core::Error> {
         (
             "transpose_matmul",
             Box::new(|out: &mut [f32]| {
-                edsr_par::par_for_rows(out, n, |rows, chunk| {
+                edsr_par::par_for_rows(out, n, n * n * n, |rows, chunk| {
                     kernel::naive::transpose_matmul_chunk(a.data(), b.data(), n, n, n, rows, chunk);
                 });
             }),
@@ -134,7 +134,7 @@ fn main() -> Result<(), edsr_core::Error> {
         (
             "matmul_transpose",
             Box::new(|out: &mut [f32]| {
-                edsr_par::par_for_rows(out, n, |rows, chunk| {
+                edsr_par::par_for_rows(out, n, n * n * n, |rows, chunk| {
                     kernel::naive::matmul_transpose_chunk(a.data(), b.data(), n, n, rows, chunk);
                 });
             }),

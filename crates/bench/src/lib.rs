@@ -167,7 +167,8 @@ pub fn run_method_over_seeds_with_model(
     model_cfg: &ModelConfig,
     make_method: &(dyn Fn() -> Box<dyn Method> + Sync),
 ) -> Sweep {
-    let outcomes = edsr_par::par_map_collect(seeds.len(), |si| {
+    // Each seed is a whole continual run: always worth a pool hand-off.
+    let outcomes = edsr_par::par_map_collect(seeds.len(), usize::MAX, |si| {
         let seed = seeds[si];
         edsr_par::catch_panic(|| {
             let mut data_rng = seeded(seed);
@@ -198,7 +199,8 @@ pub fn run_multitask_over_seeds(
     cfg: &TrainConfig,
     seeds: &[u64],
 ) -> (f32, f32, Vec<MultitaskResult>, Vec<SeedFailure>) {
-    let outcomes = edsr_par::par_map_collect(seeds.len(), |si| {
+    // Each seed is a whole continual run: always worth a pool hand-off.
+    let outcomes = edsr_par::par_map_collect(seeds.len(), usize::MAX, |si| {
         let seed = seeds[si];
         edsr_par::catch_panic(|| {
             let mut data_rng = seeded(seed);

@@ -157,23 +157,31 @@ mod tests {
 
     #[test]
     fn batched_classifier_matches_per_query_reference_at_any_thread_count() {
-        // Large enough (160 x 120 scores) for the batch to fan out over
-        // the pool, with duplicate and all-zero rows forcing score ties.
+        // 260 queries x 512 references at d=48 (6.4M multiply-adds, past
+        // three `edsr_par::CUT`s): two threads split the batch in two and
+        // seven in three. Duplicate and all-zero rows force score ties.
+        let (n_train, n_test, d) = (512, 260, 48);
+        assert!(n_test * n_train * d >= 3 * edsr_par::CUT);
         let mut rng = seeded(322);
-        let mut train = Matrix::randn(160, 6, 1.0, &mut rng);
-        for r in (0..160).step_by(7) {
-            let src = train.row((r + 3) % 160).to_vec();
+        let mut train = Matrix::randn(n_train, d, 1.0, &mut rng);
+        for r in (0..n_train).step_by(7) {
+            let src = train.row((r + 3) % n_train).to_vec();
             for (c, v) in src.into_iter().enumerate() {
                 train.set(r, c, if r % 2 == 0 { v } else { 0.0 });
             }
         }
-        let labels: Vec<usize> = (0..160).map(|i| (i * 7) % 5).collect();
-        let test = Matrix::randn(120, 6, 1.0, &mut rng);
-        for k in [1, 15, 200] {
+        let labels: Vec<usize> = (0..n_train).map(|i| (i * 7) % 5).collect();
+        let test = Matrix::randn(n_test, d, 1.0, &mut rng);
+        for k in [1, 15, 600] {
             let want = per_query_reference(&train, &labels, &test, k);
             for threads in [1usize, 2, 7] {
+                let before = edsr_par::handoffs();
                 let got =
                     edsr_par::with_threads(threads, || knn_classify(&train, &labels, &test, k));
+                assert!(
+                    threads == 1 || edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before,
+                    "k={k} threads={threads}: the batch never reached the pool"
+                );
                 assert_eq!(got, want, "k={k} threads={threads}");
             }
         }

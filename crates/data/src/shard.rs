@@ -186,7 +186,7 @@ fn get_dataset(r: &mut Reader) -> Result<Dataset, String> {
     let mut data = vec![0.0f32; rows * cols];
     // Bulk f32 decode is the hot loop of a shard load; chunk it over the
     // pool. Pure element-wise, so the result is thread-count independent.
-    edsr_par::par_for_rows(&mut data, rows, |row_range, chunk| {
+    edsr_par::par_for_rows(&mut data, rows, rows * cols, |row_range, chunk| {
         let base = row_range.start * cols * 4;
         for (k, v) in chunk.iter_mut().enumerate() {
             let o = base + k * 4;

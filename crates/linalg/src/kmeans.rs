@@ -14,12 +14,6 @@ use rand::rngs::StdRng;
 
 use crate::stats::sq_euclidean;
 
-/// Minimum distance-evaluation count (`n x k x d`) before the assignment
-/// step is dispatched to the `edsr-par` pool. Performance knob only: each
-/// row's nearest center is computed independently, so chunking cannot
-/// affect results.
-const MIN_PAR_ASSIGN_WORK: usize = 16 * 1024;
-
 /// Result of running k-means.
 #[derive(Debug, Clone)]
 pub struct KMeansResult {
@@ -95,11 +89,7 @@ pub fn kmeans(x: &Matrix, k: usize, max_iters: usize, rng: &mut StdRng) -> KMean
                     chunk[local] = best;
                 }
             };
-            if n * k * d >= MIN_PAR_ASSIGN_WORK && n > 1 {
-                edsr_par::par_for_rows(&mut new_assignments, n, kernel);
-            } else {
-                kernel(0..n, &mut new_assignments);
-            }
+            edsr_par::par_for_rows(&mut new_assignments, n, n * k * d, kernel);
         }
         let mut changed = false;
         for i in 0..n {
@@ -277,5 +267,38 @@ mod tests {
         let x = blobs(82);
         let mut rng = seeded(83);
         let _ = kmeans(&x, 0, 10, &mut rng);
+    }
+
+    /// Determinism contract (DESIGN.md §9): the assignment step carries
+    /// `n * k * d` = 6.3M multiply-adds, past three `edsr_par::CUT`s, so
+    /// two threads split it in two and seven in three; centers,
+    /// assignments and inertia stay bit-identical.
+    #[test]
+    fn kmeans_bit_identical_across_thread_counts() {
+        let (n, k, d) = (8200, 16, 48);
+        assert!(n * k * d >= 3 * edsr_par::CUT);
+        let x = Matrix::randn(n, d, 1.0, &mut seeded(84));
+        let run = || kmeans(&x, k, 2, &mut seeded(85));
+        let serial = edsr_par::with_threads(1, run);
+        for threads in [2usize, 7] {
+            let before = edsr_par::handoffs();
+            let par = edsr_par::with_threads(threads, run);
+            assert!(
+                edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before,
+                "assignment never reached the pool at {threads} threads"
+            );
+            assert_eq!(serial.assignments, par.assignments, "threads={threads}");
+            assert_eq!(serial.iterations, par.iterations);
+            assert_eq!(serial.inertia.to_bits(), par.inertia.to_bits());
+            assert!(
+                serial
+                    .centers
+                    .data()
+                    .iter()
+                    .zip(par.centers.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "centers differ at {threads} threads"
+            );
+        }
     }
 }

@@ -91,11 +91,6 @@ pub fn top_k_into(
     }
 }
 
-/// Minimum score count (`queries x reference rows`) before the batch is
-/// dispatched to the `edsr-par` pool. Performance knob only: each query is
-/// scored independently, so chunking cannot affect results.
-const MIN_PAR_SCORES: usize = 16 * 1024;
-
 /// A configured kNN search over a reference matrix. Defaults:
 /// [`Metric::Euclidean`], no excluded row.
 ///
@@ -212,11 +207,8 @@ impl<'a> KnnQuery<'a> {
                 self.select_into(queries.row(q), row_norms.as_deref(), &mut chunk[local]);
             }
         };
-        if n * self.reference.rows() >= MIN_PAR_SCORES && n > 1 {
-            edsr_par::par_for_rows(out, n, kernel);
-        } else {
-            kernel(0..n, out);
-        }
+        let work = n * self.reference.rows() * self.reference.cols();
+        edsr_par::par_for_rows(out, n, work, kernel);
     }
 }
 

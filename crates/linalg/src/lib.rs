@@ -92,16 +92,50 @@ mod proptests {
             let got = KnnQuery::new(&x, 1).search(&row0);
             prop_assert!(got[0].score <= 1e-6);
         }
+    }
+
+    /// Runs `f` at `threads`; with more than one thread and a pool that
+    /// has workers, fails unless `f` handed work to the pool.
+    fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> Result<R, TestCaseError> {
+        let before = edsr_par::handoffs();
+        let out = edsr_par::with_threads(threads, f);
+        prop_assert!(
+            edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before,
+            "never reached the pool at {} threads",
+            threads
+        );
+        Ok(out)
+    }
+
+    /// A standard-normal `n x d` matrix from `seed`.
+    fn randn(n: usize, d: usize, seed: u64) -> Matrix {
+        Matrix::randn(n, d, 1.0, &mut edsr_tensor::rng::seeded(seed))
+    }
+
+    /// Rows that give `per_row` work units each past three
+    /// `edsr_par::CUT`s: two threads split the call in two, seven in three.
+    fn rows_past_the_cut(per_row: usize) -> usize {
+        (3 * edsr_par::CUT).div_ceil(per_row)
+    }
+
+    proptest! {
+        // Sized past the `edsr-par` cut-off, so fewer cases.
+        #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Determinism contract (DESIGN.md §9): batched kNN returns
         /// identical neighbours (indices and score bits) at every thread
-        /// count.
+        /// count. A self-search of `n` rows scores `n * n * d`
+        /// multiply-adds.
         #[test]
-        fn knn_batch_bit_identical_across_thread_counts(x in sample_matrix()) {
+        fn knn_batch_bit_identical_across_thread_counts(
+            d in 16usize..=48, extra in 0usize..16, seed in 0u64..=u64::MAX,
+        ) {
+            let n = (3 * edsr_par::CUT / d).isqrt() + 1 + extra;
+            let x = randn(n, d, seed);
             let query = KnnQuery::new(&x, 3);
             let serial = edsr_par::with_threads(1, || query.search_batch(&x));
             for threads in [2usize, 7] {
-                let par = edsr_par::with_threads(threads, || query.search_batch(&x));
+                let par = on_pool(threads, || query.search_batch(&x))?;
                 prop_assert_eq!(serial.len(), par.len());
                 for (s_row, p_row) in serial.iter().zip(&par) {
                     prop_assert_eq!(s_row.len(), p_row.len());
@@ -114,12 +148,16 @@ mod proptests {
         }
 
         /// Determinism contract (DESIGN.md §9): the chunked covariance
-        /// reduction in `Pca::fit` is bit-identical at every thread count.
+        /// reduction in `Pca::fit` (`n * d * d` multiply-adds) is
+        /// bit-identical at every thread count.
         #[test]
-        fn pca_fit_bit_identical_across_thread_counts(x in sample_matrix()) {
+        fn pca_fit_bit_identical_across_thread_counts(
+            d in 24usize..=48, extra in 0usize..100, seed in 0u64..=u64::MAX,
+        ) {
+            let x = randn(rows_past_the_cut(d * d) + extra, d, seed);
             let serial = edsr_par::with_threads(1, || Pca::fit(&x, x.cols()));
             for threads in [2usize, 7] {
-                let par = edsr_par::with_threads(threads, || Pca::fit(&x, x.cols()));
+                let par = on_pool(threads, || Pca::fit(&x, x.cols()))?;
                 let same = serial
                     .components
                     .data()

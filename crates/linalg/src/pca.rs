@@ -67,7 +67,7 @@ impl Pca {
             let n_chunks = n.div_ceil(COV_CHUNK_ROWS);
             let mut partials = scratch.take_matrix(n_chunks, d * d);
             let centered_ref = &centered;
-            edsr_par::par_for_rows(partials.data_mut(), n_chunks, |chunks, out| {
+            edsr_par::par_for_rows(partials.data_mut(), n_chunks, n * d * d, |chunks, out| {
                 for (local, ci) in chunks.enumerate() {
                     let acc = &mut out[local * d * d..(local + 1) * d * d];
                     let lo = ci * COV_CHUNK_ROWS;

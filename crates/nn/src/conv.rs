@@ -22,12 +22,6 @@ use rand::rngs::StdRng;
 use crate::layers::Init;
 use crate::params::{Binder, ParamId, ParamSet};
 
-/// Minimum gather-map length before map construction is dispatched to the
-/// `edsr-par` pool. Each batch element owns a fixed-size disjoint region of
-/// the map, so chunking over batch elements cannot affect the indices
-/// produced (DESIGN.md §9). Performance knob only.
-const MIN_PAR_MAP_ELEMS: usize = 16 * 1024;
-
 /// Spatial geometry of the convolution input (channel-major flattening,
 /// matching `edsr-data`'s `GridSpec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,11 +146,7 @@ impl Conv2d {
                 }
             }
         };
-        if b * per_sample >= MIN_PAR_MAP_ELEMS && b > 1 {
-            edsr_par::par_for_rows(&mut map, b, fill);
-        } else {
-            fill(0..b, &mut map);
-        }
+        edsr_par::par_for_rows(&mut map, b, b * per_sample, fill);
         map
     }
 
@@ -180,11 +170,7 @@ impl Conv2d {
                 }
             }
         };
-        if b * per_sample >= MIN_PAR_MAP_ELEMS && b > 1 {
-            edsr_par::par_for_rows(&mut map, b, fill);
-        } else {
-            fill(0..b, &mut map);
-        }
+        edsr_par::par_for_rows(&mut map, b, b * per_sample, fill);
         map
     }
 
@@ -392,6 +378,40 @@ mod tests {
             "stale map served for new batch size"
         );
         assert_eq!(c1.len(), 2 * conv.out_height() * conv.out_width() * 2 * 9);
+    }
+
+    /// Determinism contract (DESIGN.md §9): both gather maps are the same
+    /// at every thread count. 27 filters over 3x8x8 inputs with a 3x3
+    /// kernel give 972 indices per sample in each map, so 4,320 samples
+    /// put each map past two `edsr_par::CUT`s and onto the pool (two
+    /// chunks at 2 and 7 threads; three would need a 50 MB map).
+    #[test]
+    fn gather_maps_bit_identical_across_thread_counts() {
+        let shape = ConvShape {
+            channels: 3,
+            height: 8,
+            width: 8,
+        };
+        let (conv, _ps) = layer(610, shape, 3, 27);
+        let b = 4320;
+        assert!(b * 972 >= 2 * edsr_par::CUT);
+        type Build = fn(&Conv2d, usize) -> Vec<usize>;
+        for (name, build) in [
+            ("im2col", Conv2d::im2col_map as Build),
+            ("regroup", Conv2d::regroup_map),
+        ] {
+            let serial = edsr_par::with_threads(1, || build(&conv, b));
+            assert_eq!(serial.len(), b * 972);
+            for threads in [2usize, 7] {
+                let before = edsr_par::handoffs();
+                let par = edsr_par::with_threads(threads, || build(&conv, b));
+                assert!(
+                    edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before,
+                    "{name} map never reached the pool at {threads} threads"
+                );
+                assert!(serial == par, "{name} map differs at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -13,19 +13,19 @@
 //!
 //! Every primitive here produces **bit-identical results at every thread
 //! count**, preserving the bit-identical checkpoint/resume guarantee of
-//! the fault-tolerant runtime (DESIGN.md §8):
+//! the fault-tolerant runtime (DESIGN.md §8): [`par_for_chunks`] /
+//! [`par_for_rows`] / [`par_map_collect`] compute each index from the
+//! shared inputs only and write to disjoint output slices in index order,
+//! so chunk boundaries cannot affect values.
 //!
-//! - [`par_for_chunks`] / [`par_for_rows`] / [`par_map_collect`] compute
-//!   each index from the shared inputs only and write to disjoint output
-//!   slices in index order, so chunk boundaries cannot affect values.
-//! - [`par_chunk_partials`] (the reduction primitive) derives its chunk
-//!   boundaries from `(len, chunk_len)` **only** — never from the thread
-//!   count — and returns partials in ascending chunk order for the caller
-//!   to fold serially. The float summation tree is therefore fixed.
+//! ## When the pool is used: one grain rule
 //!
-//! `EDSR_THREADS=1` (or a single-core host) short-circuits to inline
-//! serial execution with zero pool overhead, running the exact same
-//! per-chunk code.
+//! Every primitive takes the call's total `work` — multiply-adds, or
+//! elements touched — and splits it into `min(threads, items, work / CUT)`
+//! chunks ([`CUT`]). Below two chunks, or inside a pool job, or with no
+//! pool workers (`EDSR_THREADS=1`, single-core hosts), the call runs inline
+//! on the caller: the exact same per-chunk code, with zero pool overhead.
+//! Call sites only state their work; none decides on its own.
 //!
 //! ## Configuration
 //!
@@ -43,6 +43,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod pool;
 
+/// Work units (multiply-adds, or elements touched) that one chunk must
+/// carry for handing it to a pool worker to pay off; a call is split into
+/// `min(threads, items, work / CUT)` chunks and runs inline below two.
+///
+/// Set from the serial-vs-two-thread break-even of the tiled GEMM, which
+/// carries almost all of the parallel work, on a 2-vCPU AVX-512 host. A
+/// hand-off to the one worker cost 35–60 µs there; the 64-row train-step
+/// products (147K–1.2M multiply-adds, the `train_*` rows of
+/// `BENCH_par.json`) ran at 0.56–1.01x of one thread on the pool, and
+/// `r x 192 x 96` sweeps broke even between 2M and 3.5M depending on host
+/// load. At 2M per chunk the first split comes at 4.2M, where two threads
+/// won 1.3–1.6x in every sweep; the `eval_*` rows of one `boundary` eval
+/// cell (46M and 31M) stay far past it. kNN scores and elementwise ops
+/// cost more per unit than a GEMM multiply-add, so for them the rule only
+/// errs towards running inline.
+pub const CUT: usize = 2 << 20;
+
 /// Process-wide configured thread count; `0` means "not yet resolved".
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 
@@ -52,6 +69,8 @@ thread_local! {
     /// True while this thread is executing a pool job; nested parallel
     /// calls then run inline to keep the pool deadlock-free.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// Calls this thread has handed to the pool (see [`handoffs`]).
+    static HANDOFFS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Runs `f` with the "inside the pool" marker set (nested parallelism
@@ -154,65 +173,54 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Balanced chunk boundaries: `len` items into `n_chunks` contiguous
-/// ranges, the first `len % n_chunks` ranges one item longer. A pure
-/// function of its arguments (the determinism contract leans on this).
-pub fn chunk_ranges(len: usize, n_chunks: usize) -> Vec<Range<usize>> {
-    if len == 0 || n_chunks == 0 {
-        return Vec::new();
-    }
-    let n = n_chunks.min(len);
-    let base = len / n;
-    let extra = len % n;
-    let mut out = Vec::with_capacity(n);
-    let mut start = 0;
-    for i in 0..n {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
+/// Number of parallel calls the current thread has handed to the pool so
+/// far (calls that ran inline are not counted). Tests read it before and
+/// after a workload to prove that it was sized past [`CUT`] and really
+/// reached the pool's workers.
+pub fn handoffs() -> u64 {
+    HANDOFFS.with(Cell::get)
 }
 
-/// Runs `task` on each chunk index `0..n_chunks`, in parallel when the
-/// effective thread count allows. Blocks until every chunk has finished;
-/// a panicking chunk is re-raised on the caller once all chunks are done.
-fn run_chunks(n_chunks: usize, task: impl Fn(usize) + Sync) {
-    if n_chunks == 0 {
-        return;
+/// The grain rule: how many chunks a call over `len` items carrying `work`
+/// units in total is split into — `min(threads, len, work / CUT)`, or 1
+/// (run inline) when that is below two, inside a pool job, or when the
+/// pool has no workers to hand chunks to.
+fn chunk_count(len: usize, work: usize) -> usize {
+    let chunks = thread_count().min(len).min(work / CUT);
+    if chunks < 2 || IN_POOL.with(Cell::get) || pool_workers() == 0 {
+        1
+    } else {
+        chunks
     }
-    let inline =
-        n_chunks == 1 || thread_count() == 1 || IN_POOL.with(Cell::get) || pool_workers() == 0;
-    if inline {
-        for chunk in 0..n_chunks {
-            task(chunk);
-        }
-        return;
-    }
-    pool::global().run(n_chunks, &task);
 }
 
-/// Splits `0..len` into [`thread_count`] balanced chunks and runs `f`
-/// on each chunk's index range. `f` must only write state disjoint per
-/// chunk (use [`par_for_rows`] for safe slice splitting).
-pub fn par_for_chunks(len: usize, f: impl Fn(Range<usize>) + Sync) {
+/// Chunk `i` of `len` items split into `chunks` balanced contiguous
+/// ranges, the first `len % chunks` one item longer. A pure function of
+/// its arguments (the determinism contract leans on this); requires
+/// `1 <= chunks <= len` and `i < chunks`.
+fn chunk_range(len: usize, chunks: usize, i: usize) -> Range<usize> {
+    let (base, extra) = (len / chunks, len % chunks);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
+}
+
+/// Splits `0..len` (carrying `work` units in total) into chunks by the
+/// grain rule and runs `f` on each chunk's index range, on the pool when
+/// there is more than one chunk. Blocks until every chunk has finished; a
+/// panicking chunk is re-raised on the caller once all chunks are done.
+/// `f` must only write state disjoint per chunk (use [`par_for_rows`] for
+/// safe slice splitting).
+pub fn par_for_chunks(len: usize, work: usize, f: impl Fn(Range<usize>) + Sync) {
     if len == 0 {
         return;
     }
-    // Single-chunk fast path: identical to `chunk_ranges(len, 1)` (one
-    // `0..len` range) but without allocating the range vector — this keeps
-    // serial hot loops (e.g. every matmul on a 1-thread host) free of
-    // per-call heap traffic. A zero-worker pool (single-core host or
-    // failed spawns) takes the same flat path: every chunk would run on
-    // the caller anyway, so splitting only adds per-chunk overhead —
-    // values are unaffected because chunk boundaries never influence
-    // results (see the determinism contract above).
-    if len == 1 || thread_count() == 1 || IN_POOL.with(Cell::get) || pool_workers() == 0 {
+    let chunks = chunk_count(len, work);
+    if chunks == 1 {
         f(0..len);
         return;
     }
-    let ranges = chunk_ranges(len, thread_count());
-    run_chunks(ranges.len(), |chunk| f(ranges[chunk].clone()));
+    HANDOFFS.with(|n| n.set(n.get() + 1));
+    pool::global().run(chunks, &|i| f(chunk_range(len, chunks, i)));
 }
 
 /// Raw-pointer wrapper that lets disjoint sub-slices cross into pool jobs.
@@ -233,14 +241,15 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Interprets `out` as `n_rows` equal-width rows, splits it into
-/// contiguous row-chunks (one per effective thread) and runs
-/// `f(row_range, chunk_slice)` on each — the core "write disjoint output
-/// slices in index order" primitive behind the parallel matmuls.
+/// contiguous row-chunks by the grain rule (`work` is the whole call's
+/// multiply-adds or elements touched) and runs `f(row_range, chunk_slice)`
+/// on each — the core "write disjoint output slices in index order"
+/// primitive behind the parallel matmuls.
 ///
 /// # Panics
 /// Panics if `out.len()` is not a multiple of `n_rows` (for `n_rows > 0`),
 /// or if `n_rows > 0` with an empty non-divisible slice.
-pub fn par_for_rows<T, F>(out: &mut [T], n_rows: usize, f: F)
+pub fn par_for_rows<T, F>(out: &mut [T], n_rows: usize, work: usize, f: F)
 where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,
@@ -256,7 +265,7 @@ where
     );
     let width = out.len() / n_rows;
     let base = SendPtr(out.as_mut_ptr());
-    par_for_chunks(n_rows, |rows| {
+    par_for_chunks(n_rows, work, |rows| {
         // SAFETY: `rows` ranges partition `0..n_rows`, so the derived
         // sub-slices are disjoint; the borrow of `out` outlives the call.
         let chunk = unsafe {
@@ -266,16 +275,17 @@ where
     });
 }
 
-/// Computes `f(i)` for `i in 0..n` in parallel and returns the results in
-/// index order. Each result depends only on its index, so the output is
+/// Computes `f(i)` for `i in 0..n` (carrying `work` units in total) and
+/// returns the results in index order, in parallel when the grain rule
+/// says so. Each result depends only on its index, so the output is
 /// independent of chunking and thread count.
-pub fn par_map_collect<T, F>(n: usize, f: F) -> Vec<T>
+pub fn par_map_collect<T, F>(n: usize, work: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    par_for_rows(&mut slots, n, |rows, chunk| {
+    par_for_rows(&mut slots, n, work, |rows, chunk| {
         for (slot, i) in chunk.iter_mut().zip(rows) {
             *slot = Some(f(i));
         }
@@ -284,75 +294,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("par_map_collect: every chunk completed"))
         .collect()
-}
-
-/// Fixed-order chunked reduction: splits `0..len` into chunks of exactly
-/// `chunk_len` items (last chunk possibly shorter), accumulates each with
-/// `f` into a fresh `init()`, and returns the partials in ascending chunk
-/// order for the caller to fold serially.
-///
-/// Chunk boundaries depend only on `(len, chunk_len)` — **never** on the
-/// thread count — so the float summation tree, and therefore the folded
-/// result, is bit-identical at every thread count.
-///
-/// # Panics
-/// Panics if `chunk_len == 0`.
-pub fn par_chunk_partials<T, I, F>(len: usize, chunk_len: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> T + Sync,
-    F: Fn(Range<usize>, &mut T) + Sync,
-{
-    assert!(chunk_len > 0, "par_chunk_partials: chunk_len must be >= 1");
-    let n_chunks = len.div_ceil(chunk_len);
-    par_map_collect(n_chunks, |chunk| {
-        let start = chunk * chunk_len;
-        let end = (start + chunk_len).min(len);
-        let mut acc = init();
-        f(start..end, &mut acc);
-        acc
-    })
-}
-
-/// Runs two closures, potentially in parallel, and returns both results.
-pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    use std::sync::Mutex;
-    let fa = Mutex::new(Some(fa));
-    let fb = Mutex::new(Some(fb));
-    let ra: Mutex<Option<A>> = Mutex::new(None);
-    let rb: Mutex<Option<B>> = Mutex::new(None);
-    run_chunks(2, |chunk| {
-        if chunk == 0 {
-            let f = fa
-                .lock()
-                .expect("join slot")
-                .take()
-                .expect("join runs once");
-            *ra.lock().expect("join result") = Some(f());
-        } else {
-            let f = fb
-                .lock()
-                .expect("join slot")
-                .take()
-                .expect("join runs once");
-            *rb.lock().expect("join result") = Some(f());
-        }
-    });
-    let a = ra
-        .into_inner()
-        .expect("join result")
-        .expect("join chunk 0 ran");
-    let b = rb
-        .into_inner()
-        .expect("join result")
-        .expect("join chunk 1 ran");
-    (a, b)
 }
 
 /// Catches a panic from `f`, rendering the payload as a string — the
@@ -374,24 +315,35 @@ pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 mod tests {
     use super::*;
 
+    /// Ranges `par_for_chunks` hands out for `len` items of `work` units.
+    fn ranges_for(threads: usize, len: usize, work: usize) -> Vec<Range<usize>> {
+        let ranges = std::sync::Mutex::new(Vec::new());
+        with_threads(threads, || {
+            par_for_chunks(len, work, |r| ranges.lock().expect("range log").push(r));
+        });
+        let mut ranges = ranges.into_inner().expect("range log");
+        ranges.sort_by_key(|r| r.start);
+        ranges
+    }
+
     #[test]
     fn chunk_ranges_partition_and_balance() {
-        let ranges = chunk_ranges(10, 3);
+        let ranges: Vec<_> = (0..3).map(|i| chunk_range(10, 3, i)).collect();
         assert_eq!(ranges, vec![0..4, 4..7, 7..10]);
-        // len < n_chunks: one chunk per item, never empty chunks.
-        let ranges = chunk_ranges(2, 8);
+        // One chunk per item at the limit, never an empty chunk.
+        let ranges: Vec<_> = (0..2).map(|i| chunk_range(2, 2, i)).collect();
         assert_eq!(ranges, vec![0..1, 1..2]);
-        assert!(chunk_ranges(0, 4).is_empty());
-        assert!(chunk_ranges(4, 0).is_empty());
-        // Exact partition for a spread of shapes.
+        // Exact, balanced partition for a spread of shapes.
         for len in [1usize, 7, 64, 1000] {
-            for n in [1usize, 2, 3, 7, 16] {
-                let ranges = chunk_ranges(len, n);
+            for n in [1usize, 2, 3, 7, 16].into_iter().filter(|&n| n <= len) {
+                let ranges: Vec<_> = (0..n).map(|i| chunk_range(len, n, i)).collect();
                 assert_eq!(ranges[0].start, 0);
                 assert_eq!(ranges.last().unwrap().end, len);
                 for pair in ranges.windows(2) {
                     assert_eq!(pair[0].end, pair[1].start);
                     assert!(!pair[1].is_empty());
+                    assert!(pair[0].len() >= pair[1].len());
+                    assert!(pair[0].len() - pair[1].len() <= 1);
                 }
             }
         }
@@ -400,12 +352,35 @@ mod tests {
     #[test]
     fn par_for_chunks_empty_input_is_noop() {
         let mut touched = false;
-        par_for_chunks(0, |_| {
+        par_for_chunks(0, usize::MAX, |_| {
             // Never called; the flag below would race if it were.
             let _ = &touched;
         });
         touched = true;
         assert!(touched);
+    }
+
+    #[test]
+    fn work_below_the_cut_runs_inline() {
+        // Two chunks need `2 * CUT` units: one unit less stays on the
+        // caller as one flat range, whatever the thread count.
+        let before = handoffs();
+        assert_eq!(ranges_for(7, 64, 2 * CUT - 1), vec![0..64]);
+        assert_eq!(handoffs(), before);
+    }
+
+    #[test]
+    fn work_past_the_cut_reaches_the_pool() {
+        if pool_workers() == 0 {
+            eprintln!("skipping pool hand-off test: pool spawned no workers");
+            return;
+        }
+        let before = handoffs();
+        // Chunks = min(threads, items, work / CUT).
+        assert_eq!(ranges_for(7, 64, 2 * CUT), vec![0..32, 32..64]);
+        assert_eq!(ranges_for(7, 3, usize::MAX), vec![0..1, 1..2, 2..3]);
+        assert_eq!(ranges_for(2, 64, usize::MAX), vec![0..32, 32..64]);
+        assert_eq!(handoffs(), before + 3);
     }
 
     #[test]
@@ -416,7 +391,7 @@ mod tests {
         for threads in [1usize, 2, 7, 16] {
             let mut out = vec![0.0f32; n_rows * width];
             with_threads(threads, || {
-                par_for_rows(&mut out, n_rows, |rows, chunk| {
+                par_for_rows(&mut out, n_rows, usize::MAX, |rows, chunk| {
                     for (local, row) in rows.enumerate() {
                         for c in 0..width {
                             chunk[local * width + c] = ((row * width + c) as f32).sin();
@@ -430,39 +405,10 @@ mod tests {
 
     #[test]
     fn par_map_collect_len_smaller_than_threads() {
-        let out = with_threads(8, || par_map_collect(3, |i| i * i));
+        let out = with_threads(8, || par_map_collect(3, usize::MAX, |i| i * i));
         assert_eq!(out, vec![0, 1, 4]);
-        let empty: Vec<usize> = with_threads(8, || par_map_collect(0, |i| i));
+        let empty: Vec<usize> = with_threads(8, || par_map_collect(0, usize::MAX, |i| i));
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn par_chunk_partials_fixed_boundaries() {
-        // Boundaries depend on (len, chunk_len) only: identical partials
-        // at every thread count, and the serial fold is bit-stable.
-        let data: Vec<f32> = (0..1000).map(|i| (i as f32).cos() * 1e-3).collect();
-        let reduce = |threads: usize| {
-            with_threads(threads, || {
-                par_chunk_partials(
-                    data.len(),
-                    64,
-                    || 0.0f32,
-                    |range, acc| {
-                        for i in range {
-                            *acc += data[i];
-                        }
-                    },
-                )
-            })
-        };
-        let serial = reduce(1);
-        assert_eq!(serial.len(), 1000usize.div_ceil(64));
-        for threads in [2usize, 7, 16] {
-            let partials = reduce(threads);
-            for (a, b) in serial.iter().zip(&partials) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -473,25 +419,14 @@ mod tests {
         }
         // With no workers, chunking is pure overhead: the scope override
         // asks for 7 chunks but the call must collapse to one flat range.
-        let ranges = std::sync::Mutex::new(Vec::new());
-        with_threads(7, || {
-            par_for_chunks(100, |r| ranges.lock().expect("range log").push(r));
-        });
-        assert_eq!(ranges.into_inner().expect("range log"), vec![0..100]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
+        assert_eq!(ranges_for(7, 100, usize::MAX), vec![0..100]);
     }
 
     #[test]
     fn panic_in_worker_propagates_not_hangs() {
         let result = catch_panic(|| {
             with_threads(4, || {
-                par_for_chunks(16, |range| {
+                par_for_chunks(16, usize::MAX, |range| {
                     if range.contains(&9) {
                         panic!("chunk exploded");
                     }
@@ -501,7 +436,9 @@ mod tests {
         let msg = result.expect_err("panic must propagate to the caller");
         assert!(msg.contains("chunk exploded"), "{msg}");
         // The pool must stay usable after a propagated panic.
-        let sum: usize = with_threads(4, || par_map_collect(100, |i| i)).iter().sum();
+        let sum: usize = with_threads(4, || par_map_collect(100, usize::MAX, |i| i))
+            .iter()
+            .sum();
         assert_eq!(sum, 4950);
     }
 
@@ -517,8 +454,8 @@ mod tests {
         // A nested call inside a chunk must not deadlock and must produce
         // the same values.
         let out = with_threads(4, || {
-            par_map_collect(6, |i| {
-                let inner: usize = par_map_collect(50, |j| i + j).iter().sum();
+            par_map_collect(6, usize::MAX, |i| {
+                let inner: usize = par_map_collect(50, usize::MAX, |j| i + j).iter().sum();
                 inner
             })
         });

@@ -1,12 +1,12 @@
-//! The worker pool behind [`run_chunks`](crate::run_chunks): a global,
-//! lazily spawned set of threads executing type-erased chunk jobs.
+//! The worker pool behind [`par_for_chunks`](crate::par_for_chunks): a
+//! global, lazily spawned set of threads executing type-erased chunk jobs.
 //!
-//! Scheduling model: one `run_chunks` call turns into `n_chunks` jobs
-//! sharing a completion latch. The caller executes chunk 0 itself, then
+//! Scheduling model: one parallel call turns into `n_chunks` jobs sharing
+//! a completion latch. The caller executes chunk 0 itself, then
 //! *helps drain the queue* until its latch completes — so progress is
 //! guaranteed even with zero pool workers (`EDSR_THREADS=1` hosts), and a
 //! blocked caller never idles while work is pending. Workers never block
-//! on latches, only callers do, so concurrent `run_chunks` calls from
+//! on latches, only callers do, so concurrent parallel calls from
 //! different threads cannot deadlock.
 //!
 //! Panics inside a chunk are caught per job, recorded on the latch, and
@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::enter_pool_context;
 
-/// A borrowed chunk task, shared by every job of one `run_chunks` call.
+/// A borrowed chunk task, shared by every job of one parallel call.
 /// The `usize` argument is the chunk index.
 pub(crate) type Task = dyn Fn(usize) + Sync;
 
@@ -35,7 +35,7 @@ struct TaskPtr(*const Task);
 // (see above), so shipping the pointer to a worker thread is sound.
 unsafe impl Send for TaskPtr {}
 
-/// One schedulable chunk of a `run_chunks` call.
+/// One schedulable chunk of a parallel call.
 struct Job {
     task: TaskPtr,
     chunk: usize,
@@ -54,7 +54,7 @@ impl Job {
     }
 }
 
-/// Completion latch for one `run_chunks` call.
+/// Completion latch for one parallel call.
 struct Latch {
     state: Mutex<LatchState>,
     done: Condvar,
@@ -215,7 +215,11 @@ impl Pool {
                 });
             }
         }
-        self.shared.available.notify_all();
+        // One wake-up per queued job, and never more than there are
+        // workers: an idle worker left asleep costs nothing.
+        for _ in 1..n_chunks.min(self.spawned + 1) {
+            self.shared.available.notify_one();
+        }
 
         // Chunk 0 runs on the caller (participant slot 0).
         self.shared.execute_on(

@@ -368,9 +368,12 @@ impl Batcher {
 
     fn stop_worker(&mut self) {
         {
-            // Under the rotator's mutex: it checks `stop` and waits
-            // atomically, so this store cannot slip in between and lose
-            // the notify below.
+            // Under the queue lock and the rotator's mutex (in that
+            // order): the batcher, the rotator and every submitter check
+            // `stop` under one of them before they sleep or enqueue, so
+            // this store cannot slip in between and lose the notifies
+            // below or strand a request behind an exited worker.
+            let _queue = lock(&self.shared.queue);
             let _rotate = lock(&self.shared.rotate_mx);
             self.shared.stop.store(true, Ordering::SeqCst);
         }
@@ -407,9 +410,6 @@ impl Submitter {
         input: &mut Vec<f32>,
         out: &mut Vec<f32>,
     ) -> Result<EmbedReport, SubmitError> {
-        if self.shared.stop.load(Ordering::SeqCst) {
-            return Err(SubmitError::ShuttingDown);
-        }
         {
             let mut inner = lock(&self.slot.inner);
             debug_assert_eq!(inner.phase, Phase::Idle, "slot reused while in flight");
@@ -420,18 +420,17 @@ impl Submitter {
             inner.phase = Phase::Queued;
         }
         // Lock order: a submitter never holds its slot lock while taking
-        // the queue lock (the batcher acquires queue → slot).
+        // the queue lock (the batcher acquires queue → slot). `stop` is
+        // read under the queue lock, so a request either lands before the
+        // batcher's final drain or is turned away here.
         {
             let mut q = lock(&self.shared.queue);
-            if q.len() >= self.shared.queue_cap {
+            let refused = if self.shared.stop.load(Ordering::SeqCst) {
+                Some(SubmitError::ShuttingDown)
+            } else if q.len() >= self.shared.queue_cap {
                 // Bounded queue: shed now instead of blocking forever.
                 // The hint is one batching window — by then the batcher
                 // has drained at least one flush from the backlog.
-                drop(q);
-                let mut inner = lock(&self.slot.inner);
-                inner.phase = Phase::Idle;
-                std::mem::swap(&mut inner.input, input);
-                std::mem::swap(&mut inner.out, out);
                 self.shared
                     .stats
                     .rejected_overload
@@ -439,9 +438,19 @@ impl Submitter {
                 if edsr_obs::enabled() {
                     edsr_obs::counter_at("serve/rejected", REJECT_OVERLOAD, 1);
                 }
-                return Err(SubmitError::Overloaded {
+                Some(SubmitError::Overloaded {
                     retry_after_ms: (self.shared.window.as_millis() as u32).max(1),
-                });
+                })
+            } else {
+                None
+            };
+            if let Some(err) = refused {
+                drop(q);
+                let mut inner = lock(&self.slot.inner);
+                inner.phase = Phase::Idle;
+                std::mem::swap(&mut inner.input, input);
+                std::mem::swap(&mut inner.out, out);
+                return Err(err);
             }
             q.push_back(Arc::clone(&self.slot));
             self.shared.queue_cv.notify_all();
@@ -482,11 +491,9 @@ fn batch_worker(shared: &BatchShared) {
             if shared.stop.load(Ordering::SeqCst) {
                 return; // queue drained, safe to exit
             }
-            let (guard, _) = shared
-                .queue_cv
-                .wait_timeout(q, Duration::from_millis(5))
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
+            // `stop` and every push happen under this lock and notify
+            // after, so an idle server sleeps until there is work.
+            q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
         }
         // Window: flush when full, when the oldest request ages out, or
         // immediately when draining for shutdown.
@@ -1432,5 +1439,56 @@ mod tests {
             .recv_timeout(Duration::from_secs(60))
             .expect("stop() blocked on the rotation poll: lost wake-up");
         cycles.join().expect("start/stop cycles");
+    }
+
+    /// Submitters racing `stop()`: every call returns `Ok` or
+    /// `ShuttingDown`, none is left queued behind an exited batcher, and
+    /// `stop()` itself returns. `stop` is read and written under the queue
+    /// lock, so a submit either lands before the final drain or is turned
+    /// away; a regression hangs a submitter, and the watchdog turns that
+    /// into a failure.
+    #[test]
+    fn submitters_racing_stop_get_ok_or_shutting_down() {
+        const SUBMITTERS: usize = 3;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for cycle in 0..100 {
+                let mut batcher = Batcher::new(engine(), 4, Duration::from_micros(50));
+                let go = Arc::new(Barrier::new(SUBMITTERS + 1));
+                let submitters: Vec<_> = (0..SUBMITTERS)
+                    .map(|t| {
+                        let mut sub = batcher.submitter();
+                        let go = Arc::clone(&go);
+                        std::thread::spawn(move || {
+                            go.wait();
+                            let mut out = Vec::new();
+                            for i in 0.. {
+                                let mut input = vec![(t * 1000 + i) as f32 * 1e-3; 16];
+                                match sub.embed(0, &mut input, &mut out) {
+                                    Ok(_) => {}
+                                    Err(SubmitError::ShuttingDown) => return i,
+                                    Err(e) => panic!("submit racing stop failed: {e}"),
+                                }
+                            }
+                            unreachable!("the loop only ends at shutdown")
+                        })
+                    })
+                    .collect();
+                // Stop at a different point of the traffic each cycle.
+                go.wait();
+                for _ in 0..cycle % 10 * 20 {
+                    std::thread::yield_now();
+                }
+                batcher.stop();
+                for s in submitters {
+                    s.join().expect("submitter thread");
+                }
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a submit racing stop() never returned");
+        cycles.join().expect("submit/stop cycles");
     }
 }

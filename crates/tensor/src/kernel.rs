@@ -57,10 +57,6 @@ pub const KC: usize = 256;
 /// a performance knob: both paths produce bit-identical values.
 const MIN_TILED_FLOPS: usize = 8 * 1024;
 
-/// Minimum multiply-accumulate count before a product is worth the
-/// pool-dispatch overhead; below this the same kernel runs inline.
-const MIN_PAR_FLOPS: usize = 32 * 1024;
-
 thread_local! {
     /// Recycled panel-pack buffer: taken at kernel entry, returned on exit,
     /// so steady-state products perform zero heap allocations. Thread-local
@@ -272,7 +268,7 @@ fn tiled_chunk(
 }
 
 /// Packs the right operand, then runs the tiled chunk kernel over the
-/// output rows — through the pool when the product is large enough.
+/// output rows; `edsr-par` splits them by the product's multiply-adds.
 fn tiled_product(
     kern: &'static simd::Kernel,
     lhs: Lhs,
@@ -290,11 +286,7 @@ fn tiled_product(
         let run = |rows: Range<usize>, chunk: &mut [f32]| {
             tiled_chunk(kern, lhs, bp, chunk, rows, d, c, r)
         };
-        if r * d * c >= MIN_PAR_FLOPS {
-            edsr_par::par_for_rows(out, r, run);
-        } else {
-            run(0..r, out);
-        }
+        edsr_par::par_for_rows(out, r, r * d * c, run);
     });
 }
 
@@ -606,7 +598,11 @@ mod tests {
 /// tiled product is bit-identical to the retained naive reference across
 /// random shapes — including non-multiple-of-tile edges — and across
 /// {1, 2, 7} pool threads. `*_tiled` entry points are used directly so the
-/// small-size naive fallback cannot mask a divergence.
+/// small-size naive fallback cannot mask a divergence. The thread sweeps
+/// run each drawn shape and then the same shape with its split
+/// (output-row) dimension grown until the product carries three
+/// `edsr_par::CUT`s, so two threads split it in two, seven in three, and
+/// every parallel run of the grown shape provably reaches the pool.
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -630,6 +626,20 @@ mod proptests {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// `edge` plus enough output rows of `per_row` multiply-adds each to
+    /// carry three `edsr_par::CUT`s.
+    fn rows_past_the_cut(edge: usize, per_row: usize) -> usize {
+        edge + (3 * edsr_par::CUT).div_ceil(per_row)
+    }
+
+    /// Runs `f` at `threads` and reports whether it reached the pool (or
+    /// could not: one thread, or a pool without workers).
+    fn pool_ran(threads: usize, f: impl FnOnce()) -> bool {
+        let before = edsr_par::handoffs();
+        edsr_par::with_threads(threads, f);
+        threads == 1 || edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before
+    }
+
     /// Shapes for the per-ISA identity property: one-below / exact /
     /// one-above each tile edge (MR = 8, NR = 16) plus a multi-tile size.
     fn isa_dim() -> impl Strategy<Value = usize> {
@@ -638,26 +648,34 @@ mod proptests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        // Each case also runs a product grown past three cuts (~0.8 s in a
+        // debug build), so fewer cases than the block below.
+        #![proptest_config(ProptestConfig::with_cases(12))]
 
         #[test]
         fn tiled_matmul_bit_identical_across_shapes_and_threads(
             n in dim(), k in kdim(), m in dim(), seed in 0u64..=u64::MAX,
         ) {
-            let mut rng = seeded(seed);
-            let a = Matrix::randn(n, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, m, 1.0, &mut rng);
-            let mut want = vec![0.0f32; n * m];
-            naive::matmul(a.data(), b.data(), &mut want, n, k, m);
-            for threads in [1usize, 2, 7] {
-                let mut got = vec![0.0f32; n * m];
-                edsr_par::with_threads(threads, || {
-                    matmul_tiled(a.data(), b.data(), &mut got, n, k, m);
-                });
-                prop_assert!(
-                    bits_eq(&want, &got),
-                    "matmul {}x{}x{} diverged at {} threads", n, k, m, threads,
-                );
+            for (n, grown) in [(n, false), (rows_past_the_cut(n, k * m), true)] {
+                let mut rng = seeded(seed);
+                let a = Matrix::randn(n, k, 1.0, &mut rng);
+                let b = Matrix::randn(k, m, 1.0, &mut rng);
+                let mut want = vec![0.0f32; n * m];
+                naive::matmul(a.data(), b.data(), &mut want, n, k, m);
+                for threads in [1usize, 2, 7] {
+                    let mut got = vec![0.0f32; n * m];
+                    let ran = pool_ran(threads, || {
+                        matmul_tiled(a.data(), b.data(), &mut got, n, k, m);
+                    });
+                    prop_assert!(
+                        ran || !grown,
+                        "matmul {}x{}x{} skipped the pool at {} threads", n, k, m, threads,
+                    );
+                    prop_assert!(
+                        bits_eq(&want, &got),
+                        "matmul {}x{}x{} diverged at {} threads", n, k, m, threads,
+                    );
+                }
             }
         }
 
@@ -665,20 +683,27 @@ mod proptests {
         fn tiled_transpose_matmul_bit_identical_across_shapes_and_threads(
             n in kdim(), k in dim(), m in dim(), seed in 0u64..=u64::MAX,
         ) {
-            let mut rng = seeded(seed);
-            let a = Matrix::randn(n, k, 1.0, &mut rng);
-            let b = Matrix::randn(n, m, 1.0, &mut rng);
-            let mut want = vec![0.0f32; k * m];
-            naive::transpose_matmul(a.data(), b.data(), &mut want, n, k, m);
-            for threads in [1usize, 2, 7] {
-                let mut got = vec![0.0f32; k * m];
-                edsr_par::with_threads(threads, || {
-                    transpose_matmul_tiled(a.data(), b.data(), &mut got, n, k, m);
-                });
-                prop_assert!(
-                    bits_eq(&want, &got),
-                    "transpose_matmul {}x{}x{} diverged at {} threads", n, k, m, threads,
-                );
+            // `aᵀ·b` has k output rows of n·m multiply-adds each.
+            for (k, grown) in [(k, false), (rows_past_the_cut(k, n * m), true)] {
+                let mut rng = seeded(seed);
+                let a = Matrix::randn(n, k, 1.0, &mut rng);
+                let b = Matrix::randn(n, m, 1.0, &mut rng);
+                let mut want = vec![0.0f32; k * m];
+                naive::transpose_matmul(a.data(), b.data(), &mut want, n, k, m);
+                for threads in [1usize, 2, 7] {
+                    let mut got = vec![0.0f32; k * m];
+                    let ran = pool_ran(threads, || {
+                        transpose_matmul_tiled(a.data(), b.data(), &mut got, n, k, m);
+                    });
+                    prop_assert!(
+                        ran || !grown,
+                        "transpose_matmul {}x{}x{} skipped the pool at {} threads", n, k, m, threads,
+                    );
+                    prop_assert!(
+                        bits_eq(&want, &got),
+                        "transpose_matmul {}x{}x{} diverged at {} threads", n, k, m, threads,
+                    );
+                }
             }
         }
 
@@ -686,22 +711,32 @@ mod proptests {
         fn tiled_matmul_transpose_bit_identical_across_shapes_and_threads(
             n in dim(), k in kdim(), m in dim(), seed in 0u64..=u64::MAX,
         ) {
-            let mut rng = seeded(seed);
-            let a = Matrix::randn(n, k, 1.0, &mut rng);
-            let b = Matrix::randn(m, k, 1.0, &mut rng);
-            let mut want = vec![0.0f32; n * m];
-            naive::matmul_transpose(a.data(), b.data(), &mut want, n, k, m);
-            for threads in [1usize, 2, 7] {
-                let mut got = vec![0.0f32; n * m];
-                edsr_par::with_threads(threads, || {
-                    matmul_transpose_tiled(a.data(), b.data(), &mut got, n, k, m);
-                });
-                prop_assert!(
-                    bits_eq(&want, &got),
-                    "matmul_transpose {}x{}x{} diverged at {} threads", n, k, m, threads,
-                );
+            for (n, grown) in [(n, false), (rows_past_the_cut(n, k * m), true)] {
+                let mut rng = seeded(seed);
+                let a = Matrix::randn(n, k, 1.0, &mut rng);
+                let b = Matrix::randn(m, k, 1.0, &mut rng);
+                let mut want = vec![0.0f32; n * m];
+                naive::matmul_transpose(a.data(), b.data(), &mut want, n, k, m);
+                for threads in [1usize, 2, 7] {
+                    let mut got = vec![0.0f32; n * m];
+                    let ran = pool_ran(threads, || {
+                        matmul_transpose_tiled(a.data(), b.data(), &mut got, n, k, m);
+                    });
+                    prop_assert!(
+                        ran || !grown,
+                        "matmul_transpose {}x{}x{} skipped the pool at {} threads", n, k, m, threads,
+                    );
+                    prop_assert!(
+                        bits_eq(&want, &got),
+                        "matmul_transpose {}x{}x{} diverged at {} threads", n, k, m, threads,
+                    );
+                }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Every supported SIMD ISA level produces bit-identical products
         /// to the scalar micro-kernel (DESIGN.md §15): the output-stationary

@@ -867,15 +867,18 @@ mod tests {
     }
 
     /// Determinism contract (DESIGN.md §9): all three products are
-    /// bit-identical at every thread count, including shapes large enough
-    /// to cross `MIN_PAR_FLOPS` and take the pool path.
+    /// bit-identical at every thread count. Each product carries 6.5M
+    /// multiply-adds, past three `edsr_par::CUT`s, so two threads split it
+    /// in two and seven in three, and all of them go through the pool.
     #[test]
     fn matmul_bit_identical_across_thread_counts() {
+        let (r, k, m) = (257, 161, 157);
+        assert!(r * k * m >= 3 * edsr_par::CUT);
         let mut rng = StdRng::seed_from_u64(42);
-        let a = Matrix::randn(37, 53, 1.0, &mut rng);
-        let b = Matrix::randn(53, 41, 1.0, &mut rng);
-        let c = Matrix::randn(37, 41, 1.0, &mut rng);
-        let bt = Matrix::randn(41, 53, 1.0, &mut rng);
+        let a = Matrix::randn(r, k, 1.0, &mut rng);
+        let b = Matrix::randn(k, m, 1.0, &mut rng);
+        let c = Matrix::randn(r, m, 1.0, &mut rng);
+        let bt = Matrix::randn(m, k, 1.0, &mut rng);
         let serial = edsr_par::with_threads(1, || {
             (
                 a.matmul(&b),
@@ -884,6 +887,7 @@ mod tests {
             )
         });
         for threads in [2, 7] {
+            let before = edsr_par::handoffs();
             let par = edsr_par::with_threads(threads, || {
                 (
                     a.matmul(&b),
@@ -891,6 +895,10 @@ mod tests {
                     a.matmul_transpose(&bt),
                 )
             });
+            assert!(
+                edsr_par::pool_workers() == 0 || edsr_par::handoffs() == before + 3,
+                "a product at {threads} threads never reached the pool"
+            );
             for (s, p) in [
                 (&serial.0, &par.0),
                 (&serial.1, &par.1),

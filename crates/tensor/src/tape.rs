@@ -18,12 +18,6 @@ use crate::scratch::Scratch;
 /// Numerical floor used when normalizing rows, preventing division by zero.
 const NORM_EPS: f32 = 1e-12;
 
-/// Minimum output element count before a forward op is dispatched to the
-/// `edsr-par` pool; below this the same kernel runs inline. Performance
-/// knob only — both paths compute each output row identically, so the
-/// DESIGN.md §9 determinism contract is unaffected.
-const MIN_PAR_ELEMS: usize = 8 * 1024;
-
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(usize);
@@ -321,11 +315,7 @@ impl Tape {
                 crate::simd::div_scalar(&mut out_chunk[local * cols..(local + 1) * cols], norm);
             }
         };
-        if rows * cols >= MIN_PAR_ELEMS && rows > 1 {
-            edsr_par::par_for_rows(out.data_mut(), rows, kernel);
-        } else {
-            kernel(0..rows, out.data_mut());
-        }
+        edsr_par::par_for_rows(out.data_mut(), rows, rows * cols, kernel);
         self.push(Op::RowNormalize(a), out)
     }
 
@@ -408,11 +398,7 @@ impl Tape {
                 *o = src_data[idx];
             }
         };
-        if out_rows * out_cols >= MIN_PAR_ELEMS && out_rows > 1 {
-            edsr_par::par_for_rows(out.data_mut(), out_rows, fill);
-        } else {
-            fill(0..out_rows, out.data_mut());
-        }
+        edsr_par::par_for_rows(out.data_mut(), out_rows, out_rows * out_cols, fill);
         self.push(Op::Gather(a, map), out)
     }
 

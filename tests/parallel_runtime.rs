@@ -13,7 +13,9 @@ use edsr::tensor::Matrix;
 fn guarded(len: usize, poison_at: Option<usize>) -> Result<Vec<f32>, Error> {
     par::catch_panic(|| {
         let mut out = vec![0.0f32; len];
-        par::par_for_rows(&mut out, len, |rows, chunk| {
+        // Trivial rows declared as unbounded work, so the grain rule
+        // always hands them to the pool.
+        par::par_for_rows(&mut out, len, usize::MAX, |rows, chunk| {
             for (local, i) in rows.enumerate() {
                 if Some(i) == poison_at {
                     panic!("poisoned element {i}");
@@ -26,10 +28,20 @@ fn guarded(len: usize, poison_at: Option<usize>) -> Result<Vec<f32>, Error> {
     .map_err(Error::Worker)
 }
 
+/// With a pool that has workers, fails unless `before` handoffs moved.
+fn assert_reached_pool(before: u64) {
+    assert!(
+        par::pool_workers() == 0 || par::handoffs() > before,
+        "the work never reached the pool"
+    );
+}
+
 #[test]
 fn worker_panic_becomes_structured_error() {
     par::with_threads(4, || {
+        let before = par::handoffs();
         let err = guarded(64, Some(17)).expect_err("panic must surface");
+        assert_reached_pool(before);
         match &err {
             Error::Worker(msg) => assert!(msg.contains("poisoned element 17"), "{msg}"),
             other => panic!("expected Worker, got {other:?}"),
@@ -42,7 +54,9 @@ fn worker_panic_becomes_structured_error() {
 fn pool_remains_usable_after_worker_panic() {
     par::with_threads(4, || {
         assert!(guarded(64, Some(0)).is_err());
+        let before = par::handoffs();
         let ok = guarded(64, None).expect("clean run after panic");
+        assert_reached_pool(before);
         assert_eq!(ok[10], 20.0);
     });
 }
@@ -55,16 +69,21 @@ fn train_error_worker_variant_formats() {
     assert!(matches!(e, Error::Train(TrainError::Worker(_))));
 }
 
-/// End-to-end determinism spot check through the facade: a small training
-/// matmul chain is bit-identical at 1, 2, and 7 threads.
+/// End-to-end determinism spot check through the facade: a matmul of
+/// 6.5M multiply-adds (past three `CUT`s: two threads split it in two,
+/// seven in three) is bit-identical at 1, 2, and 7 threads.
 #[test]
 fn facade_matmul_bit_identical_across_thread_counts() {
+    let (r, k, m) = (257, 161, 157);
+    assert!(r * k * m >= 3 * par::CUT);
     let mut rng = edsr::tensor::rng::seeded(7);
-    let a = Matrix::randn(33, 29, 1.0, &mut rng);
-    let b = Matrix::randn(29, 31, 1.0, &mut rng);
+    let a = Matrix::randn(r, k, 1.0, &mut rng);
+    let b = Matrix::randn(k, m, 1.0, &mut rng);
     let baseline = par::with_threads(1, || a.matmul(&b));
     for threads in [2usize, 7] {
+        let before = par::handoffs();
         let got = par::with_threads(threads, || a.matmul(&b));
+        assert_reached_pool(before);
         assert!(
             baseline
                 .data()
