@@ -344,6 +344,35 @@ EOF
 cargo run -q --release --bin edsr -- metrics ci_metrics.jsonl > /dev/null
 rm -f ci_metrics.jsonl
 
+echo "== experiment binary obs smoke (table7, EDSR_OBS=jsonl) =="
+# Experiment binaries take the same process knobs as the CLI
+# (edsr_bench::start): a quick table7 must stream its runs to JSONL and
+# flush the file before exiting, so the last line is the final `run` span
+# exit (without the flush the buffered tail of the file is lost). It runs
+# from a temp directory so the checked-in results/table7.txt is not
+# overwritten.
+EXP_DIR=$(mktemp -d)
+TABLE7="$PWD/target/release/table7"
+(cd "$EXP_DIR" && EDSR_BENCH_QUICK=1 EDSR_OBS=jsonl EDSR_OBS_PATH=table7.jsonl \
+    "$TABLE7" > /dev/null)
+python3 - "$EXP_DIR/table7.jsonl" <<'EOF'
+import json, sys
+
+exits = {}
+with open(sys.argv[1]) as f:
+    events = [json.loads(line) for line in f if line.strip()]  # raises on a malformed line
+for event in events:
+    if event["kind"] == "exit":
+        exits[event["name"]] = exits.get(event["name"], 0) + 1
+for span in ("run", "task"):
+    assert exits.get(span, 0) > 0, f"table7 obs smoke: no {span} span exits, saw {exits}"
+assert [e["seq"] for e in events] == list(range(len(events))), "table7 obs smoke: events missing"
+last = events[-1]
+assert (last["kind"], last["name"]) == ("exit", "run"), f"table7 obs smoke: file ends with {last}"
+print(f"table7 obs smoke: {exits['run']} run and {exits['task']} task span exits")
+EOF
+rm -rf "$EXP_DIR"
+
 echo "== bench regression gate (vs BENCH_baseline.json) =="
 # Quick-mode matmul / conv_forward 1-thread medians must stay within 2x of
 # the checked-in baseline. Catches large kernel regressions (a dropped

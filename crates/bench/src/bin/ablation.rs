@@ -9,14 +9,14 @@
 //!    distance preservation) — the related-work memory-based UCL approach
 //!    whose Min-Var selector appears in Table V.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{LinReplay, Method, TrainConfig};
 use edsr_core::{Edsr, EdsrConfig, ReplaySampling, SelectionStrategy};
 use edsr_data::cifar100_sim;
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("ablation");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
     let preset = cifar100_sim();
     let budget = preset.per_task_budget();

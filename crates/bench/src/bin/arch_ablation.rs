@@ -4,15 +4,15 @@
 //! both stems on the CIFAR-100 simulation so the substitution's effect is
 //! measurable rather than assumed.
 
-use edsr_bench::{run_method_over_seeds_with_model, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Cassle, Finetune, ModelConfig, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::cifar100_sim;
 use edsr_nn::ConvShape;
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("arch_ablation");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
     let preset = cifar100_sim();
     let budget = preset.per_task_budget();

@@ -1,27 +1,31 @@
 //! Parallel-runtime micro-benchmark: times the `edsr-par`-wired kernels
-//! (matmul, conv forward, batched kNN, PCA fit) plus the shapes the
+//! (matmul, conv forward, batched kNN, PCA fit), the shapes the
 //! `edsr-par` cut-off was set from — the 64-row train-step products and
 //! one `boundary` eval cell (the 1,600 x 300 x 96 forward and a 400 x 1,600
-//! cosine kNN at d=48) — at 1 thread and at the configured maximum, and
-//! writes `BENCH_par.json` (repo root) with one record per (op, thread
-//! count) plus the max-thread speedup. When the configured maximum *is* 1
-//! thread the max-thread rows are skipped — they would re-measure the
-//! identical configuration and differ only by timer noise.
+//! cosine kNN at d=48) — and the Table V memory-selection strategies on
+//! one increment of the perfbench `train` and `boundary` workloads (150
+//! rows with budget 4, 1,600 rows with budget 64, at d=48), at 1 thread
+//! and at the configured maximum. It writes `BENCH_par.json` (repo root)
+//! with one record per (op, size, thread count) plus the max-thread
+//! speedup. When the configured maximum *is* 1 thread the max-thread rows
+//! are skipped — they would re-measure the identical configuration and
+//! differ only by timer noise.
 //!
 //! Exits non-zero when any max-thread row runs more than 1.5x slower than
 //! its 1-thread row: work too small to pay for a pool hand-off must run
 //! inline (DESIGN.md §9).
 //!
 //! `EDSR_BENCH_QUICK=1` shrinks the first four ops and the iteration
-//! count to a smoke run (used by `ci.sh`); the cut-off shapes keep their
-//! real sizes. The JSON format is documented in DESIGN.md §9.
+//! count to a smoke run (used by `ci.sh`); the cut-off shapes and the
+//! selectors keep their real sizes. The JSON format is documented in
+//! DESIGN.md §9.
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use edsr_cl::ModelConfig;
 use edsr_core::prelude::seeded;
-use edsr_core::EnvConfig;
+use edsr_core::{SelectionContext, SelectionStrategy};
 use edsr_linalg::{KnnQuery, Metric, Pca};
 use edsr_tensor::Matrix;
 
@@ -35,15 +39,18 @@ struct Record {
     speedup: f64,
 }
 
-/// Wall time of one call of `f` at `threads`, in ns, timed after an
-/// untimed call at the same setting: caches then hold what this setting
-/// leaves behind (and the pool is spawned), not what the other left.
-fn time_once(threads: usize, f: &mut dyn FnMut()) -> f64 {
+/// Mean wall time of `calls` calls of `f` at `threads`, in ns per call,
+/// timed after an untimed call at the same setting: caches then hold what
+/// this setting leaves behind (and the pool is spawned), not what the
+/// other left.
+fn time_once(threads: usize, calls: usize, f: &mut dyn FnMut()) -> f64 {
     edsr_par::with_threads(threads, || {
         f();
         let t0 = Instant::now();
-        f();
-        t0.elapsed().as_nanos() as f64
+        for _ in 0..calls {
+            f();
+        }
+        t0.elapsed().as_nanos() as f64 / calls as f64
     })
 }
 
@@ -52,11 +59,12 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times `f` at 1 thread and at `max_threads` (median of `iters` calls
+/// Times `f` at 1 thread and at `max_threads` (median of `iters` samples
 /// each, the two settings alternating so host noise hits both alike),
-/// appending both records. With `max_threads == 1` only the 1-thread
-/// record is taken: a second sample of the same configuration carries no
-/// information.
+/// appending both records. Each sample runs enough calls to last at least
+/// 1 ms, so a microsecond-scale op is not read off timer noise. With
+/// `max_threads == 1` only the 1-thread record is taken: a second sample
+/// of the same configuration carries no information.
 fn bench_op(
     records: &mut Vec<Record>,
     op: &'static str,
@@ -65,11 +73,12 @@ fn bench_op(
     max_threads: usize,
     f: &mut dyn FnMut(),
 ) {
+    let calls = (1e6 / time_once(1, 1, f).max(1.0)).ceil() as usize;
     let (mut s1, mut sm) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
     for _ in 0..iters {
-        s1.push(time_once(1, f));
+        s1.push(time_once(1, calls, f));
         if max_threads > 1 {
-            sm.push(time_once(max_threads, f));
+            sm.push(time_once(max_threads, calls, f));
         }
     }
     let t1 = median(s1);
@@ -94,11 +103,7 @@ fn bench_op(
 }
 
 fn main() -> Result<(), edsr_core::Error> {
-    // Unified knobs: `--quick` / EDSR_BENCH_QUICK, `--threads` /
-    // EDSR_THREADS, `--obs` / EDSR_OBS (CLI > env > default).
-    let env_cfg = EnvConfig::from_process().map_err(edsr_core::Error::Config)?;
-    env_cfg.apply()?;
-    let quick = env_cfg.bench_quick;
+    let quick = edsr_bench::start().env.bench_quick;
     let max_threads = edsr_par::configured_threads();
     let iters = if quick { 7 } else { 15 };
     let mut records = Vec::new();
@@ -215,6 +220,50 @@ fn main() -> Result<(), edsr_core::Error> {
         },
     );
 
+    // The Table V memory selectors on what `end_task` hands them: the
+    // representations of one increment's train rows, the per-increment
+    // budget and the increment's class count as the cluster hint. The
+    // presets are those of the perfbench `train` workload (cifar100-sim:
+    // 150 rows, budget 4) and `boundary` workload (domainnet-sim with 200
+    // train rows per class and a 960-row memory: 1,600 rows, budget 64).
+    // An untrained encoder stands in for the trained one.
+    let mut boundary = edsr_data::domainnet_sim().with_memory_total(960);
+    boundary.train_per_class = 200;
+    for preset in [edsr_data::cifar100_sim(), boundary] {
+        let seq = preset.build(&mut seeded(9002));
+        let train = &seq.tasks[0].train;
+        let encoder = edsr_cl::ContinualModel::new(
+            &edsr_bench::image_model_config(&preset),
+            &mut seeded(9003),
+        );
+        let reps = encoder.represent(&train.inputs, 0);
+        let budget = preset.per_task_budget().min(train.len());
+        let ctx = SelectionContext {
+            reps: &reps,
+            aug_view_std: None,
+            cluster_hint: preset.classes_per_task,
+        };
+        let selectors = [
+            ("select_random", SelectionStrategy::Random),
+            ("select_distant", SelectionStrategy::Distant),
+            ("select_kmeans", SelectionStrategy::KMeans),
+            ("select_high_entropy", SelectionStrategy::HighEntropy),
+            ("select_trace_greedy", SelectionStrategy::TraceGreedy),
+        ];
+        for (op, strategy) in selectors {
+            bench_op(
+                &mut records,
+                op,
+                format!("{}x{}/{budget}", reps.rows(), reps.cols()),
+                iters,
+                max_threads,
+                &mut || {
+                    std::hint::black_box(strategy.select(&ctx, budget, &mut seeded(2)));
+                },
+            );
+        }
+    }
+
     // The parallelism that was actually measured, not just requested:
     // worker threads the pool really spawned plus the helping caller,
     // alongside what the hardware offers.
@@ -262,12 +311,12 @@ fn main() -> Result<(), edsr_core::Error> {
     file.write_all(json.as_bytes())?;
 
     println!(
-        "{:<18} {:>22} {:>8} {:>14} {:>8}",
+        "{:<20} {:>22} {:>8} {:>14} {:>8}",
         "op", "size", "threads", "ns/iter", "speedup"
     );
     for r in &records {
         println!(
-            "{:<18} {:>22} {:>8} {:>14.0} {:>8.3}",
+            "{:<20} {:>22} {:>8} {:>14.0} {:>8.3}",
             r.op, r.size, r.threads, r.ns_per_iter, r.speedup
         );
     }

@@ -6,14 +6,14 @@
 //! then falls (too much replay crowds out new-data learning); a middle
 //! size is the sweet spot.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Method, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::cifar100_sim;
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("fig10");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     // Larger memory so replay size is the binding factor (paper: 640).
     let preset = cifar100_sim().with_memory_total(160);
     let budget = preset.per_task_budget();

@@ -6,15 +6,15 @@
 //! printed matrices use the paper's `log(F)` color scale as numbers
 //! (`--` marks F ≤ 0.1%, the paper's lightest shade).
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Cassle, Der, Finetune, Lump, Si, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::all_image_presets;
 
 fn main() {
-    let mut report = Report::new("fig4");
     // One seed per matrix (the paper also shows single-run heatmaps).
-    let seeds = [seeds_for(&IMAGE_SEEDS)[0]];
+    let seeds = [start().seeds(&IMAGE_SEEDS)[0]];
+    let mut report = Report::new("fig4");
     let cfg = TrainConfig::image();
 
     report.line("Fig. 4 — forgetting matrices F (values are log10 of percent forgetting)");

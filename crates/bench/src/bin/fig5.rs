@@ -7,14 +7,14 @@
 //! replay methods (LUMP, EDSR) have smaller variance than memory-free
 //! ones.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{mean_std, Cassle, Finetune, Lump, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::{cifar100_sim, tiny_imagenet_sim};
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("fig5");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
 
     report.line("Fig. 5 — new data set accuracy A_{i,i} per increment (mean ± std over seeds)");

@@ -6,14 +6,14 @@
 //! useful knowledge; remote ones mislead); a suitable-k run also shows a
 //! smaller std than `L_dis`. CaSSLe's flat line is printed for reference.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Cassle, Method, TrainConfig};
 use edsr_core::{Edsr, EdsrConfig};
 use edsr_data::{cifar100_sim, cifar10_sim, tiny_imagenet_sim};
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("fig6");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
 
     report.line("Fig. 6 — effect of the noise-neighbour count k in L_rpl (Acc)");

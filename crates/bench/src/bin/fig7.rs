@@ -6,7 +6,7 @@
 //! small datasets are under-learned until the representation matures);
 //! EDSR stays on top across both settings and the whole stream.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{mean_std, Cassle, Finetune, Lump, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::{cifar100_sim, tiny_imagenet_sim, Preset};
@@ -45,8 +45,8 @@ fn acc_series(preset: &Preset, cfg: &TrainConfig, seeds: &[u64], report: &mut Re
 }
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("fig7");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
 
     report.line("Fig. 7 — Acc_i per increment under two task splits");

@@ -7,14 +7,14 @@
 //! either way; huge memories make random selection representative too);
 //! high-entropy runs have smaller stds.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Method, TrainConfig};
 use edsr_core::{Edsr, EdsrConfig, ReplayLoss, SelectionStrategy};
 use edsr_data::{cifar100_sim, tiny_imagenet_sim};
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("fig8");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
     // Paper sweeps 320/640/1280 on 20-task benchmarks (16/32/64 per task);
     // scaled: total 20/40/80/160 (1/2/4/8 per task).

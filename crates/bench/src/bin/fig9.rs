@@ -6,14 +6,14 @@
 //! more accuracy than the SCL baselines; within UCL, memory users (LUMP,
 //! EDSR) are the slowest; EDSR's extra time buys the largest Acc gain.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Cassle, Der, Finetune, Lump, Si, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::{cifar100_sim, tiny_imagenet_sim};
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("fig9");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
 
     report.line("Fig. 9 — training time (s) vs Acc scatter data");

@@ -66,18 +66,7 @@ fn time_ns(iters: usize, mut f: impl FnMut()) -> Timing {
 }
 
 fn main() -> Result<(), edsr_core::Error> {
-    let env_cfg = match edsr_core::EnvConfig::from_process() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = env_cfg.apply() {
-        eprintln!("error: could not install metrics sink: {e}");
-        std::process::exit(1);
-    }
-    let quick = env_cfg.bench_quick;
+    let quick = edsr_bench::start().env.bench_quick;
     let max_threads = edsr_par::configured_threads();
     // Quick mode still takes enough samples for a stable minimum — the
     // dispatch gate compares mins, and 3 samples right after a cold start

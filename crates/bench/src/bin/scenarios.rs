@@ -20,18 +20,7 @@ use edsr_core::{CompEmb, Edsr, R2r};
 use edsr_data::{build_scenario, ShardStream, SCENARIO_NAMES};
 
 fn main() -> Result<(), edsr_core::Error> {
-    let env_cfg = match edsr_core::EnvConfig::from_process() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = env_cfg.apply() {
-        eprintln!("error: could not install metrics sink: {e}");
-        std::process::exit(1);
-    }
-    let quick = env_cfg.bench_quick;
+    let quick = edsr_bench::start().env.bench_quick;
     let seeds: &[u64] = if quick { &[11] } else { &[11, 12] };
 
     let mut cfg = edsr_cl::TrainConfig::image();

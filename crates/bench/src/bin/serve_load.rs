@@ -171,17 +171,7 @@ fn build_snapshot() -> ServeSnapshot {
 }
 
 fn main() -> Result<(), edsr_core::Error> {
-    let env_cfg = match edsr_core::EnvConfig::from_process() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = env_cfg.apply() {
-        eprintln!("error: could not install metrics sink: {e}");
-        std::process::exit(1);
-    }
+    let env_cfg = edsr_bench::start().env;
     let quick = env_cfg.bench_quick;
     let clients = if quick { 2 } else { 6 };
     let requests = if quick { 40 } else { 400 };

@@ -6,7 +6,7 @@
 //! forget less than the adapted SCL methods (SI, DER); Multitask is the
 //! upper bound.
 
-use edsr_bench::{run_method_over_seeds, run_multitask_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, run_multitask_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Cassle, Der, Finetune, Lump, Si, TrainConfig};
 use edsr_core::Edsr;
 use edsr_data::all_image_presets;
@@ -49,8 +49,8 @@ const PAPER: &[(&str, [(f32, f32); 4])] = &[
 ];
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("table3");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
 
     report.line("Table III — model comparison on four benchmark image simulations");

@@ -6,7 +6,7 @@
 //! samples — worse than no replay); `L_dis` and `L_rpl` both help; the
 //! noise advantage of `L_rpl` grows with benchmark difficulty.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Method, TrainConfig};
 use edsr_core::{Edsr, EdsrConfig, ReplayLoss};
 use edsr_data::{cifar100_sim, cifar10_sim, tiny_imagenet_sim, Preset};
@@ -19,8 +19,8 @@ const PAPER: [[f32; 4]; 3] = [
 ];
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("table4");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
     let presets: Vec<Preset> = vec![cifar10_sim(), cifar100_sim(), tiny_imagenet_sim()];
     let losses = [

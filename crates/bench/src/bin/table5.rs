@@ -5,14 +5,14 @@
 //! the best / most consistent selector; `L_rpl` generally improves Acc and
 //! Fgt over `L_dis` across selectors.
 
-use edsr_bench::{run_method_over_seeds, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
 use edsr_cl::{Cassle, Method, TrainConfig};
 use edsr_core::{table5_strategies, Edsr, EdsrConfig, ReplayLoss};
 use edsr_data::{cifar100_sim, cifar10_sim, tiny_imagenet_sim, Preset};
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("table5");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
     let presets: Vec<Preset> = vec![cifar10_sim(), cifar100_sim(), tiny_imagenet_sim()];
 

@@ -10,7 +10,7 @@
 //! *SimSiam* column is the degraded variant — the comparison direction
 //! inverts while the within-column method ordering is what we check.
 
-use edsr_bench::{run_method_over_seeds_with_model, seeds_for, Report, IMAGE_SEEDS};
+use edsr_bench::{run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
 use edsr_cl::{run_multitask, Cassle, ContinualModel, Finetune, Lump, TrainConfig};
 use edsr_core::prelude::seeded;
 use edsr_core::Edsr;
@@ -18,8 +18,8 @@ use edsr_data::{cifar100_sim, tiny_imagenet_sim, Preset};
 use edsr_ssl::SslVariant;
 
 fn main() {
+    let seeds = start().seeds(&IMAGE_SEEDS);
     let mut report = Report::new("table6");
-    let seeds = seeds_for(&IMAGE_SEEDS);
     let cfg = TrainConfig::image();
     let presets: Vec<Preset> = vec![cifar100_sim(), tiny_imagenet_sim()];
     let variants = [

@@ -7,7 +7,7 @@
 //! Acc and lowest Fgt. LUMP is excluded (mixup cannot span heterogeneous
 //! input dims).
 
-use edsr_bench::{aggregate, seeds_for, Report, SeedFailure, TABULAR_SEEDS};
+use edsr_bench::{aggregate, start, Report, SeedFailure, TABULAR_SEEDS};
 use edsr_cl::{
     run_multitask, tabular_augmenters, Cassle, ContinualModel, Finetune, Method, ModelConfig,
     RunBuilder, TrainConfig,
@@ -25,8 +25,8 @@ const PAPER: &[(&str, f32, f32)] = &[
 ];
 
 fn main() {
+    let seeds = start().seeds(&TABULAR_SEEDS);
     let mut report = Report::new("table7");
-    let seeds = seeds_for(&TABULAR_SEEDS);
     let cfg = TrainConfig::tabular();
     let data_cfg = TabularConfig::default();
     let input_dims: Vec<usize> = TABULAR_SPECS.iter().map(|s| s.input_dim).collect();

@@ -1,14 +1,19 @@
 //! # edsr-bench
 //!
 //! Experiment harness for the EDSR reproduction: one binary per paper
-//! table/figure (DESIGN.md §4) plus Criterion micro-benchmarks.
+//! table/figure (DESIGN.md §4) plus the `bench`, `kernels`, `serve_load`
+//! and `scenarios` benchmarks that write the `BENCH_*.json` files.
 //!
 //! Binaries print the same rows/series the paper reports, with paper
 //! values shown alongside for shape comparison (absolute numbers differ by
 //! design — the substrate is a simulator, see DESIGN.md §2).
 //!
 //! Run e.g. `cargo run --release -p edsr-bench --bin table3`. Results are
-//! written under `results/` as plain text as well.
+//! written under `results/` as plain text as well. Every binary that does
+//! work starts with [`start`], so the process knobs
+//! (`--quick`/`EDSR_BENCH_QUICK`, `--threads`, `--isa`, `--obs`/`EDSR_OBS`,
+//! …) work the same in each; `exp_all`, which only launches the others,
+//! checks them with [`resolve`] and passes them on.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -19,6 +24,7 @@ use edsr_cl::{
     TrainConfig, TrainError,
 };
 use edsr_core::prelude::seeded;
+use edsr_core::EnvConfig;
 use edsr_data::Preset;
 
 /// A named factory producing fresh method instances per seed. `Sync`
@@ -279,26 +285,74 @@ impl Report {
         }
     }
 
-    /// Writes the closing timing line.
+    /// Writes the closing timing line and flushes the metrics sink: the
+    /// process-global sink lives in a `static` and is never dropped, so
+    /// buffered events would otherwise be lost at exit.
     pub fn finish(&mut self) {
         let elapsed = self.start.elapsed().as_secs_f64();
         self.line(format!("\n[completed in {elapsed:.1}s]"));
+        edsr_obs::flush();
     }
 }
 
-/// Seed-count control: `EDSR_QUICK=1` uses a single seed (smoke tests);
-/// `EDSR_SEEDS=n` truncates to `n` seeds (budgeted single-core runs);
-/// otherwise the full list is used.
-pub fn seeds_for(seeds: &[u64]) -> Vec<u64> {
-    if std::env::var("EDSR_QUICK").is_ok() {
-        return seeds.iter().take(1).copied().collect();
+/// What [`start`] resolved for this process.
+#[derive(Debug)]
+pub struct Setup {
+    /// The process knobs, already applied to the runtime.
+    pub env: EnvConfig,
+    /// Most seeds a sweep may use.
+    seed_cap: usize,
+}
+
+impl Setup {
+    /// The leading seeds of `all` this process runs: one in quick mode,
+    /// `EDSR_SEEDS` of them when that is set, otherwise every seed.
+    pub fn seeds(&self, all: &[u64]) -> Vec<u64> {
+        all[..self.seed_cap.min(all.len())].to_vec()
     }
-    if let Ok(n) = std::env::var("EDSR_SEEDS") {
-        if let Ok(n) = n.parse::<usize>() {
-            return seeds.iter().take(n.max(1)).copied().collect();
-        }
+}
+
+/// Resolves the process knobs ([`EnvConfig`], CLI > env > default) and
+/// the `EDSR_SEEDS` seed count without applying them. A knob that does not
+/// parse prints `error: …` and exits 2.
+pub fn resolve() -> Setup {
+    let resolved = EnvConfig::from_process().and_then(|env| {
+        let seeds = std::env::var("EDSR_SEEDS").ok();
+        let seed_cap = seed_cap(env.bench_quick, seeds.as_deref())?;
+        Ok(Setup { env, seed_cap })
+    });
+    resolved.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Start-up shared by every bench binary: [`resolve`], then apply the
+/// knobs — thread count, SIMD ISA and metrics sink. A runtime that cannot
+/// take the config (an ISA the host lacks, an unwritable metrics file)
+/// prints `error: …` and exits 1.
+pub fn start() -> Setup {
+    let setup = resolve();
+    if let Err(e) = setup.env.apply() {
+        eprintln!("error: cannot apply the process knobs: {e}");
+        std::process::exit(1);
     }
-    seeds.to_vec()
+    setup
+}
+
+/// The seed cap for quick mode and an `EDSR_SEEDS` value: one seed in
+/// quick mode, the `EDSR_SEEDS` count when set, otherwise no cap. A value
+/// that is not a count >= 1 is an error naming the knob, even in quick
+/// mode.
+fn seed_cap(quick: bool, seeds: Option<&str>) -> Result<usize, String> {
+    let cap = match seeds {
+        None => usize::MAX,
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => return Err(format!("EDSR_SEEDS: expected a seed count >= 1, got {v:?}")),
+        },
+    };
+    Ok(if quick { 1 } else { cap })
 }
 
 #[cfg(test)]
@@ -340,17 +394,38 @@ mod tests {
         assert!(agg.fgt_cell().contains('±'));
     }
 
+    fn setup(quick: bool, seeds: Option<&str>) -> Result<Setup, String> {
+        Ok(Setup {
+            env: EnvConfig::default(),
+            seed_cap: seed_cap(quick, seeds)?,
+        })
+    }
+
     #[test]
-    fn seeds_for_respects_env_overrides() {
-        // Serialize env mutation within this test.
-        std::env::remove_var("EDSR_QUICK");
-        std::env::set_var("EDSR_SEEDS", "2");
-        assert_eq!(seeds_for(&IMAGE_SEEDS), vec![11, 22]);
-        std::env::set_var("EDSR_QUICK", "1");
-        assert_eq!(seeds_for(&IMAGE_SEEDS), vec![11]);
-        std::env::remove_var("EDSR_QUICK");
-        std::env::remove_var("EDSR_SEEDS");
-        assert_eq!(seeds_for(&IMAGE_SEEDS).len(), 4);
+    fn seeds_follow_quick_mode_and_edsr_seeds() {
+        let all = setup(false, None).unwrap().seeds(&IMAGE_SEEDS);
+        assert_eq!(all, IMAGE_SEEDS.to_vec());
+        assert_eq!(
+            setup(false, Some("2")).unwrap().seeds(&IMAGE_SEEDS),
+            [11, 22]
+        );
+        assert_eq!(
+            setup(false, Some(" 9 ")).unwrap().seeds(&IMAGE_SEEDS).len(),
+            4
+        );
+        // Quick mode runs one seed whatever EDSR_SEEDS asks for.
+        assert_eq!(setup(true, None).unwrap().seeds(&TABULAR_SEEDS), [1]);
+        assert_eq!(setup(true, Some("3")).unwrap().seeds(&IMAGE_SEEDS), [11]);
+    }
+
+    #[test]
+    fn bad_edsr_seeds_is_an_error_naming_the_knob() {
+        for bad in ["two", "0", "", "-1"] {
+            for quick in [false, true] {
+                let err = setup(quick, Some(bad)).unwrap_err();
+                assert!(err.starts_with("EDSR_SEEDS:"), "{bad:?}: {err}");
+            }
+        }
     }
 
     #[test]

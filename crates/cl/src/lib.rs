@@ -34,8 +34,7 @@ pub use metrics::{mean_std, AccuracyMatrix};
 pub use model::{ContinualModel, FrozenModel, ModelConfig};
 pub use trainer::{
     apply_step, evaluate_row, image_augmenters, run_multitask, tabular_augmenters, Method,
-    MultitaskResult, NoopObserver, Observer, OptimizerKind, RunBuilder, RunResult, StepRecord,
-    TrainConfig,
+    MultitaskResult, OptimizerKind, RunBuilder, RunResult, TrainConfig,
 };
 
 #[cfg(test)]

@@ -10,14 +10,15 @@
 //! optimizer moments, and method state.
 //!
 //! Observability (DESIGN.md §11): runs are launched through a single
-//! [`RunBuilder`] that composes checkpointing, resume, guard tuning,
-//! early stop, and a pluggable [`Observer`]. The runner also emits
-//! `edsr-obs` spans (`run`/`task`/`epoch`/`step`/`select`/`eval`) and
-//! per-step loss gauges; with no sink installed every emit point is a
-//! single relaxed atomic load, keeping the steady-state step
-//! allocation-free (proved by `tests/zero_alloc.rs`).
+//! [`RunBuilder`] that composes checkpointing, resume, guard tuning and
+//! early stop. The runner reports through `edsr-obs` alone: spans
+//! (`run`/`task`/`epoch`/`step`/`select`/`eval`), per-step loss and
+//! per-epoch LR gauges, and recovery/resume/checkpoint counters; the
+//! per-increment numbers also come back in the [`RunResult`]. With no
+//! sink installed every emit point is a single relaxed atomic load,
+//! keeping the steady-state step allocation-free (proved by
+//! `tests/zero_alloc.rs`).
 
-use std::path::Path;
 use std::time::Instant;
 
 use edsr_data::{materialize, Augmenter, BatchIter, Dataset, TaskSource};
@@ -350,99 +351,8 @@ pub fn evaluate_row(
         .collect()
 }
 
-/// One training step as seen by an [`Observer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepRecord {
-    /// Increment index (0-based).
-    pub task: usize,
-    /// Epoch within the increment.
-    pub epoch: usize,
-    /// Step within the epoch.
-    pub step: usize,
-    /// The step's training loss (may be non-finite on a diverging step).
-    pub loss: f32,
-}
-
-/// Pluggable run instrumentation. Every hook has a no-op default, so an
-/// observer implements only what it needs; [`RunBuilder::observer`]
-/// plugs it into the runner. Hooks fire on the training thread, in run
-/// order, and must not panic.
-///
-/// Observers complement (not replace) the process-global `edsr-obs`
-/// sink: the sink captures the cross-layer span/metric stream for files
-/// and CI, while an observer gets structured callbacks with typed
-/// payloads — progress bars, early-stop monitors, test probes.
-pub trait Observer {
-    /// The run is about to start (after a successful resume scan).
-    /// `tasks` is the number of increments that will be trained;
-    /// `start_task` is non-zero when resuming.
-    fn on_run_start(&mut self, method: &str, benchmark: &str, tasks: usize, start_task: usize) {
-        let _ = (method, benchmark, tasks, start_task);
-    }
-
-    /// A valid snapshot was restored; training restarts at `start_task`.
-    fn on_resume(&mut self, snapshot: &Path, start_task: usize) {
-        let _ = (snapshot, start_task);
-    }
-
-    /// Increment `task_idx` is about to train.
-    fn on_task_start(&mut self, task_idx: usize) {
-        let _ = task_idx;
-    }
-
-    /// An epoch is about to run at the given effective learning rate.
-    fn on_epoch_start(&mut self, task_idx: usize, epoch: usize, lr: f32) {
-        let _ = (task_idx, epoch, lr);
-    }
-
-    /// One training step finished.
-    fn on_step(&mut self, record: &StepRecord) {
-        let _ = record;
-    }
-
-    /// The divergence guard rolled back and retries the epoch;
-    /// `lr_scale` is the backoff factor now in effect.
-    fn on_recovery(&mut self, task_idx: usize, epoch: usize, bad_loss: f32, lr_scale: f32) {
-        let _ = (task_idx, epoch, bad_loss, lr_scale);
-    }
-
-    /// The method's `end_task` (memory selection for replay methods)
-    /// finished, taking `seconds`.
-    fn on_select(&mut self, task_idx: usize, seconds: f64) {
-        let _ = (task_idx, seconds);
-    }
-
-    /// The post-increment evaluation row `A_{i,j}, j ≤ i` was computed.
-    fn on_eval(&mut self, task_idx: usize, row: &[f32]) {
-        let _ = (task_idx, row);
-    }
-
-    /// Increment `task_idx` finished (trained, selected, evaluated).
-    fn on_task_end(&mut self, task_idx: usize, seconds: f64, mean_loss: f32) {
-        let _ = (task_idx, seconds, mean_loss);
-    }
-
-    /// A run-state snapshot was written to `path`.
-    fn on_checkpoint(&mut self, task_idx: usize, path: &Path) {
-        let _ = (task_idx, path);
-    }
-
-    /// The run completed (not called on error).
-    fn on_run_end(&mut self, result: &RunResult) {
-        let _ = result;
-    }
-}
-
-/// The do-nothing [`Observer`] the runner uses when none is supplied.
-/// Its dynamic dispatch is allocation-free, which `tests/zero_alloc.rs`
-/// relies on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl Observer for NoopObserver {}
-
 /// Builder for a continual run, and the only training loop: checkpointing,
-/// resume, guard tuning, early stop, and an [`Observer`] all plug in here.
+/// resume, guard tuning and early stop all plug in here.
 ///
 /// ```no_run
 /// # use edsr_cl::trainer::{RunBuilder, TrainConfig};
@@ -467,12 +377,11 @@ pub struct RunBuilder<'a> {
     resume_source: Option<CheckpointConfig>,
     guard: GuardConfig,
     stop_after: Option<usize>,
-    observer: Option<&'a mut dyn Observer>,
 }
 
 impl<'a> RunBuilder<'a> {
     /// Starts a builder over the given hyper-parameters (no
-    /// checkpointing, default guard, no observer).
+    /// checkpointing, default guard).
     pub fn new(cfg: &'a TrainConfig) -> Self {
         Self {
             cfg,
@@ -483,7 +392,6 @@ impl<'a> RunBuilder<'a> {
             resume_source: None,
             guard: GuardConfig::default(),
             stop_after: None,
-            observer: None,
         }
     }
 
@@ -548,12 +456,6 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Plugs in run instrumentation (default: [`NoopObserver`]).
-    pub fn observer(mut self, observer: &'a mut dyn Observer) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Runs `method` over any [`TaskSource`] — an in-RAM
     /// [`TaskSequence`](edsr_data::TaskSequence) (pass `&mut seq` or `&mut &seq`) or an
     /// out-of-core `ShardStream` — evaluating after every increment.
@@ -589,13 +491,7 @@ impl<'a> RunBuilder<'a> {
             resume_source,
             guard: guard_cfg,
             stop_after,
-            observer,
         } = self;
-        let mut noop = NoopObserver;
-        let observer: &mut dyn Observer = match observer {
-            Some(o) => o,
-            None => &mut noop,
-        };
 
         let benchmark = source.name().to_string();
         if augmenters.len() != source.len() {
@@ -633,7 +529,7 @@ impl<'a> RunBuilder<'a> {
                 .as_ref()
                 .or(checkpoint.as_ref())
                 .expect("validated above");
-            if let Some((path, state)) = latest_valid_run_state(resume_src) {
+            if let Some((_, state)) = latest_valid_run_state(resume_src) {
                 restore_from_state(method, model, opt.as_mut(), rng, &benchmark, &state)?;
                 for row in &state.matrix_rows {
                     matrix.push_row(row.clone());
@@ -642,14 +538,13 @@ impl<'a> RunBuilder<'a> {
                 task_losses = state.task_losses;
                 start_task = state.completed_tasks;
                 resumed_lr_scale = state.lr_scale;
-                observer.on_resume(&path, start_task);
+                edsr_obs::counter_at("train/resume", start_task as u64, 1);
             }
         }
 
         let mut guard = StepGuard::new(guard_cfg, &model.params);
         guard.set_lr_scale(resumed_lr_scale);
         let until = stop_after.map_or(source.len(), |n| n.min(source.len()));
-        observer.on_run_start(&method.name(), &benchmark, until, start_task);
         let _run_span = edsr_obs::span!("run");
         // One workspace for the whole run: after the first step its scratch
         // pools are warm and steady-state steps stop allocating.
@@ -658,7 +553,6 @@ impl<'a> RunBuilder<'a> {
         for task_idx in start_task..until {
             let task = source.fetch(task_idx)?;
             let _task_span = edsr_obs::span!("task", task_idx);
-            observer.on_task_start(task_idx);
             let start = Instant::now();
             method.begin_task(model, task_idx, &task.train, rng);
             guard.begin_task(&model.params);
@@ -668,7 +562,6 @@ impl<'a> RunBuilder<'a> {
             while epoch < cfg.epochs_per_task {
                 let lr = epoch_base_lr(cfg, epoch) * guard.lr_scale();
                 opt.set_lr(lr);
-                observer.on_epoch_start(task_idx, epoch, lr);
                 let _epoch_span = edsr_obs::span!("epoch", epoch);
                 if edsr_obs::enabled() {
                     edsr_obs::gauge_at("train/lr", task_idx as u64, f64::from(lr));
@@ -698,12 +591,6 @@ impl<'a> RunBuilder<'a> {
                     if edsr_obs::enabled() {
                         edsr_obs::gauge_at("train/loss", task_idx as u64, f64::from(loss));
                     }
-                    observer.on_step(&StepRecord {
-                        task: task_idx,
-                        epoch,
-                        step,
-                        loss,
-                    });
                     if guard.is_divergent(loss) {
                         diverged_loss = Some(loss);
                         break;
@@ -723,7 +610,6 @@ impl<'a> RunBuilder<'a> {
                     )?;
                     recoveries += 1;
                     edsr_obs::counter_at("train/recovery", task_idx as u64, 1);
-                    observer.on_recovery(task_idx, epoch, bad, guard.lr_scale());
                     continue; // retry this epoch from the rolled-back weights
                 }
                 loss_sum += epoch_sum;
@@ -731,12 +617,10 @@ impl<'a> RunBuilder<'a> {
                 guard.commit(&model.params);
                 epoch += 1;
             }
-            let select_start = Instant::now();
             {
                 let _select_span = edsr_obs::span!("select", task_idx);
                 method.end_task(model, task_idx, &task.train, &augmenters[task_idx], rng);
             }
-            observer.on_select(task_idx, select_start.elapsed().as_secs_f64());
             let seconds = start.elapsed().as_secs_f64();
             task_seconds.push(seconds);
             let mean_loss = if loss_count > 0 {
@@ -754,12 +638,10 @@ impl<'a> RunBuilder<'a> {
                 let mean = row.iter().sum::<f32>() / row.len().max(1) as f32;
                 edsr_obs::gauge_at("eval/mean_acc", task_idx as u64, f64::from(mean));
             }
-            observer.on_eval(task_idx, &row);
             matrix.push_row(row);
             if edsr_obs::enabled() {
                 ws.emit_metrics(task_idx as u64);
             }
-            observer.on_task_end(task_idx, seconds, mean_loss);
 
             if let Some(ckpt) = &checkpoint {
                 let method_state = method.save_state().ok_or_else(|| TrainError::MethodState {
@@ -779,8 +661,8 @@ impl<'a> RunBuilder<'a> {
                     method_state,
                     lr_scale: guard.lr_scale(),
                 };
-                let path = save_run_state(ckpt, &state)?;
-                observer.on_checkpoint(task_idx, &path);
+                save_run_state(ckpt, &state)?;
+                edsr_obs::counter_at("checkpoint/write", task_idx as u64, 1);
             }
 
             if let Some(serve_cfg) = &serve_snapshots {
@@ -794,27 +676,25 @@ impl<'a> RunBuilder<'a> {
                     benchmark.clone(),
                     task_idx + 1,
                 )?;
-                let path = if quantize_serve {
+                if quantize_serve {
                     let qsnap = crate::checkpoint::quantize_serve_snapshot(&snap)?;
                     println!("quant gate: {}", qsnap.gate);
-                    crate::checkpoint::save_quant_serve_snapshot(serve_cfg, &qsnap)?
+                    crate::checkpoint::save_quant_serve_snapshot(serve_cfg, &qsnap)?;
                 } else {
-                    save_serve_snapshot(serve_cfg, &snap)?
-                };
-                observer.on_checkpoint(task_idx, &path);
+                    save_serve_snapshot(serve_cfg, &snap)?;
+                }
+                edsr_obs::counter_at("checkpoint/write", task_idx as u64, 1);
             }
         }
 
-        let result = RunResult {
+        Ok(RunResult {
             method: method.name(),
             benchmark,
             matrix,
             task_seconds,
             task_losses,
             recoveries,
-        };
-        observer.on_run_end(&result);
-        Ok(result)
+        })
     }
 }
 

@@ -12,8 +12,7 @@ use rand::rngs::StdRng;
 use crate::methods::Finetune;
 use crate::model::{ContinualModel, ModelConfig};
 use crate::trainer::{
-    evaluate_row, run_multitask, tabular_augmenters, Method, Observer, OptimizerKind, RunBuilder,
-    StepRecord, TrainConfig,
+    evaluate_row, run_multitask, tabular_augmenters, Method, OptimizerKind, RunBuilder, TrainConfig,
 };
 
 /// Two-increment toy stream with clearly clustered 8-d inputs.
@@ -229,87 +228,6 @@ fn method_lifecycle_hooks_fire_in_order() {
     assert!(end0 < begin1, "task 1 began before task 0 ended");
     assert_eq!(spy.events.last().map(String::as_str), Some("end1"));
     assert!(spy.events.iter().filter(|e| e.starts_with("step0")).count() >= 1);
-}
-
-/// Observer hooks fire in run order with consistent payloads: one
-/// run_start, per-task start/select/eval/end, per-step records with
-/// in-range indices, and a final run_end carrying the result.
-#[test]
-fn observer_hooks_fire_in_order_with_consistent_payloads() {
-    #[derive(Default)]
-    struct Recorder {
-        events: Vec<String>,
-        steps: Vec<StepRecord>,
-    }
-    impl Observer for Recorder {
-        fn on_run_start(&mut self, method: &str, benchmark: &str, tasks: usize, start: usize) {
-            self.events
-                .push(format!("run_start {method} {benchmark} {tasks} {start}"));
-        }
-        fn on_task_start(&mut self, task_idx: usize) {
-            self.events.push(format!("task_start {task_idx}"));
-        }
-        fn on_epoch_start(&mut self, task_idx: usize, epoch: usize, lr: f32) {
-            assert!(lr > 0.0);
-            self.events.push(format!("epoch {task_idx} {epoch}"));
-        }
-        fn on_step(&mut self, record: &StepRecord) {
-            self.steps.push(*record);
-        }
-        fn on_select(&mut self, task_idx: usize, seconds: f64) {
-            assert!(seconds >= 0.0);
-            self.events.push(format!("select {task_idx}"));
-        }
-        fn on_eval(&mut self, task_idx: usize, row: &[f32]) {
-            assert_eq!(row.len(), task_idx + 1);
-            self.events.push(format!("eval {task_idx}"));
-        }
-        fn on_task_end(&mut self, task_idx: usize, seconds: f64, mean_loss: f32) {
-            assert!(seconds >= 0.0 && mean_loss.is_finite());
-            self.events.push(format!("task_end {task_idx}"));
-        }
-        fn on_run_end(&mut self, result: &crate::trainer::RunResult) {
-            self.events
-                .push(format!("run_end {}", result.matrix.num_increments()));
-        }
-    }
-
-    let seq = toy_sequence(30);
-    let augs = toy_augmenters(seq.len());
-    let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(31));
-    let mut method = Finetune::new();
-    let cfg = tiny_cfg();
-    let mut rng = seeded(32);
-    let mut rec = Recorder::default();
-    RunBuilder::new(&cfg)
-        .observer(&mut rec)
-        .run(&mut method, &mut model, &mut &seq, &augs, &mut rng)
-        .expect("observed run");
-
-    assert_eq!(
-        rec.events.first().map(String::as_str),
-        Some("run_start Finetune toy 2 0")
-    );
-    assert_eq!(rec.events.last().map(String::as_str), Some("run_end 2"));
-    for t in 0..2 {
-        let start = rec
-            .events
-            .iter()
-            .position(|e| *e == format!("task_start {t}"));
-        let select = rec.events.iter().position(|e| *e == format!("select {t}"));
-        let eval = rec.events.iter().position(|e| *e == format!("eval {t}"));
-        let end = rec
-            .events
-            .iter()
-            .position(|e| *e == format!("task_end {t}"));
-        assert!(
-            start < select && select < eval && eval < end,
-            "task {t} lifecycle out of order: {:?}",
-            rec.events
-        );
-    }
-    assert!(!rec.steps.is_empty());
-    assert!(rec.steps.iter().all(|s| s.task < 2 && s.loss.is_finite()));
 }
 
 /// GridSpec sanity for the toy dims used above (regression guard for the

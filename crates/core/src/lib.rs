@@ -37,8 +37,8 @@ pub mod prelude {
     };
     pub use edsr_cl::{
         image_augmenters, run_multitask, tabular_augmenters, Cassle, CheckpointConfig,
-        ContinualModel, Der, Finetune, Lump, Method, ModelConfig, NoopObserver, Observer,
-        RunBuilder, RunResult, Si, StepRecord, TrainConfig, TrainError,
+        ContinualModel, Der, Finetune, Lump, Method, ModelConfig, RunBuilder, RunResult, Si,
+        TrainConfig, TrainError,
     };
     pub use edsr_data::{
         build_scenario, cifar100_sim, cifar10_sim, domainnet_sim, test_sim, tiny_imagenet_sim,

@@ -2,9 +2,9 @@
 //!
 //! Deterministic data-parallel compute runtime for the EDSR reproduction.
 //!
-//! The build environment has no crates.io access, so — like `rand`,
-//! `proptest` and `criterion` — the thread pool is vendored in-tree
-//! rather than pulled from rayon. The API is deliberately small: the hot
+//! The build environment has no crates.io access, so — like `rand` and
+//! `proptest` — the thread pool is vendored in-tree rather than pulled
+//! from rayon. The API is deliberately small: the hot
 //! paths of the reproduction (matmul kernels, im2col, kNN batches,
 //! k-means assignment, covariance accumulation, per-seed bench sweeps)
 //! are all data-parallel loops over disjoint output regions.

@@ -1,7 +1,8 @@
 //! Observability walkthrough: watch a run from both ends of the API.
 //!
-//! 1. An [`Observer`] plugged into [`RunBuilder`] gets typed callbacks on
-//!    the training thread — here a small progress printer.
+//! 1. The returned [`RunResult`] carries the per-increment numbers — the
+//!    accuracy-matrix rows, wall time and mean training loss — printed
+//!    here as a progress report.
 //! 2. The process-global `edsr-obs` sink captures the cross-layer metric
 //!    stream (per-term losses, selection entropy, kNN noise scales, span
 //!    timings) — here into an in-memory ring, summarized at the end.
@@ -10,56 +11,15 @@
 //! cargo run --release --example observability
 //! ```
 //!
-//! To stream the same events to a file instead, run any binary with
-//! `EDSR_OBS=jsonl EDSR_OBS_PATH=metrics.jsonl`, then inspect it with
-//! `cargo run --bin edsr -- metrics metrics.jsonl`.
+//! To stream the same events to a file instead, run the `edsr` CLI or
+//! any `edsr-bench` binary with `EDSR_OBS=jsonl EDSR_OBS_PATH=metrics.jsonl`,
+//! then inspect it with `cargo run --bin edsr -- metrics metrics.jsonl`.
 
-use edsr::cl::{ContinualModel, ModelConfig, Observer, RunBuilder, StepRecord, TrainConfig};
+use edsr::cl::{ContinualModel, ModelConfig, RunBuilder, RunResult, TrainConfig};
 use edsr::core::{Edsr, Error};
 use edsr::data::test_sim;
 use edsr::obs::{self, EventKind, RingSink};
 use edsr::tensor::rng::seeded;
-
-/// Prints one line per increment phase and keeps a running loss mean.
-#[derive(Default)]
-struct Progress {
-    steps: usize,
-    loss_sum: f64,
-}
-
-impl Observer for Progress {
-    fn on_run_start(&mut self, method: &str, benchmark: &str, tasks: usize, start_task: usize) {
-        println!("[obs] {method} on {benchmark}: {tasks} increments (starting at {start_task})");
-    }
-
-    fn on_task_start(&mut self, task_idx: usize) {
-        self.steps = 0;
-        self.loss_sum = 0.0;
-        println!("[obs] increment {task_idx}: training...");
-    }
-
-    fn on_step(&mut self, record: &StepRecord) {
-        self.steps += 1;
-        self.loss_sum += f64::from(record.loss);
-    }
-
-    fn on_select(&mut self, task_idx: usize, seconds: f64) {
-        println!("[obs] increment {task_idx}: memory selection took {seconds:.3}s");
-    }
-
-    fn on_eval(&mut self, task_idx: usize, row: &[f32]) {
-        let accs: Vec<String> = row.iter().map(|a| format!("{:.1}%", a * 100.0)).collect();
-        println!("[obs] increment {task_idx}: eval row [{}]", accs.join(", "));
-    }
-
-    fn on_task_end(&mut self, task_idx: usize, seconds: f64, _mean_loss: f32) {
-        println!(
-            "[obs] increment {task_idx}: done in {seconds:.2}s, mean step loss {:.4} over {} steps",
-            self.loss_sum / self.steps.max(1) as f64,
-            self.steps
-        );
-    }
-}
 
 fn main() -> Result<(), Error> {
     // Capture the global metric stream into a ring buffer for this demo.
@@ -75,14 +35,14 @@ fn main() -> Result<(), Error> {
 
     let mut cfg = TrainConfig::image();
     cfg.epochs_per_task = 5; // quick demo
-    let mut progress = Progress::default();
-    let result = RunBuilder::new(&cfg).observer(&mut progress).run(
+    let result = RunBuilder::new(&cfg).run(
         &mut edsr,
         &mut model,
         &mut &sequence,
         &augmenters,
         &mut seeded(9),
     )?;
+    print_progress(&result);
     println!(
         "\nfinal: Acc = {:.1}%  Fgt = {:.1}%",
         result.final_acc_pct(),
@@ -121,4 +81,23 @@ fn main() -> Result<(), Error> {
     println!("plus {spans} closed spans (run > task > epoch > step timings)");
     obs::uninstall();
     Ok(())
+}
+
+/// One line per increment: its evaluation row `A_{i,j}, j ≤ i`, wall time
+/// and mean training loss.
+fn print_progress(result: &RunResult) {
+    println!(
+        "[obs] {} on {}: {} increments",
+        result.method,
+        result.benchmark,
+        result.matrix.num_increments()
+    );
+    let per_task = result.task_seconds.iter().zip(&result.task_losses);
+    for (i, (row, (seconds, loss))) in result.matrix.rows().iter().zip(per_task).enumerate() {
+        let accs: Vec<String> = row.iter().map(|a| format!("{:.1}%", a * 100.0)).collect();
+        println!(
+            "[obs] increment {i}: done in {seconds:.2}s, mean step loss {loss:.4}, eval row [{}]",
+            accs.join(", ")
+        );
+    }
 }

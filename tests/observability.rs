@@ -1,6 +1,8 @@
 //! Observability integration tests (DESIGN.md §11): the JSONL encoding
 //! round-trips bit-exactly, spans stay balanced even when a run dies with
-//! `TrainError::Diverged`, and a real 2-task EDSR run streams the
+//! `TrainError::Diverged`, a run reports its lifecycle (select before
+//! eval before task end, one loss gauge per step) and its checkpoint
+//! writes and resumes as events, and a real 2-task EDSR run streams the
 //! paper-level metrics (per-term losses, selection entropy) to a JSONL
 //! file that parses back cleanly.
 //!
@@ -12,8 +14,8 @@ use std::sync::Mutex;
 
 use edsr::cl::ServeSnapshot;
 use edsr::cl::{
-    ContinualModel, FaultInjector, FaultPlan, Finetune, GuardConfig, ModelConfig, OptimizerKind,
-    RunBuilder, TrainConfig, TrainError,
+    CheckpointConfig, ContinualModel, FaultInjector, FaultPlan, Finetune, GuardConfig, ModelConfig,
+    OptimizerKind, RunBuilder, TrainConfig, TrainError,
 };
 use edsr::core::Edsr;
 use edsr::data::{Augmenter, Dataset, Task, TaskSequence};
@@ -210,6 +212,157 @@ fn spans_stay_balanced_when_a_run_diverges() {
             .iter()
             .any(|e| e.kind == EventKind::Counter && e.name == "train/recovery"),
         "divergence recoveries not counted"
+    );
+}
+
+/// Runs `run` with a ring sink installed; returns its value and the
+/// events it emitted.
+fn capture<T>(run: impl FnOnce() -> T) -> (T, Vec<Event>) {
+    let ring = RingSink::with_capacity(edsr::obs::DEFAULT_RING_CAPACITY);
+    edsr::obs::install(Box::new(ring.clone()));
+    let out = run();
+    edsr::obs::uninstall();
+    (out, ring.events())
+}
+
+/// Position of the first `kind` event named `name` at `index`.
+fn position(events: &[Event], kind: EventKind, name: &str, index: u64) -> usize {
+    events
+        .iter()
+        .position(|e| e.kind == kind && e.name == name && e.index == index)
+        .unwrap_or_else(|| panic!("no {kind:?} {name}#{index}"))
+}
+
+/// The run reports its lifecycle through obs events alone. Per increment
+/// the `select` span closes before the `eval` span opens, and evaluation
+/// ends before the `task` span closes; every `step` span is followed by
+/// that step's `train/loss` gauge; `eval/mean_acc` is the mean of the
+/// `RunResult` row.
+#[test]
+fn run_lifecycle_events_arrive_in_order() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let seq = toy_sequence(76);
+    let augs: Vec<Augmenter> = (0..seq.len()).map(|_| Augmenter::Identity).collect();
+    let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(77));
+    let mut method = Finetune::new();
+    let cfg = tiny_cfg();
+    let mut rng = seeded(78);
+    let (result, events) = capture(|| {
+        RunBuilder::new(&cfg)
+            .run(&mut method, &mut model, &mut &seq, &augs, &mut rng)
+            .expect("observed run")
+    });
+    check_span_balance(&events);
+
+    for task in 0..2u64 {
+        let task_enter = position(&events, EventKind::SpanEnter, "task", task);
+        let select_exit = position(&events, EventKind::SpanExit, "select", task);
+        let eval_enter = position(&events, EventKind::SpanEnter, "eval", task);
+        let eval_exit = position(&events, EventKind::SpanExit, "eval", task);
+        let task_exit = position(&events, EventKind::SpanExit, "task", task);
+        assert!(
+            task_enter < select_exit,
+            "task {task}: selected outside its span"
+        );
+        assert!(
+            select_exit < eval_enter,
+            "task {task}: eval began before selection ended"
+        );
+        assert!(
+            eval_exit < task_exit,
+            "task {task}: eval ended after the task"
+        );
+
+        let steps = events[task_enter..task_exit]
+            .iter()
+            .filter(|e| e.kind == EventKind::SpanExit && e.name == "step")
+            .count();
+        let losses = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Gauge && e.name == "train/loss" && e.index == task)
+            .count();
+        assert!(steps > 0, "task {task}: no steps");
+        assert_eq!(steps, losses, "task {task}: one train/loss per step");
+
+        let row = &result.matrix.rows()[task as usize];
+        let mean = row.iter().sum::<f32>() / row.len() as f32;
+        let gauge = &events[position(&events, EventKind::Gauge, "eval/mean_acc", task)];
+        assert_eq!(gauge.value, f64::from(mean), "task {task}: eval/mean_acc");
+    }
+    // Each loss gauge belongs to the step span that closed just before it.
+    let mut step_open = false;
+    for e in &events {
+        if e.kind == EventKind::SpanExit && e.name == "step" {
+            assert!(!step_open, "a step closed without its train/loss");
+            step_open = true;
+        } else if e.kind == EventKind::Gauge && e.name == "train/loss" {
+            assert!(step_open, "train/loss without a step");
+            step_open = false;
+        }
+    }
+    assert!(!step_open, "the last step has no train/loss");
+}
+
+/// A checkpointed run interrupted after one increment and then resumed
+/// counts one `checkpoint/write` per finished increment and one
+/// `train/resume` at the increment it restarts from.
+#[test]
+fn checkpoint_writes_and_resume_are_counted() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let seq = toy_sequence(79);
+    let augs: Vec<Augmenter> = (0..seq.len()).map(|_| Augmenter::Identity).collect();
+    let cfg = tiny_cfg();
+    let dir = std::env::temp_dir().join(format!("edsr-obs-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpt = CheckpointConfig::new(&dir, "obs");
+
+    let (_, events) = capture(|| {
+        let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(80));
+        RunBuilder::new(&cfg)
+            .checkpoint(ckpt.clone())
+            .stop_after(1)
+            .run(
+                &mut Finetune::new(),
+                &mut model,
+                &mut &seq,
+                &augs,
+                &mut seeded(81),
+            )
+            .expect("interrupted run");
+        let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(80));
+        let full = RunBuilder::new(&cfg)
+            .checkpoint(ckpt.clone())
+            .resume()
+            .run(
+                &mut Finetune::new(),
+                &mut model,
+                &mut &seq,
+                &augs,
+                &mut seeded(82),
+            )
+            .expect("resumed run");
+        assert_eq!(full.matrix.num_increments(), 2);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let counters = |name: &str| -> Vec<(u64, f64)> {
+        events
+            .iter()
+            .filter(|e| e.kind == EventKind::Counter && e.name == name)
+            .map(|e| (e.index, e.value))
+            .collect()
+    };
+    assert_eq!(counters("checkpoint/write"), vec![(0, 1.0), (1, 1.0)]);
+    assert_eq!(counters("train/resume"), vec![(1, 1.0)]);
+    // The resume is reported before the resumed run opens its span.
+    let resume = position(&events, EventKind::Counter, "train/resume", 1);
+    let second_run = events
+        .iter()
+        .rposition(|e| e.kind == EventKind::SpanEnter && e.name == "run")
+        .expect("run spans");
+    assert!(
+        resume < second_run,
+        "train/resume after the resumed run began"
     );
 }
 

@@ -21,10 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use edsr::cl::{
-    apply_step, quantize_serve_snapshot, ContinualModel, ModelConfig, NoopObserver, Observer,
-    ServeSnapshot, StepRecord,
-};
+use edsr::cl::{apply_step, quantize_serve_snapshot, ContinualModel, ModelConfig, ServeSnapshot};
 use edsr::nn::{Adam, Workspace};
 use edsr::serve::{Batcher, Engine, RotateConfig, ServerConfig};
 use edsr::tensor::rng::seeded;
@@ -105,16 +102,9 @@ fn measure_alone() -> MutexGuard<'static, ()> {
 /// steps — which must be zero.
 ///
 /// The measured region includes the observability surface in its
-/// off-state (DESIGN.md §11): a span guard around each step, a gated
-/// metric emit, and the `on_step` hook dispatched through
-/// `&mut dyn Observer`. None of it may allocate while no sink is
-/// installed.
-fn steady_state_allocs(
-    model: &mut ContinualModel,
-    x1: &Matrix,
-    x2: &Matrix,
-    observer: &mut dyn Observer,
-) -> u64 {
+/// off-state (DESIGN.md §11): a span guard around each step and a metric
+/// emit. Neither may allocate while no sink is installed.
+fn steady_state_allocs(model: &mut ContinualModel, x1: &Matrix, x2: &Matrix) -> u64 {
     let mut opt = Adam::new(1e-3, 0.0);
     let mut ws = Workspace::new();
     for _ in 0..3 {
@@ -129,12 +119,6 @@ fn steady_state_allocs(
         let (_, _, loss) = model.css_on_views(&mut ws.tape, &mut ws.binder, x1, x2, 0);
         let loss = apply_step(model, &mut opt, &mut ws.tape, &ws.binder, loss);
         edsr::obs::gauge("zero_alloc/loss", f64::from(loss));
-        observer.on_step(&StepRecord {
-            task: 0,
-            epoch: 0,
-            step,
-            loss,
-        });
     }
     allocations() - before
 }
@@ -142,14 +126,13 @@ fn steady_state_allocs(
 #[test]
 fn steady_state_train_step_makes_no_hot_path_allocations() {
     let _serialized = measure_alone();
-    let mut observer = NoopObserver;
     let mut rng = seeded(7);
     let x1 = Matrix::randn(16, 16, 1.0, &mut rng);
     let x2 = Matrix::randn(16, 16, 1.0, &mut rng);
 
     // MLP backbone + BarlowTwins head (the image default).
     let mut mlp = ContinualModel::new(&ModelConfig::image(16), &mut rng);
-    let n = steady_state_allocs(&mut mlp, &x1, &x2, &mut observer);
+    let n = steady_state_allocs(&mut mlp, &x1, &x2);
     assert_eq!(
         n, 0,
         "MLP/BarlowTwins steady-state step allocated {n} times"
@@ -162,12 +145,12 @@ fn steady_state_train_step_makes_no_hot_path_allocations() {
         width: 4,
     };
     let mut conv = ContinualModel::new(&ModelConfig::conv_image(shape, 3), &mut rng);
-    let n = steady_state_allocs(&mut conv, &x1, &x2, &mut observer);
+    let n = steady_state_allocs(&mut conv, &x1, &x2);
     assert_eq!(n, 0, "conv steady-state step allocated {n} times");
 
     // SimSiam predictor variant (batch-norm + stop-gradient path).
     let mut sim = ContinualModel::new(&ModelConfig::tabular(vec![16]), &mut rng);
-    let n = steady_state_allocs(&mut sim, &x1, &x2, &mut observer);
+    let n = steady_state_allocs(&mut sim, &x1, &x2);
     assert_eq!(n, 0, "SimSiam steady-state step allocated {n} times");
 }
 
