@@ -1,8 +1,10 @@
 //! # edsr-bench
 //!
 //! Experiment harness for the EDSR reproduction: one binary per paper
-//! table/figure (DESIGN.md §4) plus the `bench`, `kernels`, `serve_load`
-//! and `scenarios` benchmarks that write the `BENCH_*.json` files.
+//! table/figure (DESIGN.md §4) plus the `bench`, `kernels` and
+//! `scenarios` benchmarks that write the `BENCH_*.json` files. Serving is
+//! measured end to end by perfbench's `serve_f32`/`serve_int8` workloads
+//! (BENCHMARK.json), not here.
 //!
 //! Binaries print the same rows/series the paper reports, with paper
 //! values shown alongside for shape comparison (absolute numbers differ by

@@ -15,13 +15,13 @@
 use std::path::{Path, PathBuf};
 
 use edsr_nn::io::{
-    crc32, params_from_bytes, params_to_bytes, put_bytes, put_f32, put_f64, put_matrix, put_u32,
-    put_u64, read_envelope, write_envelope, ByteReader,
+    params_from_bytes, params_to_bytes, put_matrix, read_envelope, read_matrix, write_envelope,
 };
 use edsr_nn::CheckpointError;
 use edsr_quant::{knn_gate, QuantEncoder, QuantLinear, QuantMemory, QuantSnapshot};
 use edsr_ssl::SslVariant;
 use edsr_tensor::Matrix;
+use edsr_wire::{crc32, put_f32, put_f32s, put_f64, put_u32, put_u64, DecodeError, Reader};
 
 use crate::memory::MemoryBuffer;
 use crate::model::{ContinualModel, ModelConfig};
@@ -88,6 +88,23 @@ pub struct RunState {
     pub lr_scale: f32,
 }
 
+/// Appends a `u64`-length-prefixed byte string.
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u64(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
+}
+
+/// Reads a byte string written by [`put_bytes`].
+fn read_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
+    let n = r.u64()?;
+    r.take(r.count(n, 1)?)
+}
+
+fn read_utf8(r: &mut Reader<'_>) -> Result<String, CheckpointError> {
+    String::from_utf8(read_bytes(r)?.to_vec())
+        .map_err(|_| CheckpointError::Mismatch("checkpoint string is not UTF-8".into()))
+}
+
 /// Serializes a run state into an (un-enveloped) payload.
 pub fn encode_run_state(s: &RunState) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -97,18 +114,14 @@ pub fn encode_run_state(s: &RunState) -> Vec<u8> {
     put_u64(&mut buf, s.matrix_rows.len() as u64);
     for row in &s.matrix_rows {
         put_u64(&mut buf, row.len() as u64);
-        for &v in row {
-            put_f32(&mut buf, v);
-        }
+        put_f32s(&mut buf, row);
     }
     put_u64(&mut buf, s.task_seconds.len() as u64);
     for &v in &s.task_seconds {
         put_f64(&mut buf, v);
     }
     put_u64(&mut buf, s.task_losses.len() as u64);
-    for &v in &s.task_losses {
-        put_f32(&mut buf, v);
-    }
+    put_f32s(&mut buf, &s.task_losses);
     put_bytes(&mut buf, &s.params_payload);
     put_bytes(&mut buf, &s.optim_payload);
     for &w in &s.rng_state {
@@ -119,50 +132,34 @@ pub fn encode_run_state(s: &RunState) -> Vec<u8> {
     buf
 }
 
-fn utf8(bytes: &[u8]) -> Result<String, CheckpointError> {
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| CheckpointError::Mismatch("run-state string is not UTF-8".into()))
-}
-
 /// Parses a payload produced by [`encode_run_state`].
 pub fn decode_run_state(payload: &[u8]) -> Result<RunState, CheckpointError> {
-    let mut r = ByteReader::new(payload);
+    let mut r = Reader::new(payload);
     let completed_tasks = r.u64()? as usize;
-    let method = utf8(r.bytes()?)?;
-    let benchmark = utf8(r.bytes()?)?;
-    let n_rows = r.u64()? as usize;
-    let mut matrix_rows = Vec::with_capacity(n_rows.min(1024));
+    let method = read_utf8(&mut r)?;
+    let benchmark = read_utf8(&mut r)?;
+    let n_rows = r.u64()?;
+    let mut matrix_rows = Vec::with_capacity(r.count(n_rows, 8)?);
     for _ in 0..n_rows {
-        let len = r.u64()? as usize;
-        let mut row = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            row.push(r.f32()?);
-        }
-        matrix_rows.push(row);
+        let len = r.u64()?;
+        matrix_rows.push(r.f32s(len)?);
     }
-    let n_secs = r.u64()? as usize;
-    let mut task_seconds = Vec::with_capacity(n_secs.min(4096));
+    let n_secs = r.u64()?;
+    let mut task_seconds = Vec::with_capacity(r.count(n_secs, 8)?);
     for _ in 0..n_secs {
         task_seconds.push(r.f64()?);
     }
-    let n_losses = r.u64()? as usize;
-    let mut task_losses = Vec::with_capacity(n_losses.min(4096));
-    for _ in 0..n_losses {
-        task_losses.push(r.f32()?);
-    }
-    let params_payload = r.bytes()?.to_vec();
-    let optim_payload = r.bytes()?.to_vec();
+    let n_losses = r.u64()?;
+    let task_losses = r.f32s(n_losses)?;
+    let params_payload = read_bytes(&mut r)?.to_vec();
+    let optim_payload = read_bytes(&mut r)?.to_vec();
     let mut rng_state = [0u64; 4];
     for w in &mut rng_state {
         *w = r.u64()?;
     }
-    let method_state = r.bytes()?.to_vec();
+    let method_state = read_bytes(&mut r)?.to_vec();
     let lr_scale = r.f32()?;
-    if !r.is_exhausted() {
-        return Err(CheckpointError::Mismatch(
-            "run-state payload has trailing bytes".into(),
-        ));
-    }
+    r.finish()?;
     Ok(RunState {
         completed_tasks,
         method,
@@ -300,9 +297,9 @@ fn put_model_config(buf: &mut Vec<u8>, cfg: &ModelConfig) {
     }
 }
 
-fn read_model_config(r: &mut ByteReader<'_>) -> Result<ModelConfig, CheckpointError> {
-    let n_dims = r.u64()? as usize;
-    let mut input_dims = Vec::with_capacity(n_dims.min(1024));
+fn read_model_config(r: &mut Reader<'_>) -> Result<ModelConfig, CheckpointError> {
+    let n_dims = r.u64()?;
+    let mut input_dims = Vec::with_capacity(r.count(n_dims, 8)?);
     for _ in 0..n_dims {
         input_dims.push(r.u64()? as usize);
     }
@@ -352,7 +349,7 @@ impl ServeSnapshot {
     /// task per row).
     ///
     /// Fails with [`CheckpointError::Mismatch`] when the representation
-    /// matrix disagrees with the model's `repr_dim` or the task list.
+    /// matrix is not `repr_dim` wide or disagrees with the task list.
     pub fn capture(
         model: &ContinualModel,
         reprs: Matrix,
@@ -367,7 +364,7 @@ impl ServeSnapshot {
                 tasks.len()
             )));
         }
-        if reprs.rows() > 0 && reprs.cols() != model.repr_dim() {
+        if reprs.cols() != model.repr_dim() {
             return Err(CheckpointError::Mismatch(format!(
                 "serve snapshot: memory representations are {}-d, model repr_dim is {}",
                 reprs.cols(),
@@ -402,7 +399,28 @@ impl ServeSnapshot {
     /// Rebuilds a structurally identical model and restores the
     /// snapshot's weights into it. Deterministic: the snapshot is
     /// self-describing, so no external configuration is consulted.
+    ///
+    /// The configuration comes from the file, so it is checked before
+    /// anything is built: it must satisfy what the layer constructors
+    /// assert, and the parameters it implies must fit in the weight
+    /// payload at 4 bytes a value. Either failure is a
+    /// [`CheckpointError::Mismatch`], never a panic or an allocation the
+    /// file cannot back.
     pub fn restore_model(&self) -> Result<ContinualModel, CheckpointError> {
+        let scalars = self
+            .config
+            .checked_num_scalars()
+            .map_err(|why| CheckpointError::Mismatch(format!("serve snapshot config: {why}")))?;
+        if scalars
+            .checked_mul(4)
+            .is_none_or(|bytes| bytes > self.params_payload.len())
+        {
+            return Err(CheckpointError::Mismatch(format!(
+                "serve snapshot config implies {scalars} parameters, more than its {}-byte \
+                 weight payload holds",
+                self.params_payload.len()
+            )));
+        }
         // The init RNG is irrelevant — every parameter is overwritten by
         // the payload — but construction registers parameters in the
         // model's canonical order, which is what the payload validates
@@ -430,21 +448,24 @@ impl ServeSnapshot {
 
     /// Parses a payload produced by [`encode`](Self::encode).
     pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let completed_tasks = r.u64()? as usize;
-        let benchmark = utf8(r.bytes()?)?;
+        let benchmark = read_utf8(&mut r)?;
         let config = read_model_config(&mut r)?;
-        let params_payload = r.bytes()?.to_vec();
-        let memory_reprs = r.matrix()?;
-        let n_tasks = r.u64()? as usize;
-        let mut memory_tasks = Vec::with_capacity(n_tasks.min(1 << 20));
+        let params_payload = read_bytes(&mut r)?.to_vec();
+        let memory_reprs = read_matrix(&mut r)?;
+        let n_tasks = r.u64()?;
+        let mut memory_tasks = Vec::with_capacity(r.count(n_tasks, 8)?);
         for _ in 0..n_tasks {
             memory_tasks.push(r.u64()?);
         }
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Mismatch(
-                "serve snapshot payload has trailing bytes".into(),
-            ));
+        r.finish()?;
+        if memory_reprs.cols() != config.repr_dim {
+            return Err(CheckpointError::Mismatch(format!(
+                "serve snapshot: memory representations are {}-d, model repr_dim is {}",
+                memory_reprs.cols(),
+                config.repr_dim
+            )));
         }
         if memory_tasks.len() != memory_reprs.rows() {
             return Err(CheckpointError::Mismatch(format!(
@@ -919,6 +940,33 @@ mod tests {
             ServeSnapshot::capture(&model, bad, vec![0, 0], "b", 1),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn serve_snapshot_decode_and_restore_refuse_what_cannot_be_served() {
+        let (model, reprs, tasks) = serve_fixture(710);
+        let snap = ServeSnapshot::capture(&model, reprs, tasks, "b", 1).expect("capture");
+        // A memory one column narrower than repr_dim: decode refuses it.
+        let mut narrow = snap.clone();
+        narrow.memory_reprs = Matrix::zeros(5, model.repr_dim() - 1);
+        assert!(matches!(
+            ServeSnapshot::decode(&narrow.encode()),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        // Configs the constructors would assert on, or whose parameters
+        // the weight payload cannot hold, are refused before building.
+        let mut empty = snap.clone();
+        empty.config.input_dims.clear();
+        let mut huge = snap.clone();
+        huge.config.input_dims = vec![65536];
+        huge.config.hidden_dim = 65536;
+        for bad in [empty, huge] {
+            let decoded = ServeSnapshot::decode(&bad.encode()).expect("decodes");
+            assert!(matches!(
+                decoded.restore_model(),
+                Err(CheckpointError::Mismatch(_))
+            ));
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! replay-noise magnitude `r(x^m)` (EDSR, §III-B), and optionally the
 //! frozen backbone features recorded at storage time (DER's medium).
 
+use edsr_nn::CheckpointError;
 use edsr_tensor::rng::sample_indices;
 use edsr_tensor::Matrix;
+use edsr_wire::{put_f32, put_f32s, put_u32, put_u64, Reader};
 use rand::rngs::StdRng;
 
 /// One stored sample.
@@ -191,23 +193,18 @@ impl MemoryBuffer {
     /// `Method::save_state`). Format: item count, then per item the
     /// source task, noise scale, raw input, and optional stored features.
     pub fn to_bytes(&self) -> Vec<u8> {
-        use edsr_nn::io::{put_f32, put_u32, put_u64};
         let mut buf = Vec::new();
         put_u64(&mut buf, self.items.len() as u64);
         for item in &self.items {
             put_u64(&mut buf, item.task as u64);
             put_f32(&mut buf, item.noise_scale);
             put_u64(&mut buf, item.input.len() as u64);
-            for &v in &item.input {
-                put_f32(&mut buf, v);
-            }
+            put_f32s(&mut buf, &item.input);
             match &item.stored_features {
                 Some(f) => {
                     put_u32(&mut buf, 1);
                     put_u64(&mut buf, f.len() as u64);
-                    for &v in f {
-                        put_f32(&mut buf, v);
-                    }
+                    put_f32s(&mut buf, f);
                 }
                 None => put_u32(&mut buf, 0),
             }
@@ -216,29 +213,21 @@ impl MemoryBuffer {
     }
 
     /// Rebuilds a buffer serialized by [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, edsr_nn::CheckpointError> {
-        use edsr_nn::io::ByteReader;
-        use edsr_nn::CheckpointError;
-        let mut r = ByteReader::new(bytes);
-        let count = r.u64()? as usize;
-        let mut items = Vec::with_capacity(count.min(1 << 20));
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(bytes);
+        let count = r.u64()?;
+        // An item takes at least 24 bytes: task, noise, input length, tag.
+        let mut items = Vec::with_capacity(r.count(count, 24)?);
         for _ in 0..count {
             let task = r.u64()? as usize;
             let noise_scale = r.f32()?;
-            let dim = r.u64()? as usize;
-            let mut input = Vec::with_capacity(dim.min(1 << 20));
-            for _ in 0..dim {
-                input.push(r.f32()?);
-            }
+            let dim = r.u64()?;
+            let input = r.f32s(dim)?;
             let stored_features = match r.u32()? {
                 0 => None,
                 1 => {
-                    let flen = r.u64()? as usize;
-                    let mut f = Vec::with_capacity(flen.min(1 << 20));
-                    for _ in 0..flen {
-                        f.push(r.f32()?);
-                    }
-                    Some(f)
+                    let flen = r.u64()?;
+                    Some(r.f32s(flen)?)
                 }
                 tag => {
                     return Err(CheckpointError::Mismatch(format!(
@@ -253,11 +242,7 @@ impl MemoryBuffer {
                 stored_features,
             });
         }
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Mismatch(
-                "memory payload has trailing bytes".into(),
-            ));
-        }
+        r.finish()?;
         Ok(Self { items })
     }
 

@@ -11,8 +11,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use edsr_data::{Augmenter, Dataset};
+use edsr_nn::io::{put_matrix, read_matrices};
 use edsr_nn::{Optimizer, Workspace};
 use edsr_tensor::Matrix;
+use edsr_wire::{put_u32, put_u64, DecodeError, Reader};
 use rand::rngs::StdRng;
 
 use crate::model::ContinualModel;
@@ -182,7 +184,6 @@ impl Method for Si {
 
     // SI's state is the importance accumulators and reference weights.
     fn save_state(&self) -> Option<Vec<u8>> {
-        use edsr_nn::io::{put_matrix, put_u32, put_u64};
         let mut buf = Vec::new();
         put_u32(&mut buf, self.initialized as u32);
         for group in [
@@ -200,25 +201,23 @@ impl Method for Si {
     }
 
     fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        use edsr_nn::io::ByteReader;
-        let mut r = ByteReader::new(state);
-        let initialized = r.u32().map_err(|e| e.to_string())? != 0;
-        let mut groups: Vec<Vec<Matrix>> = Vec::with_capacity(4);
-        for _ in 0..4 {
-            let count = r.u64().map_err(|e| e.to_string())? as usize;
-            let mut group = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                group.push(r.matrix().map_err(|e| e.to_string())?);
+        let mut r = Reader::new(state);
+        let mut read = || -> Result<_, DecodeError> {
+            let initialized = r.u32()? != 0;
+            let mut groups: [Vec<Matrix>; 4] = Default::default();
+            for group in &mut groups {
+                let count = r.u64()?;
+                *group = read_matrices(&mut r, count)?;
             }
-            groups.push(group);
-        }
-        if !r.is_exhausted() {
-            return Err("SI state has trailing bytes".into());
-        }
-        self.theta_task_start = groups.pop().unwrap_or_default();
-        self.theta_star = groups.pop().unwrap_or_default();
-        self.omega_acc = groups.pop().unwrap_or_default();
-        self.omega = groups.pop().unwrap_or_default();
+            r.finish()?;
+            Ok((initialized, groups))
+        };
+        let (initialized, [omega, omega_acc, theta_star, theta_task_start]) =
+            read().map_err(|e| format!("SI state: {e}"))?;
+        self.omega = omega;
+        self.omega_acc = omega_acc;
+        self.theta_star = theta_star;
+        self.theta_task_start = theta_task_start;
         self.initialized = initialized;
         Ok(())
     }

@@ -71,6 +71,60 @@ impl ModelConfig {
         self.variant = variant;
         self
     }
+
+    /// Checks the conditions [`ContinualModel::new`]'s layer constructors
+    /// assert (input dims present, a conv stem whose kernel fits its one
+    /// input shape, at least one backbone layer) and returns the number of
+    /// parameter scalars the model will hold, in checked arithmetic.
+    /// Decoders call this before building a model from a file.
+    pub fn checked_num_scalars(&self) -> Result<usize, String> {
+        let overflow = || format!("parameter count overflows: {self:?}");
+        let (h, d) = (self.hidden_dim, self.repr_dim);
+        if self.input_dims.is_empty() {
+            return Err("no input dims".into());
+        }
+        if self.backbone_layers == 0 {
+            return Err("the backbone needs at least one layer".into());
+        }
+        // (in, out) of every linear map but the backbone's: projector,
+        // distillation head, stem and (SimSiam) predictor.
+        let mut maps = vec![(h, d), (d, d), (d, d), (d, d)];
+        match self.conv_stem {
+            None => maps.extend(self.input_dims.iter().map(|&i| (i, h))),
+            Some((shape, kernel, filters)) => {
+                let dim = shape
+                    .channels
+                    .checked_mul(shape.height)
+                    .and_then(|n| n.checked_mul(shape.width))
+                    .ok_or_else(overflow)?;
+                if self.input_dims != [dim] {
+                    return Err(format!(
+                        "a conv stem over {shape:?} needs input dims [{dim}], not {:?}",
+                        self.input_dims
+                    ));
+                }
+                if kernel == 0 || kernel > shape.height || kernel > shape.width {
+                    return Err(format!("conv kernel {kernel} does not fit {shape:?}"));
+                }
+                // Neither product overflows: the kernel fits the input,
+                // whose size fits.
+                let positions = (shape.height - kernel + 1) * (shape.width - kernel + 1);
+                let out = positions.checked_mul(filters).ok_or_else(overflow)?;
+                maps.extend([(shape.channels * kernel * kernel, filters), (out, h)]);
+            }
+        }
+        if let SslVariant::SimSiam = self.variant {
+            let mid = (d / 2).max(1);
+            maps.extend([(d, mid), (mid, d)]);
+        }
+        let linear = |(i, o): (usize, usize)| i.checked_mul(o)?.checked_add(o);
+        let backbone = linear((h, h)).and_then(|l| l.checked_mul(self.backbone_layers));
+        maps.into_iter()
+            .map(linear)
+            .chain([backbone])
+            .try_fold(0usize, |n, l| n.checked_add(l?))
+            .ok_or_else(overflow)
+    }
 }
 
 /// A frozen copy of the model before learning the current increment.
@@ -256,6 +310,55 @@ mod tests {
     fn model(seed: u64) -> ContinualModel {
         let mut rng = seeded(seed);
         ContinualModel::new(&ModelConfig::image(16), &mut rng)
+    }
+
+    #[test]
+    fn checked_num_scalars_matches_the_built_model() {
+        let shape = ConvShape {
+            channels: 2,
+            height: 5,
+            width: 4,
+        };
+        for cfg in [
+            ModelConfig::image(16),
+            ModelConfig::conv_image(shape, 3),
+            ModelConfig::tabular(vec![16, 9, 12]),
+            ModelConfig::image(16).with_variant(SslVariant::SimSiam),
+            ModelConfig::tabular(vec![7]).with_variant(SslVariant::BarlowTwins { lambda: 0.1 }),
+        ] {
+            let built = ContinualModel::new(&cfg, &mut seeded(302))
+                .params
+                .num_scalars();
+            assert_eq!(cfg.checked_num_scalars(), Ok(built), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn checked_num_scalars_refuses_what_the_constructors_assert() {
+        let shape = ConvShape {
+            channels: 1,
+            height: 4,
+            width: 4,
+        };
+        let with = |edit: fn(&mut ModelConfig)| {
+            let mut cfg = ModelConfig::conv_image(shape, 3);
+            edit(&mut cfg);
+            cfg
+        };
+        for cfg in [
+            with(|c| c.input_dims.clear()),
+            with(|c| c.backbone_layers = 0),
+            with(|c| c.input_dims = vec![15]),
+            with(|c| c.conv_stem = c.conv_stem.map(|(s, _, f)| (s, 0, f))),
+            with(|c| c.conv_stem = c.conv_stem.map(|(s, _, f)| (s, 5, f))),
+            with(|c| {
+                c.conv_stem = None;
+                c.input_dims = vec![usize::MAX / 2];
+                c.hidden_dim = 1 << 40;
+            }),
+        ] {
+            assert!(cfg.checked_num_scalars().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]

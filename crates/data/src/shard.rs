@@ -30,7 +30,7 @@
 use std::path::{Path, PathBuf};
 
 use edsr_tensor::Matrix;
-use edsr_wire::{read_envelope, write_envelope};
+use edsr_wire::{put_f32s, put_u32, put_u64, read_envelope, write_envelope, Reader};
 
 use crate::dataset::{Dataset, Task, TaskSequence};
 use crate::error::DataError;
@@ -79,12 +79,8 @@ impl ShardManifest {
 // ---------------------------------------------------------------------------
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_dataset(out: &mut Vec<u8>, d: &Dataset) {
@@ -94,99 +90,40 @@ fn put_dataset(out: &mut Vec<u8>, d: &Dataset) {
     for &l in &d.labels {
         put_u64(out, l as u64);
     }
-    out.reserve(d.inputs.len() * 4);
-    for &v in d.inputs.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s(out, d.inputs.data());
 }
 
-/// A bounds-checked little-endian payload reader; every shortfall becomes
-/// a structured parse failure (the CRC already passed, so a shortfall
-/// here means a writer bug or a crafted file, not bit rot).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Payload parse failures: every shortfall is structured (the CRC already
+/// passed, so a shortfall here means a writer bug or a crafted file, not
+/// bit rot).
+type ParseResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn get_str(r: &mut Reader) -> ParseResult<String> {
+    let len = r.u32()? as usize;
+    Ok(String::from_utf8(r.take(len)?.to_vec()).map_err(|_| "name is not UTF-8")?)
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+/// `n` u64 values, `n` checked against the bytes left before allocating.
+fn get_u64s(r: &mut Reader, n: u64) -> ParseResult<Vec<usize>> {
+    let mut out = Vec::with_capacity(r.count(n, 8)?);
+    for _ in 0..n {
+        out.push(r.u64()? as usize);
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err(format!(
-                "needed {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "name is not UTF-8".into())
-    }
-
-    /// Guards a declared element count against the bytes actually
-    /// present, so a corrupted-but-CRC-valid count can never trigger a
-    /// huge allocation.
-    fn counted(&mut self, elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u64()? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.checked_mul(elem_bytes).is_none_or(|b| b > remaining) {
-            return Err(format!(
-                "declared {n} elements x {elem_bytes} B exceed the {remaining} payload bytes left"
-            ));
-        }
-        Ok(n)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos != self.bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after the payload",
-                self.bytes.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
+    Ok(out)
 }
 
-fn get_dataset(r: &mut Reader) -> Result<Dataset, String> {
-    let name = r.string()?;
-    let rows = r.u64()? as usize;
-    let cols = r.u64()? as usize;
-    let remaining = r.bytes.len() - r.pos;
-    let need = rows
-        .checked_mul(8 + cols * 4)
-        .ok_or("rows x cols overflows")?;
-    if need > remaining {
-        return Err(format!(
-            "dataset of {rows}x{cols} needs {need} bytes, {remaining} remain"
-        ));
-    }
-    let mut labels = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        labels.push(r.u64()? as usize);
-    }
-    let raw = r.take(rows * cols * 4)?;
-    let mut data = vec![0.0f32; rows * cols];
+fn get_dataset(r: &mut Reader) -> ParseResult<Dataset> {
+    let name = get_str(r)?;
+    let rows = r.u64()?;
+    let cols = r.u64()?;
+    let labels = get_u64s(r, rows)?;
+    let (rows, cols) = (labels.len(), cols as usize);
+    let n = r.count((rows as u64).saturating_mul(cols as u64), 4)?;
+    let raw = r.take(n * 4)?;
+    let mut data = vec![0.0f32; n];
     // Bulk f32 decode is the hot loop of a shard load; chunk it over the
     // pool. Pure element-wise, so the result is thread-count independent.
-    edsr_par::par_for_rows(&mut data, rows, rows * cols, |row_range, chunk| {
+    edsr_par::par_for_rows(&mut data, rows, n, |row_range, chunk| {
         let base = row_range.start * cols * 4;
         for (k, v) in chunk.iter_mut().enumerate() {
             let o = base + k * 4;
@@ -194,7 +131,7 @@ fn get_dataset(r: &mut Reader) -> Result<Dataset, String> {
         }
     });
     let inputs = Matrix::from_vec(rows, cols, data);
-    Dataset::try_new(name, inputs, labels).map_err(|e| e.to_string())
+    Ok(Dataset::try_new(name, inputs, labels)?)
 }
 
 /// Serializes one increment into a shard payload (no envelope).
@@ -211,31 +148,30 @@ pub fn encode_task(task: &Task) -> Vec<u8> {
 
 /// Parses a shard payload back into an increment. `path` labels errors.
 pub fn decode_task(payload: &[u8], path: &Path) -> Result<Task, DataError> {
-    let fail = |detail: String| DataError::Format {
-        path: path.to_path_buf(),
-        detail,
+    let parse = || -> ParseResult<Task> {
+        let mut r = Reader::new(payload);
+        let train = get_dataset(&mut r)?;
+        let test = get_dataset(&mut r)?;
+        let n = r.u64()?;
+        let classes = get_u64s(&mut r, n)?;
+        r.finish()?;
+        if train.dim() != test.dim() {
+            return Err(format!("train dim {} != test dim {}", train.dim(), test.dim()).into());
+        }
+        Ok(Task {
+            train,
+            test,
+            classes,
+        })
     };
-    let mut r = Reader::new(payload);
-    let train = get_dataset(&mut r).map_err(fail)?;
-    let test = get_dataset(&mut r).map_err(fail)?;
-    let n = r.counted(8).map_err(fail)?;
-    let mut classes = Vec::with_capacity(n);
-    for _ in 0..n {
-        classes.push(r.u64().map_err(fail)? as usize);
+    parse().map_err(|e| format_error(path, e))
+}
+
+fn format_error(path: &Path, e: Box<dyn std::error::Error>) -> DataError {
+    DataError::Format {
+        path: path.to_path_buf(),
+        detail: e.to_string(),
     }
-    r.finish().map_err(fail)?;
-    if train.dim() != test.dim() {
-        return Err(fail(format!(
-            "train dim {} != test dim {}",
-            train.dim(),
-            test.dim()
-        )));
-    }
-    Ok(Task {
-        train,
-        test,
-        classes,
-    })
 }
 
 /// Writes one increment as a durable `EDSRDS01` shard.
@@ -274,33 +210,30 @@ fn encode_manifest(m: &ShardManifest) -> Vec<u8> {
 }
 
 fn decode_manifest(payload: &[u8], path: &Path) -> Result<ShardManifest, DataError> {
-    let fail = |detail: String| DataError::Format {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut r = Reader::new(payload);
-    let name = r.string().map_err(fail)?;
-    let dim = r.u64().map_err(fail)? as usize;
-    let n_shards = r.counted(4).map_err(fail)?;
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let file = r.string().map_err(fail)?;
-        let train_len = r.u64().map_err(fail)? as usize;
-        let test_len = r.u64().map_err(fail)? as usize;
-        let n = r.counted(8).map_err(fail)?;
-        let mut classes = Vec::with_capacity(n);
-        for _ in 0..n {
-            classes.push(r.u64().map_err(fail)? as usize);
+    let parse = || -> ParseResult<ShardManifest> {
+        let mut r = Reader::new(payload);
+        let name = get_str(&mut r)?;
+        let dim = r.u64()? as usize;
+        let n_shards = r.u64()?;
+        // An entry takes at least 28 bytes: file name length and three u64s.
+        let mut shards = Vec::with_capacity(r.count(n_shards, 28)?);
+        for _ in 0..n_shards {
+            let file = get_str(&mut r)?;
+            let train_len = r.u64()? as usize;
+            let test_len = r.u64()? as usize;
+            let n = r.u64()?;
+            let classes = get_u64s(&mut r, n)?;
+            shards.push(ShardMeta {
+                file,
+                train_len,
+                test_len,
+                classes,
+            });
         }
-        shards.push(ShardMeta {
-            file,
-            train_len,
-            test_len,
-            classes,
-        });
-    }
-    r.finish().map_err(fail)?;
-    Ok(ShardManifest { name, dim, shards })
+        r.finish()?;
+        Ok(ShardManifest { name, dim, shards })
+    };
+    parse().map_err(|e| format_error(path, e))
 }
 
 /// Writes the stream manifest under `dir`.
@@ -445,14 +378,22 @@ mod tests {
 
     #[test]
     fn oversized_count_cannot_allocate() {
-        // A payload claiming 2^60 classes must fail the bounds guard, not
-        // attempt the allocation.
-        let mut payload = encode_task(&toy_task(514));
-        let n = payload.len();
-        payload[n - 24..n - 16].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        match decode_task(&payload, Path::new("mem")) {
-            Err(DataError::Format { .. }) => {}
-            other => panic!("expected a format error, got {other:?}"),
+        // A payload claiming 2^60 classes, or a train set of 2^62 rows or
+        // columns, must fail the bounds guard, not attempt the allocation.
+        let golden = encode_task(&toy_task(514));
+        let n = golden.len();
+        // The train set's name "tr" is 6 bytes, then u64 rows, u64 cols.
+        for (field, at, value) in [
+            ("classes", n - 24, 1u64 << 60),
+            ("rows", 6, 1 << 62),
+            ("cols", 14, 1 << 62),
+        ] {
+            let mut payload = golden.clone();
+            payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            match decode_task(&payload, Path::new("mem")) {
+                Err(DataError::Format { .. }) => {}
+                other => panic!("{field}: expected a format error, got {other:?}"),
+            }
         }
     }
 

@@ -29,10 +29,9 @@
 
 use std::path::Path;
 
-use edsr_nn::io::{
-    put_bytes, put_f32, put_i8s, put_u32, put_u64, read_envelope, write_envelope, ByteReader,
-};
+use edsr_nn::io::{read_envelope, write_envelope};
 use edsr_nn::CheckpointError;
+use edsr_wire::{put_f32, put_f32s, put_u32, put_u64, Reader};
 
 use crate::encoder::{QuantEncoder, QuantLinear};
 use crate::knn::{GateReport, QuantMemory};
@@ -67,46 +66,42 @@ fn put_quant_tensor(buf: &mut Vec<u8>, t: &QuantTensor) {
     put_u32(buf, t.rows() as u32);
     put_u32(buf, t.cols() as u32);
     put_u64(buf, t.scales().len() as u64);
-    for &s in t.scales() {
-        put_f32(buf, s);
-    }
-    put_i8s(buf, t.data());
+    put_f32s(buf, t.scales());
+    put_u64(buf, t.data().len() as u64);
+    buf.extend(t.data().iter().map(|&x| x as u8));
 }
 
-fn read_quant_tensor(r: &mut ByteReader) -> Result<QuantTensor, CheckpointError> {
+fn read_quant_tensor(r: &mut Reader) -> Result<QuantTensor, CheckpointError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
-    let n_scales = r.u64()? as usize;
-    let mut scales = Vec::with_capacity(n_scales.min(1 << 20));
-    for _ in 0..n_scales {
-        scales.push(r.f32()?);
-    }
-    let data = r.i8s()?;
+    let n_scales = r.u64()?;
+    let scales = r.f32s(n_scales)?;
+    let n_data = r.u64()?;
+    let data = r
+        .take(r.count(n_data, 1)?)?
+        .iter()
+        .map(|&b| b as i8)
+        .collect();
     QuantTensor::from_parts(rows, cols, data, scales).map_err(CheckpointError::Mismatch)
 }
 
 fn put_quant_linear(buf: &mut Vec<u8>, l: &QuantLinear) {
     put_quant_tensor(buf, &l.wt);
     put_u64(buf, l.bias.len() as u64);
-    for &b in &l.bias {
-        put_f32(buf, b);
-    }
+    put_f32s(buf, &l.bias);
     put_u32(buf, l.relu as u32);
 }
 
-fn read_quant_linear(r: &mut ByteReader) -> Result<QuantLinear, CheckpointError> {
+fn read_quant_linear(r: &mut Reader) -> Result<QuantLinear, CheckpointError> {
     let wt = read_quant_tensor(r)?;
-    let n_bias = r.u64()? as usize;
-    if n_bias != wt.rows() {
+    let n_bias = r.u64()?;
+    if n_bias != wt.rows() as u64 {
         return Err(CheckpointError::Mismatch(format!(
             "quant layer bias count {n_bias} != {} output channels",
             wt.rows()
         )));
     }
-    let mut bias = Vec::with_capacity(n_bias);
-    for _ in 0..n_bias {
-        bias.push(r.f32()?);
-    }
+    let bias = r.f32s(n_bias)?;
     let relu = match r.u32()? {
         0 => false,
         1 => true,
@@ -119,12 +114,24 @@ fn read_quant_linear(r: &mut ByteReader) -> Result<QuantLinear, CheckpointError>
     Ok(QuantLinear { wt, bias, relu })
 }
 
+/// Reads `n` quant layers, `n` checked against the bytes left (a layer
+/// takes at least 36 bytes: two shape words, three counts and the relu tag).
+fn read_quant_linears(r: &mut Reader, n: u64) -> Result<Vec<QuantLinear>, CheckpointError> {
+    let n = r.count(n, 36)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(read_quant_linear(r)?);
+    }
+    Ok(out)
+}
+
 impl QuantSnapshot {
     /// Serializes to the EDSRSS02 payload (without the envelope).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, self.completed_tasks as u64);
-        put_bytes(&mut buf, self.benchmark.as_bytes());
+        put_u64(&mut buf, self.benchmark.len() as u64);
+        buf.extend_from_slice(self.benchmark.as_bytes());
         put_u64(&mut buf, self.encoder.input_dims().len() as u64);
         for &d in self.encoder.input_dims() {
             put_u64(&mut buf, d as u64);
@@ -152,29 +159,24 @@ impl QuantSnapshot {
 
     /// Decodes an EDSRSS02 payload, validating every structural invariant.
     pub fn decode(payload: &[u8]) -> Result<QuantSnapshot, CheckpointError> {
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let completed_tasks = r.u64()? as usize;
-        let benchmark = String::from_utf8(r.bytes()?.to_vec())
+        let n_benchmark = r.u64()?;
+        let benchmark = String::from_utf8(r.take(r.count(n_benchmark, 1)?)?.to_vec())
             .map_err(|_| CheckpointError::Mismatch("benchmark is not utf-8".into()))?;
-        let n_dims = r.u64()? as usize;
-        let mut input_dims = Vec::with_capacity(n_dims.min(1 << 16));
+        let n_dims = r.u64()?;
+        let mut input_dims = Vec::with_capacity(r.count(n_dims, 8)?);
         for _ in 0..n_dims {
             input_dims.push(r.u64()? as usize);
         }
         let repr_dim = r.u64()? as usize;
-        let n_adapters = r.u64()? as usize;
-        let mut adapters = Vec::with_capacity(n_adapters.min(1 << 16));
-        for _ in 0..n_adapters {
-            adapters.push(read_quant_linear(&mut r)?);
-        }
-        let n_chain = r.u64()? as usize;
-        let mut chain = Vec::with_capacity(n_chain.min(1 << 16));
-        for _ in 0..n_chain {
-            chain.push(read_quant_linear(&mut r)?);
-        }
+        let n_adapters = r.u64()?;
+        let adapters = read_quant_linears(&mut r, n_adapters)?;
+        let n_chain = r.u64()?;
+        let chain = read_quant_linears(&mut r, n_chain)?;
         let grid = read_quant_tensor(&mut r)?;
-        let n_tasks = r.u64()? as usize;
-        let mut memory_tasks = Vec::with_capacity(n_tasks.min(1 << 24));
+        let n_tasks = r.u64()?;
+        let mut memory_tasks = Vec::with_capacity(r.count(n_tasks, 8)?);
         for _ in 0..n_tasks {
             memory_tasks.push(r.u64()?);
         }
@@ -184,11 +186,7 @@ impl QuantSnapshot {
             f32_accuracy: r.f32()?,
             int8_accuracy: r.f32()?,
         };
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Mismatch(
-                "quant snapshot payload has trailing bytes".into(),
-            ));
-        }
+        r.finish()?;
         let encoder = QuantEncoder::new(input_dims, repr_dim, adapters, chain)
             .map_err(CheckpointError::Mismatch)?;
         if grid.cols() != repr_dim && grid.rows() != 0 {

@@ -2,8 +2,8 @@
 //!
 //! One [`Client`] owns one connection and reuses its frame buffers, so a
 //! steady request loop allocates only for the returned values. Used by
-//! `tests/serve.rs`, the `serve_load` load generator, and the
-//! `edsr query` CLI.
+//! `tests/serve.rs`, perfbench's serving workloads, and the `edsr query`
+//! CLI.
 //!
 //! ## Resilience
 //!

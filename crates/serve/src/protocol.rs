@@ -4,12 +4,13 @@
 //! length followed by the payload. Payloads open with a version byte
 //! ([`PROTOCOL_VERSION`]) and an opcode / status byte; all multi-byte
 //! integers are little-endian and all floats are IEEE-754 `f32` bit
-//! patterns — the same convention as the `nn::io` checkpoint codec, so a
-//! round-trip is bit-identical by construction.
+//! patterns, written and read with `edsr-wire`'s payload codec like every
+//! other binary format, so a round-trip is bit-identical by construction.
 //!
 //! Decoding is total: truncated, oversized, or corrupt payloads come back
 //! as a structured [`ProtocolError`], never a panic (property-tested in
-//! this module's tests).
+//! this module's tests), and a vector or neighbour count is checked
+//! against the bytes left before anything is allocated for it.
 //!
 //! ```text
 //! request  := version:u8 opcode:u8 body
@@ -35,6 +36,8 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+
+use edsr_wire::{put_f32, put_f32s, put_u16, put_u32, put_u64, DecodeError, Reader};
 
 /// Wire protocol version carried in every payload.
 pub const PROTOCOL_VERSION: u8 = 3;
@@ -269,107 +272,24 @@ impl From<edsr_wire::FrameError> for ProtocolError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian cursor primitives.
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated {
-                expected: n,
-                got: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtocolError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    /// A `dim:u32` + `f32*dim` vector. The element count is bounds-checked
-    /// against the remaining bytes *before* allocation so a corrupt count
-    /// cannot trigger a huge reserve.
-    fn f32_vec(&mut self) -> Result<Vec<f32>, ProtocolError> {
-        let dim = self.u32()? as usize;
-        let need = dim
-            .checked_mul(4)
-            .ok_or(ProtocolError::Malformed("vector length overflow"))?;
-        if self.remaining() < need {
-            return Err(ProtocolError::Truncated {
-                expected: need,
-                got: self.remaining(),
-            });
-        }
-        let mut v = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-
-    fn finish(&self) -> Result<(), ProtocolError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(ProtocolError::Malformed("trailing bytes after message"))
+impl From<DecodeError> for ProtocolError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { expected, got } => ProtocolError::Truncated { expected, got },
+            DecodeError::Trailing(_) => ProtocolError::Malformed("trailing bytes after message"),
         }
     }
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32_slice(buf: &mut Vec<u8>, v: &[f32]) {
+/// A `dim:u32` + `f32*dim` vector.
+fn put_vector(buf: &mut Vec<u8>, v: &[f32]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
+    put_f32s(buf, v);
+}
+
+fn read_vector(r: &mut Reader<'_>) -> Result<Vec<f32>, DecodeError> {
+    let dim = r.u32()?;
+    r.f32s(dim.into())
 }
 
 // ---------------------------------------------------------------------------
@@ -386,13 +306,13 @@ impl Request {
             Request::Embed { task, input } => {
                 buf.push(OP_EMBED);
                 put_u32(buf, *task);
-                put_f32_slice(buf, input);
+                put_vector(buf, input);
             }
             Request::Knn { k, metric, query } => {
                 buf.push(OP_KNN);
                 put_u32(buf, *k);
                 buf.push(metric.to_byte());
-                put_f32_slice(buf, query);
+                put_vector(buf, query);
             }
             Request::Stats => buf.push(OP_STATS),
             Request::Shutdown => buf.push(OP_SHUTDOWN),
@@ -408,7 +328,7 @@ impl Request {
 
     /// Decodes one request payload.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let version = c.u8()?;
         if version != PROTOCOL_VERSION {
             return Err(ProtocolError::BadVersion(version));
@@ -416,12 +336,12 @@ impl Request {
         let req = match c.u8()? {
             OP_EMBED => Request::Embed {
                 task: c.u32()?,
-                input: c.f32_vec()?,
+                input: read_vector(&mut c)?,
             },
             OP_KNN => Request::Knn {
                 k: c.u32()?,
                 metric: WireMetric::from_byte(c.u8()?)?,
-                query: c.f32_vec()?,
+                query: read_vector(&mut c)?,
             },
             OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
@@ -466,12 +386,12 @@ impl Response {
                 buf.push(0);
                 buf.push(opcode);
                 match ok {
-                    Response::Embedding(v) => put_f32_slice(buf, v),
+                    Response::Embedding(v) => put_vector(buf, v),
                     Response::Neighbors(ns) => {
                         put_u32(buf, ns.len() as u32);
                         for n in ns {
                             put_u64(buf, n.index);
-                            buf.extend_from_slice(&n.score.to_bits().to_le_bytes());
+                            put_f32(buf, n.score);
                         }
                     }
                     Response::Stats(s) => {
@@ -508,7 +428,7 @@ impl Response {
 
     /// Decodes one response payload; returns the echoed opcode too.
     pub fn decode(payload: &[u8]) -> Result<(u8, Self), ProtocolError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let version = c.u8()?;
         if version != PROTOCOL_VERSION {
             return Err(ProtocolError::BadVersion(version));
@@ -520,8 +440,7 @@ impl Response {
                 let code = c.u16()?;
                 let retry_after_ms = c.u32()?;
                 let len = c.u32()? as usize;
-                let bytes = c.take(len)?;
-                let message = String::from_utf8(bytes.to_vec())
+                let message = String::from_utf8(c.take(len)?.to_vec())
                     .map_err(|_| ProtocolError::Malformed("error message is not utf-8"))?;
                 Response::Error {
                     code,
@@ -530,19 +449,11 @@ impl Response {
                 }
             }
             0 => match opcode {
-                OP_EMBED => Response::Embedding(c.f32_vec()?),
+                OP_EMBED => Response::Embedding(read_vector(&mut c)?),
                 OP_KNN => {
-                    let n = c.u32()? as usize;
-                    let need = n
-                        .checked_mul(12)
-                        .ok_or(ProtocolError::Malformed("neighbor count overflow"))?;
-                    if c.remaining() < need {
-                        return Err(ProtocolError::Truncated {
-                            expected: need,
-                            got: c.remaining(),
-                        });
-                    }
-                    let mut ns = Vec::with_capacity(n);
+                    let n = c.u32()?;
+                    // A neighbour is a u64 index and an f32 score.
+                    let mut ns = Vec::with_capacity(c.count(n.into(), 12)?);
                     for _ in 0..n {
                         ns.push(WireNeighbor {
                             index: c.u64()?,

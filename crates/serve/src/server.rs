@@ -1384,8 +1384,26 @@ mod tests {
         let len = std::fs::metadata(&staged).unwrap().len() as usize;
         edsr_cl::fault::flip_byte(&staged, len / 2, 0xFF).unwrap();
         std::fs::rename(&staged, dir.join("rot.task0002.snapshot")).unwrap();
+
+        // A crafted candidate that sorts newest of all: CRC-valid, but its
+        // memory header claims u32::MAX x u32::MAX values. Every poll
+        // reaches it first; decoding must refuse it without allocating,
+        // and the watcher must live on to try older candidates.
+        let crafted = {
+            let model = ContinualModel::new(&ModelConfig::image(16), &mut seeded(101));
+            let empty = Matrix::zeros(0, model.repr_dim());
+            let snap = ServeSnapshot::capture(&model, empty, Vec::new(), "rot", 1).unwrap();
+            let mut payload = snap.encode();
+            // The payload ends with the memory header (u32 rows, u32 cols,
+            // no values) and a zero u64 task count.
+            let n = payload.len();
+            payload[n - 16..n - 8].fill(0xFF);
+            payload
+        };
+        edsr_wire::write_envelope(&staged, edsr_cl::SERVE_SNAPSHOT_MAGIC, &crafted).unwrap();
+        std::fs::rename(&staged, dir.join("rot.task0004.snapshot")).unwrap();
         std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(batcher.rotations(), 0, "corrupt snapshot must not rotate");
+        assert_eq!(batcher.rotations(), 0, "decoy snapshots must not rotate");
 
         // ... while a valid even-newer one rotates within a few polls.
         save(102, "rot.task0003.snapshot");

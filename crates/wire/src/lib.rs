@@ -1,11 +1,10 @@
 //! # edsr-wire
 //!
-//! The shared wire substrate: every byte-level integrity mechanism the
-//! workspace uses, in one place. Extracted from `edsr-serve`'s protocol
-//! module and `edsr-nn`'s checkpoint IO so serving, checkpoints, data
-//! shards and quantized snapshots frame and validate bytes identically.
+//! The shared wire substrate: every byte-level mechanism the workspace's
+//! binary formats use, in one place, so serving, checkpoints, data shards
+//! and quantized snapshots frame, validate and parse bytes identically.
 //!
-//! Three building blocks:
+//! Four building blocks:
 //!
 //! - **Framing** ([`write_frame`] / [`read_frame`]): one message = a
 //!   `u32` little-endian payload length followed by the payload, with a
@@ -16,12 +15,23 @@
 //! - **Envelopes** ([`write_envelope`] / [`read_envelope`]): the
 //!   `magic + payload + (u64 length, u32 crc32)` on-disk format with
 //!   temp-file + fsync + atomic-rename durability, used by parameter
-//!   checkpoints, run states, and serve snapshots.
+//!   checkpoints, run states, serve snapshots and data shards.
+//! - **Payload codec** ([`Reader`] and the `put_*` writers): little-endian
+//!   integers and floats, the one payload reader every binary decoder in
+//!   the workspace uses.
+//!
+//! The allocation rule: a decoder allocates from a count it read out of
+//! the payload only after [`Reader::count`] has checked, with a checked
+//! multiply, that that many elements of at least `min_bytes` each fit in
+//! the bytes left ([`Reader::f32s`] applies the rule itself). A corrupt or
+//! crafted count therefore fails as [`DecodeError::Truncated`] instead of
+//! reserving memory the payload cannot back: no decode allocates more than
+//! a small multiple of its input.
 //!
 //! Consumers keep their own error types (`ProtocolError`,
-//! `CheckpointError`) and map [`FrameError`] / [`EnvelopeError`] into
-//! them variant-for-variant, so public APIs and tests above this crate
-//! are unchanged by the extraction.
+//! `CheckpointError`, `DataError`) and map [`FrameError`],
+//! [`EnvelopeError`] and [`DecodeError`] into them, so public APIs and
+//! tests above this crate see their usual variants.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -312,6 +322,171 @@ pub fn read_envelope_bytes(bytes: &[u8], magic: &[u8; 8]) -> Result<Vec<u8>, Env
     Ok(payload.to_vec())
 }
 
+// ---------------------------------------------------------------------------
+// Payload codec: little-endian writers and the bounds-checked reader.
+// ---------------------------------------------------------------------------
+
+/// Appends a `u16` (little-endian).
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` (little-endian).
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64` (little-endian).
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f32` (little-endian bits).
+pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f64` (little-endian bits).
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `vs` as little-endian `f32` bits, with no length prefix (each
+/// format writes its own count, at its own width).
+pub fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
+    buf.reserve(vs.len() * 4);
+    for &v in vs {
+        put_f32(buf, v);
+    }
+}
+
+/// A payload that does not parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// A field, or a counted run of elements, needs more bytes than are
+    /// left. `expected` saturates at `usize::MAX` when the size overflows.
+    Truncated {
+        /// Bytes the field needs.
+        expected: usize,
+        /// Bytes left in the payload.
+        got: usize,
+    },
+    /// Bytes remain after the last field.
+    Trailing(usize),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated { expected, got } => {
+                write!(f, "field needs {expected} bytes, {got} left")
+            }
+            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes after the payload"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Sequential little-endian reader over a payload. Every accessor checks
+/// bounds and returns a [`DecodeError`] instead of panicking.
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Starts reading at the front of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { rest: bytes }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.rest.len() {
+            return Err(DecodeError::Truncated {
+                expected: n,
+                got: self.rest.len(),
+            });
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a `u16`.
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a `u32`.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads an `f32`.
+    pub fn f32(&mut self) -> Result<f32, DecodeError> {
+        Ok(f32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads an `f64`.
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_le_bytes(self.array()?))
+    }
+
+    /// Checks a count `n` read from the payload before anything is
+    /// allocated from it: `n` elements of at least `min_bytes` each must
+    /// fit in the bytes left (checked multiply; a `min_bytes` of 0 counts
+    /// as 1, so no count goes unchecked). Returns `n` as a `usize`.
+    pub fn count(&self, n: u64, min_bytes: usize) -> Result<usize, DecodeError> {
+        let got = self.rest.len();
+        let need = usize::try_from(n)
+            .ok()
+            .and_then(|n| Some((n, n.checked_mul(min_bytes.max(1))?)));
+        match need {
+            Some((n, bytes)) if bytes <= got => Ok(n),
+            _ => Err(DecodeError::Truncated {
+                expected: need.map_or(usize::MAX, |(_, bytes)| bytes),
+                got,
+            }),
+        }
+    }
+
+    /// Reads `n` `f32` values (no length prefix), checking `n` with
+    /// [`count`](Self::count) first.
+    pub fn f32s(&mut self, n: u64) -> Result<Vec<f32>, DecodeError> {
+        let n = self.count(n, 4)?;
+        Ok(self
+            .take(n * 4)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+
+    /// Succeeds only when every byte has been read.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(DecodeError::Trailing(n)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +535,67 @@ mod tests {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn reader_round_trips_every_width() {
+        let mut buf = vec![7u8];
+        put_u16(&mut buf, 0xBEEF);
+        put_u32(&mut buf, 0xDEAD_BEEF);
+        put_u64(&mut buf, u64::MAX - 1);
+        put_f32(&mut buf, -1.5);
+        put_f64(&mut buf, 0.25);
+        put_f32s(&mut buf, &[1.0, f32::NAN, -0.0]);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xBEEF);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(r.f32().unwrap(), -1.5);
+        assert_eq!(r.f64().unwrap(), 0.25);
+        let bits: Vec<u32> = r.f32s(3).unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [1.0f32, f32::NAN, -0.0].map(f32::to_bits));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_reports_truncation_and_trailing_bytes() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(
+            r.u32(),
+            Err(DecodeError::Truncated {
+                expected: 4,
+                got: 3
+            })
+        );
+        assert_eq!(r.u8().unwrap(), 1);
+        assert_eq!(r.finish(), Err(DecodeError::Trailing(2)));
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_bytes_left() {
+        let r = Reader::new(&[0; 16]);
+        assert_eq!(r.count(4, 4), Ok(4));
+        assert_eq!(
+            r.count(5, 4),
+            Err(DecodeError::Truncated {
+                expected: 20,
+                got: 16
+            })
+        );
+        for n in [1 << 62, u64::MAX] {
+            assert_eq!(
+                r.count(n, 8),
+                Err(DecodeError::Truncated {
+                    expected: usize::MAX,
+                    got: 16
+                }),
+                "{n} x 8 overflows"
+            );
+        }
+        let mut r = Reader::new(&[0; 8]);
+        assert!(r.f32s(u64::from(u32::MAX)).is_err());
+        assert_eq!(r.f32s(2).unwrap(), vec![0.0, 0.0]);
     }
 
     #[test]
