@@ -3,6 +3,25 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Prints the address a backgrounded `edsr serve` announces on its
+# "listening on ADDR ..." line in LOG, waiting up to 10 s. If the server
+# never comes up, prints "LABEL: server never came up" and the log to
+# stderr and fails.
+wait_listening() {
+    local log=$1 label=$2 addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$log")
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    if [ -z "$addr" ]; then
+        echo "$label: server never came up" >&2
+        cat "$log" >&2
+        return 1
+    fi
+    printf '%s' "$addr"
+}
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -28,18 +47,16 @@ echo "== cargo test --release -q --test zero_alloc =="
 # sensitive to thread start-up; an optimised build shifts that timing.
 cargo test --release -q --test zero_alloc
 
-echo "== bench bin smoke (BENCH_par.json) =="
-# The bench binary exits non-zero itself if any row runs more than 1.5x
-# slower at max threads than at one thread, on any host: work below the
-# edsr-par cut-off must run inline, work past it must pay for its hand-off.
+echo "== bench bin smoke (BENCH_par.json + thread and ISA dispatch gates) =="
+# The bench binary exits non-zero itself if any row outside the kernel
+# layer (the `<product>/<implementation>` rows) runs more than 1.5x slower
+# at max threads than at one thread, on any host: work below the edsr-par
+# cut-off must run inline, work past it must pay for its hand-off.
+# It also exits non-zero if the auto-dispatched tiled kernel runs >5%
+# slower than the scalar tiled kernel while a SIMD ISA is active and
+# three fresh samplings confirm it (DESIGN.md §15).
 EDSR_BENCH_QUICK=1 cargo run -q --release -p edsr-bench --bin bench
 test -s BENCH_par.json
-
-echo "== kernel bench smoke (BENCH_kernels.json + ISA dispatch gate) =="
-# Exits non-zero if the auto-dispatched tiled kernel runs >5% slower
-# than the scalar tiled kernel while a SIMD ISA is active (DESIGN.md §15).
-EDSR_BENCH_QUICK=1 cargo run -q --release -p edsr-bench --bin kernels
-test -s BENCH_kernels.json
 
 echo "== perfbench self-tests + one-unit boundary smoke =="
 # The end-to-end benchmark (BENCHMARK.json) must keep building, pass its
@@ -65,13 +82,7 @@ cargo run -q --release --bin edsr -- run test edsr --epochs 1 \
 cargo run -q --release --bin edsr -- serve ci_serve_snaps --port 0 \
     > ci_serve.log &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' ci_serve.log)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-test -n "$ADDR" || { echo "serve smoke: server never came up"; cat ci_serve.log; exit 1; }
+ADDR=$(wait_listening ci_serve.log "serve smoke") || exit 1
 INPUT=$(python3 -c "print(','.join('0.25' for _ in range(16)))")
 EMB=$(cargo run -q --release --bin edsr -- query "$ADDR" embed --task 0 --input "$INPUT")
 QUERY=$(printf '%s' "$EMB" | tr -d '[]')
@@ -98,13 +109,7 @@ SNAP=$(ls ci_chaos_snaps/*.snapshot | sort | head -n 1)
 EDSR_SERVE_STALL_MS=300 "$EDSR" serve "$SNAP" --port 0 --chaos-seed 5 \
     > ci_chaos.log &
 CHAOS_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' ci_chaos.log)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-test -n "$ADDR" || { echo "chaos smoke: server never came up"; cat ci_chaos.log; exit 1; }
+ADDR=$(wait_listening ci_chaos.log "chaos smoke") || exit 1
 INPUT=$(python3 -c "print(','.join('0.25' for _ in range(16)))")
 "$EDSR" query "$ADDR" embed --task 0 --input "$INPUT" \
     --retries 8 --retry-rejections > /dev/null
@@ -134,13 +139,7 @@ cp "$SNAP" ci_rotate_snaps/
 EDSR_SERVE_ROTATE_MS=50 "$EDSR" serve ci_rotate_snaps --port 0 \
     > ci_rotate.log &
 ROTATE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' ci_rotate.log)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-test -n "$ADDR" || { echo "chaos smoke: rotation server never came up"; cat ci_rotate.log; exit 1; }
+ADDR=$(wait_listening ci_rotate.log "chaos smoke: rotation") || exit 1
 # The decoy: a truncated copy that path-sorts newest of all.
 head -c 100 "$NEWEST" > ci_rotate_snaps/.staging
 mv ci_rotate_snaps/.staging "ci_rotate_snaps/zzz.task9999.snapshot"
@@ -176,13 +175,7 @@ grep -q "quant gate:" ci_quant_run.log \
     || { echo "quant smoke: run --quantize printed no accuracy gate"; exit 1; }
 "$EDSR" serve ci_quant_snaps --port 0 --quantized > ci_quant.log &
 QUANT_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' ci_quant.log)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-test -n "$ADDR" || { echo "quant smoke: server never came up"; cat ci_quant.log; exit 1; }
+ADDR=$(wait_listening ci_quant.log "quant smoke") || exit 1
 grep -q "int8 backend" ci_quant.log \
     || { echo "quant smoke: server is not on the int8 backend"; cat ci_quant.log; exit 1; }
 INPUT=$(python3 -c "print(','.join('0.25' for _ in range(16)))")
@@ -209,13 +202,7 @@ cp "$V1SNAP" ci_mixrot_snaps/
 EDSR_SERVE_ROTATE_MS=50 "$EDSR" serve ci_mixrot_snaps --port 0 \
     > ci_mixrot.log &
 MIXROT_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' ci_mixrot.log)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-test -n "$ADDR" || { echo "mixrot smoke: server never came up"; cat ci_mixrot.log; exit 1; }
+ADDR=$(wait_listening ci_mixrot.log "mixrot smoke") || exit 1
 grep -q "f32 backend" ci_mixrot.log \
     || { echo "mixrot smoke: server did not start on the f32 backend"; cat ci_mixrot.log; exit 1; }
 # Publish the v2 snapshot with the exporter's atomicity, sorting newest.
@@ -354,10 +341,9 @@ import json, sys
 def one_thread_ns(path):
     with open(path) as f:
         doc = json.load(f)
-    records = doc["records"] if isinstance(doc, dict) else doc
     return {
         r["op"]: r["ns_per_iter"]
-        for r in records
+        for r in doc["records"]
         if r["threads"] == 1 and r["op"] in ("matmul", "conv_forward")
     }
 

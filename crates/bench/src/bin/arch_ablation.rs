@@ -4,9 +4,8 @@
 //! both stems on the CIFAR-100 simulation so the substitution's effect is
 //! measurable rather than assumed.
 
-use edsr_bench::{run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
-use edsr_cl::{Cassle, Finetune, ModelConfig, TrainConfig};
-use edsr_core::Edsr;
+use edsr_bench::{paper_method, run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
+use edsr_cl::{ModelConfig, TrainConfig};
 use edsr_data::cifar100_sim;
 use edsr_nn::ConvShape;
 
@@ -15,7 +14,6 @@ fn main() {
     let mut report = Report::new("arch_ablation");
     let cfg = TrainConfig::image();
     let preset = cifar100_sim();
-    let budget = preset.per_task_budget();
     let shape = ConvShape {
         channels: preset.grid.channels,
         height: preset.grid.height,
@@ -28,19 +26,11 @@ fn main() {
         ("Conv stem", ModelConfig::conv_image(shape, 8)),
     ] {
         report.line(format!("\n== {arch} =="));
-        let replay_batch = cfg.replay_batch;
-        let noise_k = preset.noise_neighbors;
-        let methods: Vec<edsr_bench::MethodFactory> = vec![
-            ("Finetune", Box::new(|| Box::new(Finetune::new()))),
-            ("CaSSLe", Box::new(|| Box::new(Cassle::new()))),
-            (
-                "EDSR",
-                Box::new(move || Box::new(Edsr::paper_default(budget, replay_batch, noise_k))),
-            ),
-        ];
-        for (name, make) in &methods {
+        for name in ["Finetune", "CaSSLe", "EDSR"] {
             let sweep =
-                run_method_over_seeds_with_model(&preset, &cfg, &seeds, &model_cfg, &|| make());
+                run_method_over_seeds_with_model(&preset, &cfg, &seeds, &model_cfg, &|| {
+                    paper_method(name, &preset, &cfg)
+                });
             sweep.report_failures(&mut report, name);
             let agg = sweep.aggregate();
             report.line(format!(

@@ -1,128 +1,268 @@
-//! Parallel-runtime micro-benchmark: times the `edsr-par`-wired kernels
-//! (matmul, conv forward, batched kNN, PCA fit), the shapes the
-//! `edsr-par` cut-off was set from — the 64-row train-step products and
-//! one `boundary` eval cell (the 1,600 x 300 x 96 forward and a 400 x 1,600
-//! cosine kNN at d=48) — and the Table V memory-selection strategies on
-//! one increment of the perfbench `train` and `boundary` workloads (150
-//! rows with budget 4, 1,600 rows with budget 64, at d=48), at 1 thread
-//! and at the configured maximum. It writes `BENCH_par.json` (repo root)
-//! with one record per (op, size, thread count) plus the max-thread
-//! speedup. When the configured maximum *is* 1 thread the max-thread rows
-//! are skipped — they would re-measure the identical configuration and
-//! differ only by timer noise.
+//! Micro-benchmark of the hot paths, one row per op at 1 thread and at
+//! the configured maximum, written to `BENCH_par.json` (repo root):
 //!
-//! Exits non-zero when any max-thread row runs more than 1.5x slower than
-//! its 1-thread row: work too small to pay for a pool hand-off must run
-//! inline (DESIGN.md §9).
+//! - the `edsr-par`-wired ops (matmul, conv forward, batched kNN, PCA fit);
+//! - the GEMM kernel layer: `a·b`, `aᵀ·b` and `a·bᵀ` by the naive
+//!   reference, by the tiled kernel at every SIMD level the host supports
+//!   and by the dispatched (`tiled-auto`) tiled kernel, which honours
+//!   `EDSR_ISA` (`matmul/naive`, `matmul/tiled-avx2`, …);
+//! - the shapes the `edsr-par` cut-off was set from — the 64-row
+//!   train-step products, the 22-row product every cifar100-sim epoch ends
+//!   on, and one `boundary` eval cell (the 1,600 x 300 x 96 forward and a
+//!   400 x 1,600 cosine kNN at d=48);
+//! - one `L_css` step (two augmented views, forward, loss, backward) for
+//!   BarlowTwins and SimSiam on a cifar100-sim batch, and the tabular
+//!   augmenter's `two_views` on a 64-row batch of the widest Table II
+//!   corpus, as `table7` draws it;
+//! - the Table V memory-selection strategies on one increment of the
+//!   perfbench `train` and `boundary` workloads (150 rows with budget 4,
+//!   1,600 rows with budget 64, at d=48).
 //!
-//! `EDSR_BENCH_QUICK=1` shrinks the first four ops and the iteration
-//! count to a smoke run (used by `ci.sh`); the cut-off shapes and the
-//! selectors keep their real sizes. The JSON format is documented in
-//! DESIGN.md §9.
+//! Every row is timed by [`edsr_bench::sample`]: its configurations
+//! (implementations x thread counts) round-robin, median and fastest
+//! sample kept. When the configured maximum *is* 1 thread the max-thread
+//! rows are skipped — they would re-measure the identical configuration.
+//!
+//! Exits non-zero when any max-thread op row runs more than 1.5x slower
+//! than its 1-thread row (work too small to pay for a pool hand-off must
+//! run inline, DESIGN.md §9), or when, with a SIMD ISA active, the
+//! dispatched tiled kernel runs more than 5% slower than the scalar tile
+//! at one thread and three fresh samplings confirm it (DESIGN.md §15). The
+//! kernel-layer rows are not thread-gated: the `matmul` op row already
+//! gates the dispatched product.
+//!
+//! `EDSR_BENCH_QUICK=1` shrinks the `edsr-par`-wired ops, the kernel
+//! products and the iteration count to a smoke run (used by `ci.sh`); the
+//! cut-off shapes, the step rows and the selectors keep their real sizes.
+//! The JSON format is documented in DESIGN.md §9.
 
-use std::io::Write as _;
-use std::time::Instant;
+use std::hint::black_box;
+use std::ops::Range;
 
-use edsr_cl::ModelConfig;
+use edsr_bench::{sample, write_json, Json, Timing};
+use edsr_cl::{tabular_augmenters, ContinualModel, ModelConfig, TrainConfig};
 use edsr_core::prelude::seeded;
 use edsr_core::{SelectionContext, SelectionStrategy};
+use edsr_data::{tabular_sequence, TabularConfig, TABULAR_SPECS};
 use edsr_linalg::{KnnQuery, Metric, Pca};
-use edsr_tensor::Matrix;
+use edsr_nn::Workspace;
+use edsr_ssl::SslVariant;
+use edsr_tensor::{kernel, simd, Matrix};
 
 /// One timed configuration of one op.
 struct Record {
-    op: &'static str,
+    op: String,
     size: String,
     threads: usize,
-    ns_per_iter: f64,
-    /// `time(1 thread) / time(this)`; 1.0 for the 1-thread row.
+    timing: Timing,
+    /// `time(1 thread) / time(this)` of the same op; 1.0 on 1-thread rows.
     speedup: f64,
 }
 
-/// Mean wall time of `calls` calls of `f` at `threads`, in ns per call,
-/// timed after an untimed call at the same setting: caches then hold what
-/// this setting leaves behind (and the pool is spawned), not what the
-/// other left.
-fn time_once(threads: usize, calls: usize, f: &mut dyn FnMut()) -> f64 {
-    edsr_par::with_threads(threads, || {
-        f();
-        let t0 = Instant::now();
-        for _ in 0..calls {
-            f();
-        }
-        t0.elapsed().as_nanos() as f64 / calls as f64
-    })
+impl Record {
+    fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("op", Json::Str(self.op.clone())),
+            ("size", Json::Str(self.size.clone())),
+            ("threads", Json::Int(self.threads as u64)),
+            ("ns_per_iter", Json::Num(self.timing.median, 0)),
+            ("ns_min", Json::Num(self.timing.min, 0)),
+            ("speedup", Json::Num(self.speedup, 3)),
+        ])
+    }
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[samples.len() / 2]
-}
-
-/// Times `f` at 1 thread and at `max_threads` (median of `iters` samples
-/// each, the two settings alternating so host noise hits both alike),
-/// appending both records. Each sample runs enough calls to last at least
-/// 1 ms, so a microsecond-scale op is not read off timer noise. With
-/// `max_threads == 1` only the 1-thread record is taken: a second sample
-/// of the same configuration carries no information.
-fn bench_op(
-    records: &mut Vec<Record>,
-    op: &'static str,
-    size: String,
+/// The records taken so far, the settings every row is taken at, and
+/// the gate failures.
+struct Bench {
     iters: usize,
-    max_threads: usize,
-    f: &mut dyn FnMut(),
-) {
-    let calls = (1e6 / time_once(1, 1, f).max(1.0)).ceil() as usize;
-    let (mut s1, mut sm) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
-    for _ in 0..iters {
-        s1.push(time_once(1, calls, f));
-        if max_threads > 1 {
-            sm.push(time_once(max_threads, calls, f));
+    /// 1 and the configured maximum (just 1 when that is the maximum).
+    threads: Vec<usize>,
+    records: Vec<Record>,
+    failures: Vec<String>,
+}
+
+impl Bench {
+    /// Times one op at every thread count and records it.
+    ///
+    /// Hand-off gate: a max-thread row may not run more than 1.5x slower
+    /// than at one thread (median speedup below 0.66). Work below the
+    /// `edsr-par` cut-off (and every row on a zero-worker pool) runs the
+    /// exact 1-thread code inline, so its speedup sits near 1.0; work past
+    /// the cut-off must pay for its hand-off. The 0.66 floor leaves
+    /// headroom for timer noise.
+    fn op(&mut self, op: &str, size: &str, mut f: impl FnMut()) {
+        let first = self.records.len();
+        self.row(size, &[op.to_string()], &mut [&mut f]);
+        for r in &self.records[first..] {
+            if r.speedup < 0.66 {
+                self.failures.push(format!(
+                    "{op} {size} at {} threads has speedup {:.3} < 0.66 \
+                     ({} pool workers): the pool hand-off costs more than it saves",
+                    r.threads,
+                    r.speedup,
+                    edsr_par::pool_workers()
+                ));
+            }
         }
     }
-    let t1 = median(s1);
-    records.push(Record {
-        op,
-        size: size.clone(),
-        threads: 1,
-        ns_per_iter: t1,
-        speedup: 1.0,
-    });
-    if max_threads == 1 {
-        return;
+
+    /// Times the variants of one row (`ops[i]` runs `variants[i]`) at
+    /// every thread count, round-robin, records one record each and
+    /// returns the timings (`[variant][thread count]`).
+    fn row(
+        &mut self,
+        size: &str,
+        ops: &[String],
+        variants: &mut [&mut dyn FnMut()],
+    ) -> Vec<Vec<Timing>> {
+        let timings = sample(self.iters, &self.threads, variants);
+        for (op, per_thread) in ops.iter().zip(&timings) {
+            for (&threads, &timing) in self.threads.iter().zip(per_thread) {
+                self.records.push(Record {
+                    op: op.clone(),
+                    size: size.to_string(),
+                    threads,
+                    timing,
+                    speedup: per_thread[0].median / timing.median,
+                });
+            }
+        }
+        timings
     }
-    let tm = median(sm);
-    records.push(Record {
-        op,
-        size,
-        threads: max_threads,
-        ns_per_iter: tm,
-        speedup: if tm > 0.0 { t1 / tm } else { f64::NAN },
-    });
+}
+
+/// One GEMM product the kernel rows time, on two n x n operands: its
+/// name, its naive reference chunk kernel and its tiled kernel.
+type Product = (
+    &'static str,
+    fn(&[f32], &[f32], usize, Range<usize>, &mut [f32]),
+    fn(&'static simd::Kernel, &[f32], &[f32], &mut [f32], usize, usize, usize),
+);
+
+/// `a·b`, `aᵀ·b` and `a·bᵀ`.
+const PRODUCTS: [Product; 3] = [
+    (
+        "matmul",
+        |a, b, n, rows, out| kernel::naive::matmul_chunk(a, b, n, n, rows, out),
+        kernel::matmul_tiled_with,
+    ),
+    (
+        "transpose_matmul",
+        |a, b, n, rows, out| kernel::naive::transpose_matmul_chunk(a, b, n, n, n, rows, out),
+        kernel::transpose_matmul_tiled_with,
+    ),
+    (
+        "matmul_transpose",
+        |a, b, n, rows, out| kernel::naive::matmul_transpose_chunk(a, b, n, n, rows, out),
+        kernel::matmul_transpose_tiled_with,
+    ),
+];
+
+/// A closure computing `product` of the n x n matrices `a` and `b` into
+/// its own output buffer: by the naive reference kernel when `kern` is
+/// `None`, else by the tiled kernel with micro-kernel `kern`. The naive
+/// kernel splits over the pool through `par_for_rows` as the tiled one
+/// does, so the two differ only in the kernel.
+fn gemm<'m>(
+    (_, naive, tiled): Product,
+    kern: Option<&'static simd::Kernel>,
+    a: &'m Matrix,
+    b: &'m Matrix,
+) -> impl FnMut() + 'm {
+    let n = a.rows();
+    let (a, b) = (a.data(), b.data());
+    let mut out = vec![0.0f32; n * n];
+    move || {
+        out.fill(0.0);
+        match kern {
+            None => edsr_par::par_for_rows(&mut out, n, n * n * n, |rows, chunk| {
+                naive(a, b, n, rows, chunk);
+            }),
+            Some(kern) => tiled(kern, a, b, &mut out, n, n, n),
+        }
+        black_box(&out);
+    }
 }
 
 fn main() -> Result<(), edsr_core::Error> {
     let quick = edsr_bench::start().env.bench_quick;
     let max_threads = edsr_par::configured_threads();
-    let iters = if quick { 7 } else { 15 };
-    let mut records = Vec::new();
+    let mut bench = Bench {
+        iters: if quick { 7 } else { 15 },
+        threads: if max_threads > 1 {
+            vec![1, max_threads]
+        } else {
+            vec![1]
+        },
+        records: Vec::new(),
+        failures: Vec::new(),
+    };
     let mut rng = seeded(9000);
 
     // Matmul: square product, comfortably above the parallel threshold.
     let n = if quick { 48 } else { 192 };
+    let size = format!("{n}x{n}*{n}x{n}");
     let a = Matrix::randn(n, n, 1.0, &mut rng);
     let b = Matrix::randn(n, n, 1.0, &mut rng);
-    bench_op(
-        &mut records,
-        "matmul",
-        format!("{n}x{n}*{n}x{n}"),
-        iters,
-        max_threads,
-        &mut || {
-            std::hint::black_box(a.matmul(&b));
-        },
-    );
+    bench.op("matmul", &size, || {
+        black_box(a.matmul(&b));
+    });
+
+    // The kernel layer at the same size: the naive reference, the tiled
+    // kernel at every supported ISA level, and the dispatched one.
+    let mut impls: Vec<(String, Option<&'static simd::Kernel>)> = vec![("naive".into(), None)];
+    for isa in simd::Isa::ALL {
+        match simd::Kernel::for_isa(isa) {
+            Some(kern) => impls.push((format!("tiled-{}", isa.name()), Some(kern))),
+            None => eprintln!("skipping tiled-{}: not supported on this host", isa.name()),
+        }
+    }
+    impls.push(("tiled-auto".into(), Some(simd::active())));
+    let mut kernel_rng = seeded(9100);
+    let ka = Matrix::randn(n, n, 1.0, &mut kernel_rng);
+    let kb = Matrix::randn(n, n, 1.0, &mut kernel_rng);
+    for product in PRODUCTS {
+        let ops: Vec<String> = impls
+            .iter()
+            .map(|(imp, _)| format!("{}/{imp}", product.0))
+            .collect();
+        let mut closures: Vec<_> = impls
+            .iter()
+            .map(|&(_, kern)| gemm(product, kern, &ka, &kb))
+            .collect();
+        let mut variants: Vec<&mut dyn FnMut()> =
+            closures.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+        let timings = bench.row(&size, &ops, &mut variants);
+
+        // Dispatch gate: with a non-scalar ISA active, the dispatched tiled
+        // kernel must beat (or at worst match, within 5%) the scalar tile
+        // at one thread — otherwise dispatch is mis-selecting or its
+        // overhead leaked into the hot loop. Fastest samples are compared:
+        // noise only adds time. Shared-host transients (scheduler bursts,
+        // AVX frequency licensing) can still slow one kernel for a whole
+        // sampling, so a failure counts only if three fresh 1-thread
+        // samplings repeat it; a real regression reproduces every time.
+        // Skipped when the active ISA *is* scalar: the two rows then time
+        // identical code.
+        if simd::active_isa() != simd::Isa::Scalar {
+            let s = impls.iter().position(|(imp, _)| imp == "tiled-scalar");
+            let s = s.expect("the scalar kernel always runs");
+            let d = impls.len() - 1; // tiled-auto, pushed last
+            let slow = |t: &[Vec<Timing>]| t[d][0].min > 1.05 * t[s][0].min;
+            if slow(&timings) && (0..3).all(|_| slow(&sample(bench.iters, &[1], &mut variants))) {
+                bench.failures.push(format!(
+                    "{} tiled-auto ({:.0} ns min) is >5% slower than tiled-scalar \
+                     ({:.0} ns min) at 1 thread with ISA {} active, and re-measurement \
+                     confirms it",
+                    product.0,
+                    timings[d][0].min,
+                    timings[s][0].min,
+                    simd::active_isa().name()
+                ));
+            }
+        }
+    }
 
     // Conv encoder forward (im2col maps + gather + matmul through the tape).
     let batch = if quick { 8 } else { 32 };
@@ -131,55 +271,40 @@ fn main() -> Result<(), edsr_core::Error> {
         height: 8,
         width: 8,
     };
-    let model_cfg = ModelConfig::conv_image(shape, 8);
-    let model = edsr_cl::ContinualModel::new(&model_cfg, &mut seeded(9001));
+    let model = ContinualModel::new(&ModelConfig::conv_image(shape, 8), &mut seeded(9001));
     let x = Matrix::randn(batch, shape.dim(), 0.5, &mut rng);
-    bench_op(
-        &mut records,
-        "conv_forward",
-        format!("{batch}x{}", shape.dim()),
-        iters,
-        max_threads,
-        &mut || {
-            std::hint::black_box(model.represent(&x, 0));
-        },
-    );
+    bench.op("conv_forward", &format!("{batch}x{}", shape.dim()), || {
+        black_box(model.represent(&x, 0));
+    });
 
     // Batched kNN over representations.
     let (refs, queries) = if quick { (256, 64) } else { (1024, 256) };
     let reference = Matrix::randn(refs, 32, 1.0, &mut rng);
     let qs = Matrix::randn(queries, 32, 1.0, &mut rng);
-    bench_op(
-        &mut records,
+    bench.op(
         "knn_search_batch",
-        format!("{queries}q/{refs}ref/d32"),
-        iters,
-        max_threads,
-        &mut || {
-            std::hint::black_box(KnnQuery::new(&reference, 10).search_batch(&qs));
+        &format!("{queries}q/{refs}ref/d32"),
+        || {
+            black_box(KnnQuery::new(&reference, 10).search_batch(&qs));
         },
     );
 
     // PCA fit (chunked covariance reduction + Jacobi eigen).
     let rows = if quick { 256 } else { 2048 };
     let pca_x = Matrix::randn(rows, 24, 1.0, &mut rng);
-    bench_op(
-        &mut records,
-        "pca_fit",
-        format!("{rows}x24"),
-        iters,
-        max_threads,
-        &mut || {
-            std::hint::black_box(Pca::fit(&pca_x, 8));
-        },
-    );
+    bench.op("pca_fit", &format!("{rows}x24"), || {
+        black_box(Pca::fit(&pca_x, 8));
+    });
 
     // The shapes the `edsr-par` cut-off was set from, at their real sizes
     // in quick mode too: the train step's largest and smallest products
     // (64-row batch, 192 -> 96 -> 48 encoder), which must stay inline,
-    // and one `boundary` eval cell, which must keep using the pool.
-    let shapes: [(&'static str, usize, usize, usize, bool); 3] = [
+    // the 22-row batch every cifar100-sim epoch ends on (150 = 2 x 64 + 22
+    // train rows per increment), and one `boundary` eval cell, which must
+    // keep using the pool.
+    let shapes: [(&str, usize, usize, usize, bool); 4] = [
         ("train_matmul", 64, 192, 96, false),
+        ("train_matmul_tail", 22, 192, 96, false),
         ("train_grad_matmul", 48, 64, 48, true),
         ("eval_forward", 1600, 300, 96, false),
     ];
@@ -191,34 +316,73 @@ fn main() -> Result<(), edsr_core::Error> {
             Matrix::randn(r, d, 1.0, &mut rng)
         };
         let w = Matrix::randn(d, c, 1.0, &mut rng);
-        bench_op(
-            &mut records,
-            op,
-            format!("{r}x{d}x{c}"),
-            iters,
-            max_threads,
-            &mut || {
-                if transposed {
-                    std::hint::black_box(x.transpose_matmul(&w));
-                } else {
-                    std::hint::black_box(x.matmul(&w));
-                }
-            },
-        );
+        bench.op(op, &format!("{r}x{d}x{c}"), || {
+            if transposed {
+                black_box(x.transpose_matmul(&w));
+            } else {
+                black_box(x.matmul(&w));
+            }
+        });
     }
     let reference = Matrix::randn(1600, 48, 1.0, &mut rng);
     let qs = Matrix::randn(400, 48, 1.0, &mut rng);
-    bench_op(
-        &mut records,
-        "eval_knn_cosine",
-        "400q/1600ref/d48".to_string(),
-        iters,
-        max_threads,
-        &mut || {
-            let query = KnnQuery::new(&reference, 15).metric(Metric::Cosine);
-            std::hint::black_box(query.search_batch(&qs));
-        },
-    );
+    bench.op("eval_knn_cosine", "400q/1600ref/d48", || {
+        let query = KnnQuery::new(&reference, 15).metric(Metric::Cosine);
+        black_box(query.search_batch(&qs));
+    });
+
+    // One `L_css` step as `Finetune::train_step` runs it — two augmented
+    // views of a 64-row cifar100-sim batch, the encoder forward on both,
+    // the loss and backward — for the image default (BarlowTwins) and for
+    // SimSiam, which no perfbench workload runs.
+    let cifar100 = edsr_data::cifar100_sim();
+    let (seq, augs) = cifar100.build_with_augmenters(&mut seeded(9004));
+    let step_batch = seq.tasks[0]
+        .train
+        .inputs
+        .select_rows(&(0..64).collect::<Vec<_>>());
+    let step_size = format!("{}x{}", step_batch.rows(), step_batch.cols());
+    let barlow = edsr_bench::image_model_config(&cifar100);
+    let simsiam = barlow.clone().with_variant(SslVariant::SimSiam);
+    for (op, model_cfg) in [
+        ("css_step_barlowtwins", barlow),
+        ("css_step_simsiam", simsiam),
+    ] {
+        let model = ContinualModel::new(&model_cfg, &mut seeded(9005));
+        let mut ws = Workspace::new();
+        let mut step_rng = seeded(9006);
+        bench.op(op, &step_size, || {
+            ws.reset();
+            let (_, _, loss) = model.css_on_batch(
+                &mut ws.tape,
+                &mut ws.binder,
+                &augs[0],
+                &step_batch,
+                0,
+                &mut step_rng,
+            );
+            let grads = ws.tape.backward(loss);
+            ws.tape.recycle(black_box(grads));
+        });
+    }
+
+    // The tabular (SCARF) augmenter's positive pair as `table7` draws it:
+    // a 64-row batch of the widest Table II corpus (blastchar, d=20), its
+    // corruption reference the increment's train rows, corruption 0.4.
+    let tab_seq = tabular_sequence(&TabularConfig::default(), &mut seeded(9007));
+    let tab_augs = tabular_augmenters(&mut &tab_seq, 0.4)?;
+    let widest = (0..TABULAR_SPECS.len())
+        .max_by_key(|&i| TABULAR_SPECS[i].input_dim)
+        .expect("five Table II corpora");
+    let tab_batch = tab_seq.tasks[widest]
+        .train
+        .inputs
+        .select_rows(&(0..TrainConfig::tabular().batch_size).collect::<Vec<_>>());
+    let mut aug_rng = seeded(9008);
+    let tab_size = format!("{}x{}", tab_batch.rows(), tab_batch.cols());
+    bench.op("tabular_two_views", &tab_size, || {
+        black_box(tab_augs[widest].two_views(&tab_batch, &mut aug_rng));
+    });
 
     // The Table V memory selectors on what `end_task` hands them: the
     // representations of one increment's train rows, the per-increment
@@ -229,13 +393,11 @@ fn main() -> Result<(), edsr_core::Error> {
     // An untrained encoder stands in for the trained one.
     let mut boundary = edsr_data::domainnet_sim().with_memory_total(960);
     boundary.train_per_class = 200;
-    for preset in [edsr_data::cifar100_sim(), boundary] {
+    for preset in [cifar100, boundary] {
         let seq = preset.build(&mut seeded(9002));
         let train = &seq.tasks[0].train;
-        let encoder = edsr_cl::ContinualModel::new(
-            &edsr_bench::image_model_config(&preset),
-            &mut seeded(9003),
-        );
+        let encoder =
+            ContinualModel::new(&edsr_bench::image_model_config(&preset), &mut seeded(9003));
         let reps = encoder.represent(&train.inputs, 0);
         let budget = preset.per_task_budget().min(train.len());
         let ctx = SelectionContext {
@@ -250,17 +412,11 @@ fn main() -> Result<(), edsr_core::Error> {
             ("select_high_entropy", SelectionStrategy::HighEntropy),
             ("select_trace_greedy", SelectionStrategy::TraceGreedy),
         ];
+        let size = format!("{}x{}/{budget}", reps.rows(), reps.cols());
         for (op, strategy) in selectors {
-            bench_op(
-                &mut records,
-                op,
-                format!("{}x{}/{budget}", reps.rows(), reps.cols()),
-                iters,
-                max_threads,
-                &mut || {
-                    std::hint::black_box(strategy.select(&ctx, budget, &mut seeded(2)));
-                },
-            );
+            bench.op(op, &size, || {
+                black_box(strategy.select(&ctx, budget, &mut seeded(2)));
+            });
         }
     }
 
@@ -272,57 +428,43 @@ fn main() -> Result<(), edsr_core::Error> {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let single_core = hardware_threads == 1;
-
-    // Hand-off regression gate: a max-thread row may not run more than
-    // 1.5x slower than its 1-thread row. Work below the `edsr-par` cut-off
-    // (and every row on a zero-worker pool) runs the exact 1-thread code
-    // inline, so its speedup sits near 1.0; work past the cut-off must pay
-    // for its hand-off. The 0.66 floor leaves headroom for timer noise.
-    let mut slow = false;
-    for r in records.iter().filter(|r| r.threads > 1 && r.speedup < 0.66) {
-        eprintln!(
-            "REGRESSION: {} {} at {} threads has speedup {:.3} < 0.66 \
-             ({pool_workers} pool workers): the pool hand-off costs more than it saves",
-            r.op, r.size, r.threads, r.speedup
-        );
-        slow = true;
+    let records = &bench.records;
+    for failure in &bench.failures {
+        eprintln!("REGRESSION: {failure}");
     }
 
-    // Hand-rolled JSON (no serde in the workspace).
-    let mut json = format!(
-        "{{\n  \"max_threads\": {max_threads},\n  \"pool_workers\": {pool_workers},\n  \
-         \"hardware_threads\": {hardware_threads},\n  \
-         \"single_core_warning\": {single_core},\n  \"records\": [\n"
-    );
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"op\": \"{}\", \"size\": \"{}\", \"threads\": {}, \
-             \"ns_per_iter\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            r.op,
-            r.size,
-            r.threads,
-            r.ns_per_iter,
-            r.speedup,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create("BENCH_par.json")?;
-    file.write_all(json.as_bytes())?;
+    let doc = [
+        ("max_threads", Json::Int(max_threads as u64)),
+        ("pool_workers", Json::Int(pool_workers as u64)),
+        ("hardware_threads", Json::Int(hardware_threads as u64)),
+        ("single_core_warning", Json::Bool(single_core)),
+        ("isa_detected", Json::Str(simd::detect().name().into())),
+        ("isa_active", Json::Str(simd::active_isa().name().into())),
+        (
+            "records",
+            Json::Arr(records.iter().map(Record::json).collect()),
+        ),
+    ];
+    write_json("BENCH_par.json", &doc)?;
 
     println!(
-        "{:<20} {:>22} {:>8} {:>14} {:>8}",
-        "op", "size", "threads", "ns/iter", "speedup"
+        "{:<30} {:>18} {:>8} {:>12} {:>12} {:>8}",
+        "op", "size", "threads", "ns/iter", "ns min", "speedup"
     );
-    for r in &records {
+    for r in records {
         println!(
-            "{:<20} {:>22} {:>8} {:>14.0} {:>8.3}",
-            r.op, r.size, r.threads, r.ns_per_iter, r.speedup
+            "{:<30} {:>18} {:>8} {:>12.0} {:>12.0} {:>8.3}",
+            r.op, r.size, r.threads, r.timing.median, r.timing.min, r.speedup
         );
     }
     println!(
         "\npool: {pool_workers} worker thread(s) + caller \
          (requested max_threads={max_threads}, hardware_threads={hardware_threads})"
+    );
+    println!(
+        "isa: detected={} active={}",
+        simd::detect().name(),
+        simd::active_isa().name()
     );
     if single_core {
         println!(
@@ -334,7 +476,7 @@ fn main() -> Result<(), edsr_core::Error> {
     println!("wrote BENCH_par.json ({} records)", records.len());
     edsr_par::emit_pool_metrics();
     edsr_obs::flush();
-    if slow {
+    if !bench.failures.is_empty() {
         std::process::exit(1);
     }
     Ok(())

@@ -1,6 +1,6 @@
-//! Runs every table/figure binary in sequence, one child process each;
-//! each writes its report under `results/`. Mirrors DESIGN.md §4's
-//! experiment index.
+//! Runs every experiment binary in sequence, one child process each;
+//! each writes its report under `results/` (`table3` writes Figs. 4, 5
+//! and 9 as well). Mirrors DESIGN.md §4's experiment index.
 //!
 //! A failing or unlaunchable experiment no longer aborts the suite: it
 //! is recorded, the remaining experiments run, and the process exits
@@ -55,12 +55,9 @@ fn main() {
         "table5",
         "table6",
         "table7",
-        "fig4",
-        "fig5",
         "fig6",
         "fig7",
         "fig8",
-        "fig9",
         "fig10",
         "ablation",
         "arch_ablation",

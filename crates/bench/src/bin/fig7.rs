@@ -6,26 +6,13 @@
 //! small datasets are under-learned until the representation matures);
 //! EDSR stays on top across both settings and the whole stream.
 
-use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
-use edsr_cl::{mean_std, Cassle, Finetune, Lump, TrainConfig};
-use edsr_core::Edsr;
+use edsr_bench::{paper_method, run_method_over_seeds, start, Report, IMAGE_SEEDS};
+use edsr_cl::{mean_std, TrainConfig};
 use edsr_data::{cifar100_sim, tiny_imagenet_sim, Preset};
 
 fn acc_series(preset: &Preset, cfg: &TrainConfig, seeds: &[u64], report: &mut Report) {
-    let budget = preset.per_task_budget();
-    let replay_batch = cfg.replay_batch;
-    let noise_k = preset.noise_neighbors;
-    let methods: Vec<edsr_bench::MethodFactory> = vec![
-        ("Finetune", Box::new(|| Box::new(Finetune::new()))),
-        ("LUMP", Box::new(move || Box::new(Lump::new(budget)))),
-        ("CaSSLe", Box::new(|| Box::new(Cassle::new()))),
-        (
-            "EDSR",
-            Box::new(move || Box::new(Edsr::paper_default(budget, replay_batch, noise_k))),
-        ),
-    ];
-    for (name, make) in &methods {
-        let sweep = run_method_over_seeds(preset, cfg, seeds, || make());
+    for name in ["Finetune", "LUMP", "CaSSLe", "EDSR"] {
+        let sweep = run_method_over_seeds(preset, cfg, seeds, || paper_method(name, preset, cfg));
         sweep.report_failures(report, name);
         let runs = &sweep.runs;
         let Some(first) = runs.first() else {

@@ -9,19 +9,20 @@
 //! must never hold more than two shards resident — the JSON records both
 //! so the CI gate can assert them without re-deriving.
 //!
-//! `EDSR_BENCH_QUICK=1` shrinks epochs and the seed list; the table keeps
-//! its full scenario × method shape either way.
+//! Seeds come from `Setup::seeds(&[11, 12])` like every other sweep (one
+//! in quick mode, `EDSR_SEEDS` of them when set). `EDSR_BENCH_QUICK=1`
+//! also shrinks epochs; the table keeps its full scenario × method shape
+//! either way.
 
-use std::io::Write as _;
-
-use edsr_cl::{mean_std, ContinualModel, Finetune, Lump, Method, ModelConfig, RunBuilder};
+use edsr_bench::{paper_method, write_json, Json};
+use edsr_cl::{mean_std, ContinualModel, Finetune, ModelConfig, RunBuilder};
 use edsr_core::prelude::seeded;
-use edsr_core::{CompEmb, Edsr, R2r};
 use edsr_data::{build_scenario, ShardStream, SCENARIO_NAMES};
 
 fn main() -> Result<(), edsr_core::Error> {
-    let quick = edsr_bench::start().env.bench_quick;
-    let seeds: &[u64] = if quick { &[11] } else { &[11, 12] };
+    let setup = edsr_bench::start();
+    let quick = setup.env.bench_quick;
+    let seeds = setup.seeds(&[11, 12]);
 
     let mut cfg = edsr_cl::TrainConfig::image();
     cfg.epochs_per_task = if quick { 1 } else { 8 };
@@ -32,24 +33,15 @@ fn main() -> Result<(), edsr_core::Error> {
     for &scenario in SCENARIO_NAMES {
         let probe = build_scenario(scenario, seeds[0]).expect("known scenario name");
         let tasks = probe.seq.len();
-        let budget = probe.preset.per_task_budget();
-        let noise_k = probe.preset.noise_neighbors;
         println!("== {scenario} ({tasks} increments) ==");
 
         let mut method_rows = Vec::new();
         for &mname in methods {
             let mut accs = Vec::new();
             let mut fgts = Vec::new();
-            for &seed in seeds {
+            for &seed in &seeds {
                 let data = build_scenario(scenario, seed).expect("known scenario name");
-                let mut method: Box<dyn Method> = match mname {
-                    "Finetune" => Box::new(Finetune::new()),
-                    "LUMP" => Box::new(Lump::new(budget)),
-                    "EDSR" => Box::new(Edsr::paper_default(budget, cfg.replay_batch, noise_k)),
-                    "CompEmb" => Box::new(CompEmb::new(budget, cfg.replay_batch)),
-                    "R2R" => Box::new(R2r::new(budget, cfg.replay_batch, 4)),
-                    other => unreachable!("unknown method {other}"),
-                };
+                let mut method = paper_method(mname, &probe.preset, &cfg);
                 let mut model = ContinualModel::new(
                     &ModelConfig::image(data.preset.grid.dim()),
                     &mut seeded(seed + 1000),
@@ -68,10 +60,14 @@ fn main() -> Result<(), edsr_core::Error> {
             let (am, asd) = mean_std(&accs);
             let (fm, fsd) = mean_std(&fgts);
             println!("{mname:<10} | Acc {am:5.2} ± {asd:.2} | Fgt {fm:5.2} ± {fsd:.2}");
-            method_rows.push(format!(
-                "        {{\"method\": \"{mname}\", \"acc_mean\": {am:.4}, \"acc_std\": {asd:.4}, \
-                 \"fgt_mean\": {fm:.4}, \"fgt_std\": {fsd:.4}}}"
-            ));
+            let pct = |v: f32| Json::Num(f64::from(v), 4);
+            method_rows.push(Json::Obj(vec![
+                ("method", Json::Str(mname.into())),
+                ("acc_mean", pct(am)),
+                ("acc_std", pct(asd)),
+                ("fgt_mean", pct(fm)),
+                ("fgt_std", pct(fsd)),
+            ]));
         }
 
         // Shard round-trip: the streamed run must reproduce the in-RAM
@@ -87,22 +83,25 @@ fn main() -> Result<(), edsr_core::Error> {
         );
         println!("stream     | identical to in-RAM, resident peak {resident_peak}");
 
-        scenario_rows.push(format!(
-            "    {{\"scenario\": \"{scenario}\", \"tasks\": {tasks}, \
-             \"stream_identical\": {stream_identical}, \"resident_peak\": {resident_peak}, \
-             \"methods\": [\n{}\n    ]}}",
-            method_rows.join(",\n")
-        ));
+        scenario_rows.push(Json::Obj(vec![
+            ("scenario", Json::Str(scenario.into())),
+            ("tasks", Json::Int(tasks as u64)),
+            ("stream_identical", Json::Bool(stream_identical)),
+            ("resident_peak", Json::Int(resident_peak as u64)),
+            ("methods", Json::Arr(method_rows)),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"epochs_per_task\": {},\n  \"seeds\": {seeds:?},\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
-        cfg.epochs_per_task,
-        scenario_rows.join(",\n")
-    );
-    let mut file = std::fs::File::create("BENCH_scenarios.json")?;
-    file.write_all(json.as_bytes())?;
+    let doc = [
+        ("quick", Json::Bool(quick)),
+        ("epochs_per_task", Json::Int(cfg.epochs_per_task as u64)),
+        (
+            "seeds",
+            Json::Arr(seeds.iter().map(|&s| Json::Int(s)).collect()),
+        ),
+        ("scenarios", Json::Arr(scenario_rows)),
+    ];
+    write_json("BENCH_scenarios.json", &doc)?;
     println!("wrote BENCH_scenarios.json");
     edsr_par::emit_pool_metrics();
     edsr_obs::flush();

@@ -10,10 +10,9 @@
 //! *SimSiam* column is the degraded variant — the comparison direction
 //! inverts while the within-column method ordering is what we check.
 
-use edsr_bench::{run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
-use edsr_cl::{run_multitask, Cassle, ContinualModel, Finetune, Lump, TrainConfig};
+use edsr_bench::{paper_method, run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
+use edsr_cl::{run_multitask, ContinualModel, TrainConfig};
 use edsr_core::prelude::seeded;
-use edsr_core::Edsr;
 use edsr_data::{cifar100_sim, tiny_imagenet_sim, Preset};
 use edsr_ssl::SslVariant;
 
@@ -29,7 +28,6 @@ fn main() {
 
     report.line("Table VI — different CSSL losses (Acc)");
     for preset in &presets {
-        let budget = preset.per_task_budget();
         for (vname, variant) in variants {
             report.line(format!("\n== {} / {} ==", preset.name, vname));
             let model_cfg = edsr_bench::image_model_config(preset).with_variant(variant);
@@ -50,20 +48,11 @@ fn main() {
             let (m, s) = edsr_cl::mean_std(&mt);
             report.line(format!("{:<10} | Acc {:5.2} ± {:.2}", "Multitask", m, s));
 
-            let replay_batch = cfg.replay_batch;
-            let noise_k = preset.noise_neighbors;
-            let methods: Vec<edsr_bench::MethodFactory> = vec![
-                ("Finetune", Box::new(|| Box::new(Finetune::new()))),
-                ("LUMP", Box::new(move || Box::new(Lump::new(budget)))),
-                ("CaSSLe", Box::new(|| Box::new(Cassle::new()))),
-                (
-                    "EDSR",
-                    Box::new(move || Box::new(Edsr::paper_default(budget, replay_batch, noise_k))),
-                ),
-            ];
-            for (name, make) in &methods {
+            for name in ["Finetune", "LUMP", "CaSSLe", "EDSR"] {
                 let sweep =
-                    run_method_over_seeds_with_model(preset, &cfg, &seeds, &model_cfg, &|| make());
+                    run_method_over_seeds_with_model(preset, &cfg, &seeds, &model_cfg, &|| {
+                        paper_method(name, preset, &cfg)
+                    });
                 sweep.report_failures(&mut report, name);
                 let agg = sweep.aggregate();
                 report.line(format!(

@@ -1,10 +1,11 @@
 //! # edsr-bench
 //!
 //! Experiment harness for the EDSR reproduction: one binary per paper
-//! table/figure (DESIGN.md §4) plus the `bench`, `kernels` and
-//! `scenarios` benchmarks that write the `BENCH_*.json` files. Serving is
-//! measured end to end by perfbench's `serve_f32`/`serve_int8` workloads
-//! (BENCHMARK.json), not here.
+//! table (DESIGN.md §4; `table3` also writes Figs. 4, 5 and 9, which are
+//! views of its runs) plus the `bench` and `scenarios` benchmarks that
+//! write the `BENCH_*.json` files. Serving is measured end to end by
+//! perfbench's `serve_f32`/`serve_int8` workloads (BENCHMARK.json), not
+//! here.
 //!
 //! Binaries print the same rows/series the paper reports, with paper
 //! values shown alongside for shape comparison (absolute numbers differ by
@@ -15,9 +16,11 @@
 //! work starts with [`start`], so the process knobs
 //! (`--quick`/`EDSR_BENCH_QUICK`, `--threads`, `--isa`, `--obs`/`EDSR_OBS`,
 //! …) work the same in each; `exp_all`, which only launches the others,
-//! checks them with [`resolve`] and passes them on.
+//! checks them with [`resolve`] and passes them on. The benchmarks time
+//! code only through [`sample`] and write JSON only through
+//! [`write_json`].
 
-use std::io::Write as _;
+use std::io::Write;
 use std::time::Instant;
 
 use edsr_cl::metrics::mean_std;
@@ -26,13 +29,8 @@ use edsr_cl::{
     TrainConfig, TrainError,
 };
 use edsr_core::prelude::seeded;
-use edsr_core::EnvConfig;
+use edsr_core::{method_by_name, EnvConfig};
 use edsr_data::Preset;
-
-/// A named factory producing fresh method instances per seed. `Sync`
-/// because sweeps fan seeds out over the `edsr-par` pool and every worker
-/// constructs its own method instance from the shared factory.
-pub type MethodFactory<'a> = (&'a str, Box<dyn Fn() -> Box<dyn Method> + Sync>);
 
 /// Seeds used for image experiments (paper: 4 runs).
 pub const IMAGE_SEEDS: [u64; 4] = [11, 22, 33, 44];
@@ -140,6 +138,21 @@ impl Sweep {
 /// Builds the standard image model config for a preset.
 pub fn image_model_config(preset: &Preset) -> ModelConfig {
     ModelConfig::image(preset.grid.dim())
+}
+
+/// The method with display name `name` (`CaSSLe`, `EDSR`, …) and its
+/// paper defaults ([`method_by_name`]), sized for `preset` under `cfg`.
+/// The tables name their methods with string literals, so an unknown name
+/// is a bug and panics (inside a sweep, the seed then fails with
+/// [`TrainError::Worker`]).
+pub fn paper_method(name: &str, preset: &Preset, cfg: &TrainConfig) -> Box<dyn Method> {
+    method_by_name(
+        &name.to_ascii_lowercase(),
+        preset.per_task_budget(),
+        cfg.replay_batch,
+        preset.noise_neighbors,
+    )
+    .unwrap_or_else(|| panic!("no method named {name:?}"))
 }
 
 /// Runs one method over one preset for the given seeds, building fresh
@@ -297,6 +310,246 @@ impl Report {
     }
 }
 
+/// Fig. 4 rows for one method: the forgetting matrix `F` of the first
+/// run in `runs` (the first seed's, unless that seed failed), each cell
+/// the log10 of percent forgetting (`--` marks F ≤ 0.1%, the paper's
+/// lightest shade), under a header with the mean off-diagonal `F`.
+pub fn fig4_lines(name: &str, runs: &[RunResult]) -> Vec<String> {
+    let Some(first) = runs.first() else {
+        return vec![format!("-- {name}: all seeds failed --")];
+    };
+    let f = first.matrix.forgetting_matrix();
+    let off_diagonal: Vec<f32> = f
+        .iter()
+        .enumerate()
+        .flat_map(|(i, row)| row[..i].to_vec())
+        .collect();
+    let mean_f = if off_diagonal.is_empty() {
+        0.0
+    } else {
+        off_diagonal.iter().sum::<f32>() / off_diagonal.len() as f32
+    };
+    let mut lines = vec![format!(
+        "-- {name} (mean off-diagonal F {:.2}%) --",
+        mean_f * 100.0
+    )];
+    for (i, row) in f.iter().enumerate() {
+        let cells: Vec<String> = row
+            .iter()
+            .map(|&v| {
+                let pct = v * 100.0;
+                if pct <= 0.1 {
+                    "  --".into()
+                } else {
+                    format!("{:4.1}", pct.log10())
+                }
+            })
+            .collect();
+        lines.push(format!("  i={:2} | {}", i, cells.join(" ")));
+    }
+    lines
+}
+
+/// Fig. 5 rows for one method: new-task accuracy `A_{i,i}` per increment
+/// as mean ± std over `runs`, then the mean of those stds (the paper's
+/// variance argument).
+pub fn fig5_lines(name: &str, runs: &[RunResult]) -> Vec<String> {
+    let Some(first) = runs.first() else {
+        return vec![format!("{name:<9}: all seeds failed")];
+    };
+    let per_increment: Vec<(f32, f32)> = (0..first.matrix.num_increments())
+        .map(|i| {
+            let vals: Vec<f32> = runs.iter().map(|r| r.matrix.get(i, i) * 100.0).collect();
+            mean_std(&vals)
+        })
+        .collect();
+    let series: Vec<String> = per_increment
+        .iter()
+        .map(|(m, s)| format!("{m:5.1}±{s:4.1}"))
+        .collect();
+    let stds: Vec<f32> = per_increment.iter().map(|&(_, s)| s).collect();
+    let (mean_of_stds, _) = mean_std(&stds);
+    vec![
+        format!("{name:<9}: {}", series.join(" ")),
+        format!(
+            "{:<9}  mean new-task std over increments: {mean_of_stds:.2}",
+            ""
+        ),
+    ]
+}
+
+/// The Fig. 9 row for one method: mean wall-clock seconds per run against
+/// the `acc ± std` cell.
+pub fn fig9_line(name: &str, runs: &[RunResult]) -> String {
+    let agg = aggregate(runs);
+    format!(
+        "{:<10} | {:>10.1} | {:>16}",
+        name,
+        agg.seconds,
+        agg.acc_cell()
+    )
+}
+
+/// Median and fastest wall time of one timed configuration, in ns per
+/// call. Noise on a shared host only ever adds time, so `min` is the
+/// stable estimate of what the code costs; `median` is the typical cost.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// Median sample.
+    pub median: f64,
+    /// Fastest sample.
+    pub min: f64,
+}
+
+impl Timing {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(f64::total_cmp);
+        Timing {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+        }
+    }
+}
+
+/// A sample runs enough calls to last at least this long (1 ms), so a
+/// microsecond-scale op is not read off timer noise.
+const MIN_SAMPLE_NS: f64 = 1e6;
+
+/// Mean ns per call of `calls` calls of `f` at `threads`, timed after an
+/// untimed call at the same setting: caches then hold what this setting
+/// leaves behind (and the pool is spawned), not what the previous
+/// configuration left.
+fn time_calls(threads: usize, calls: usize, f: &mut dyn FnMut()) -> f64 {
+    edsr_par::with_threads(threads, || {
+        f();
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        t0.elapsed().as_nanos() as f64 / calls as f64
+    })
+}
+
+/// Times every configuration of one bench row — each variant (an
+/// implementation of the op) at each thread count — and returns their
+/// timings as `[variant][thread count]`. The configurations are sampled
+/// round-robin, one sample each per round for `iters` rounds, so host
+/// noise hits all of them alike instead of poisoning whichever one ran
+/// during a burst. Each sample runs enough calls to last at least 1 ms,
+/// calibrated per variant at the first thread count.
+pub fn sample(
+    iters: usize,
+    threads: &[usize],
+    variants: &mut [&mut dyn FnMut()],
+) -> Vec<Vec<Timing>> {
+    let calls: Vec<usize> = variants
+        .iter_mut()
+        .map(|f| (MIN_SAMPLE_NS / time_calls(threads[0], 1, *f).max(1.0)).ceil() as usize)
+        .collect();
+    let mut samples = vec![vec![Vec::with_capacity(iters); threads.len()]; variants.len()];
+    for _ in 0..iters {
+        for (v, f) in variants.iter_mut().enumerate() {
+            for (t, &n) in threads.iter().enumerate() {
+                samples[v][t].push(time_calls(n, calls[v], *f));
+            }
+        }
+    }
+    samples
+        .into_iter()
+        .map(|per_thread| per_thread.into_iter().map(Timing::of).collect())
+        .collect()
+}
+
+/// A JSON value for the `BENCH_*.json` files (there is no serde in the
+/// workspace). Objects and arrays of scalars print on one line; an array
+/// holding containers puts each on its own line, two spaces deeper than
+/// the line the array opens on.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer.
+    Int(u64),
+    /// A number printed with a fixed count of decimals; a non-finite
+    /// value prints as `null`.
+    Num(f64, usize),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, keys in the order given.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// Writes the value, which starts on a line indented by `indent`.
+    fn write(&self, out: &mut impl Write, indent: usize) -> std::io::Result<()> {
+        match self {
+            Json::Bool(b) => write!(out, "{b}"),
+            Json::Int(i) => write!(out, "{i}"),
+            Json::Num(v, _) if !v.is_finite() => write!(out, "null"),
+            Json::Num(v, decimals) => write!(out, "{v:.decimals$}"),
+            Json::Str(s) => write_str(out, s),
+            Json::Obj(fields) => {
+                write!(out, "{{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    write!(out, "{}", if i == 0 { "" } else { ", " })?;
+                    write_str(out, key)?;
+                    write!(out, ": ")?;
+                    value.write(out, indent)?;
+                }
+                write!(out, "}}")
+            }
+            Json::Arr(items) => {
+                let nested = items
+                    .iter()
+                    .any(|v| matches!(v, Json::Arr(_) | Json::Obj(_)));
+                let (sep, pad) = if nested {
+                    (",", format!("\n{:w$}", "", w = indent + 2))
+                } else {
+                    (", ", String::new())
+                };
+                write!(out, "[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(out, "{}{pad}", if i == 0 { "" } else { sep })?;
+                    item.write(out, indent + 2)?;
+                }
+                if nested {
+                    write!(out, "\n{:indent$}", "")?;
+                }
+                write!(out, "]")
+            }
+        }
+    }
+}
+
+fn write_str(out: &mut impl Write, s: &str) -> std::io::Result<()> {
+    write!(out, "\"")?;
+    edsr_obs::write_escaped(out, s)?;
+    write!(out, "\"")
+}
+
+/// The bytes [`write_json`] writes.
+fn write_doc(out: &mut impl Write, fields: &[(&'static str, Json)]) -> std::io::Result<()> {
+    write!(out, "{{")?;
+    for (i, (key, value)) in fields.iter().enumerate() {
+        write!(out, "{}\n  ", if i == 0 { "" } else { "," })?;
+        write_str(out, key)?;
+        write!(out, ": ")?;
+        value.write(out, 2)?;
+    }
+    writeln!(out, "\n}}")
+}
+
+/// Writes the document `fields` to `path`: a header object with one key
+/// per line, each value laid out as [`Json`] describes (so a `records`
+/// array puts one record per line), and a trailing newline.
+pub fn write_json(path: &str, fields: &[(&'static str, Json)]) -> std::io::Result<()> {
+    let mut out = Vec::new();
+    write_doc(&mut out, fields)?;
+    std::fs::write(path, out)
+}
+
 /// What [`start`] resolved for this process.
 #[derive(Debug)]
 pub struct Setup {
@@ -362,20 +615,32 @@ mod tests {
     use super::*;
     use edsr_cl::metrics::AccuracyMatrix;
 
-    fn run_result(accs: &[f32]) -> RunResult {
+    /// A synthetic run whose accuracy matrix has the given rows, one
+    /// second per increment.
+    fn run_with_rows(rows: &[&[f32]]) -> RunResult {
         let mut matrix = AccuracyMatrix::new();
-        for (i, &a) in accs.iter().enumerate() {
-            // Constant-accuracy history: row i repeats `a` i+1 times.
-            matrix.push_row(vec![a; i + 1]);
+        for row in rows {
+            matrix.push_row(row.to_vec());
         }
         RunResult {
             method: "m".into(),
             benchmark: "b".into(),
             matrix,
-            task_seconds: vec![1.0; accs.len()],
-            task_losses: vec![0.0; accs.len()],
+            task_seconds: vec![1.0; rows.len()],
+            task_losses: vec![0.0; rows.len()],
             recoveries: 0,
         }
+    }
+
+    /// Constant-accuracy history: row i repeats `accs[i]` i+1 times.
+    fn run_result(accs: &[f32]) -> RunResult {
+        let rows: Vec<Vec<f32>> = accs
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| vec![a; i + 1])
+            .collect();
+        let rows: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        run_with_rows(&rows)
     }
 
     #[test]
@@ -394,6 +659,128 @@ mod tests {
         let agg = aggregate(&runs);
         assert!(agg.acc_cell().contains('±'));
         assert!(agg.fgt_cell().contains('±'));
+    }
+
+    #[test]
+    fn fig4_prints_the_first_runs_log_forgetting_matrix() {
+        let runs = [
+            run_with_rows(&[&[0.9], &[0.5, 0.8], &[0.5, 0.8, 0.7]]),
+            run_result(&[0.2, 0.2, 0.2]),
+        ];
+        assert_eq!(
+            fig4_lines("EDSR", &runs),
+            [
+                "-- EDSR (mean off-diagonal F 26.67%) --",
+                "  i= 0 |   --",
+                "  i= 1 |  1.6   --",
+                "  i= 2 |  1.6   --   --",
+            ]
+        );
+        assert_eq!(fig4_lines("SI", &[]), ["-- SI: all seeds failed --"]);
+    }
+
+    #[test]
+    fn fig5_gives_new_task_accuracy_mean_and_std_per_increment() {
+        let runs = [
+            run_with_rows(&[&[0.8], &[0.1, 0.6]]),
+            run_with_rows(&[&[0.6], &[0.3, 0.8]]),
+        ];
+        assert_eq!(
+            fig5_lines("EDSR", &runs),
+            [
+                "EDSR     :  70.0±10.0  70.0±10.0",
+                "           mean new-task std over increments: 10.00",
+            ]
+        );
+        assert_eq!(fig5_lines("LUMP", &[]), ["LUMP     : all seeds failed"]);
+    }
+
+    #[test]
+    fn fig9_gives_mean_seconds_against_acc() {
+        let runs = [run_result(&[0.8, 0.8]), run_result(&[0.6, 0.6])];
+        assert_eq!(
+            fig9_line("SI", &runs),
+            "SI         |        2.0 |    70.00 ± 10.00"
+        );
+    }
+
+    #[test]
+    fn sampler_takes_iters_samples_of_every_configuration_round_robin() {
+        let log = std::cell::RefCell::new(Vec::new());
+        // Each call outlasts the 1 ms sample floor, so every sample is one
+        // untimed call plus one timed call.
+        let call = |variant: usize| {
+            log.borrow_mut().push((variant, edsr_par::thread_count()));
+            std::thread::sleep(std::time::Duration::from_micros(1100));
+        };
+        let (mut a, mut b) = (|| call(0), || call(1));
+        let (iters, threads) = (3, [1, 3]);
+        let timings = sample(iters, &threads, &mut [&mut a, &mut b]);
+
+        assert_eq!(timings.len(), 2);
+        for per_thread in &timings {
+            assert_eq!(per_thread.len(), threads.len());
+            for t in per_thread {
+                assert!(t.min >= 1.1e6 && t.median >= t.min, "{t:?}");
+            }
+        }
+        // Calibration: one warm and one timed call per variant at the
+        // first thread count. Then `iters` rounds, each visiting every
+        // (variant, thread count) once.
+        let mut expected = vec![(0, 1), (0, 1), (1, 1), (1, 1)];
+        for _ in 0..iters {
+            for v in 0..2 {
+                for n in threads {
+                    expected.extend([(v, n), (v, n)]);
+                }
+            }
+        }
+        assert_eq!(*log.borrow(), expected);
+    }
+
+    #[test]
+    fn json_puts_the_header_and_records_one_per_line() {
+        let record = |op: &str, ns: f64| {
+            Json::Obj(vec![("op", Json::Str(op.into())), ("ns", Json::Num(ns, 1))])
+        };
+        let doc = [
+            ("threads", Json::Int(2)),
+            ("quick", Json::Bool(true)),
+            ("seeds", Json::Arr(vec![Json::Int(11), Json::Int(12)])),
+            (
+                "records",
+                Json::Arr(vec![record("a\"b\\c", 12.345), record("d", f64::NAN)]),
+            ),
+            (
+                "groups",
+                Json::Arr(vec![Json::Obj(vec![
+                    ("name", Json::Str("g".into())),
+                    ("rows", Json::Arr(vec![record("e", 1.0)])),
+                ])]),
+            ),
+            ("empty", Json::Arr(Vec::new())),
+        ];
+        let mut out = Vec::new();
+        write_doc(&mut out, &doc).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            r#"{
+  "threads": 2,
+  "quick": true,
+  "seeds": [11, 12],
+  "records": [
+    {"op": "a\"b\\c", "ns": 12.3},
+    {"op": "d", "ns": null}
+  ],
+  "groups": [
+    {"name": "g", "rows": [
+      {"op": "e", "ns": 1.0}
+    ]}
+  ],
+  "empty": []
+}
+"#
+        );
     }
 
     fn setup(quick: bool, seeds: Option<&str>) -> Result<Setup, String> {

@@ -39,7 +39,8 @@ pub struct Si {
 
 impl Si {
     /// Creates SI with the given penalty strength (paper setups follow
-    /// LUMP's hyper-parameters; λ≈1 works at simulation scale).
+    /// LUMP's hyper-parameters; the tables and the CLI use λ = 0.1, the
+    /// default of `edsr-core`'s method registry).
     pub fn new(lambda: f32) -> Self {
         Self {
             lambda,

@@ -11,6 +11,8 @@
 //!   similarity-weighted replay).
 //! - [`config`]: one [`EnvConfig`] reader for every env-var/CLI knob
 //!   (`EDSR_THREADS`, `EDSR_OBS`, `--checkpoint`, …; CLI > env > default).
+//! - [`registry`]: [`method_by_name`], every method with its paper-default
+//!   hyperparameters.
 //!
 //! This crate also re-exports the substrate crates as a facade, so
 //! `edsr_core::prelude::*` is enough to run experiments.
@@ -20,6 +22,7 @@ pub mod config;
 pub mod error;
 pub mod method;
 pub mod noise;
+pub mod registry;
 pub mod select;
 
 pub use baselines::{CompEmb, R2r};
@@ -27,6 +30,7 @@ pub use config::EnvConfig;
 pub use error::Error;
 pub use method::{Edsr, EdsrConfig, ReplayLoss, ReplaySampling};
 pub use noise::noise_magnitudes;
+pub use registry::method_by_name;
 pub use select::{table5_strategies, trace_cov, SelectionContext, SelectionStrategy};
 
 /// One-stop imports for examples and experiment binaries.

@@ -41,7 +41,10 @@ impl Event {
     }
 }
 
-fn write_escaped(out: &mut impl Write, s: &str) -> std::io::Result<()> {
+/// Writes `s` as the body of a JSON string (without the quotes): `"` and
+/// `\` backslash-escaped, control characters as `\n`, `\r`, `\t` or
+/// `\uXXXX`.
+pub fn write_escaped(out: &mut impl Write, s: &str) -> std::io::Result<()> {
     for c in s.chars() {
         match c {
             '"' => out.write_all(b"\\\"")?,

@@ -38,7 +38,7 @@ use std::time::Instant;
 mod json;
 mod sink;
 
-pub use json::{parse_jsonl, parse_line, ParseError};
+pub use json::{parse_jsonl, parse_line, write_escaped, ParseError};
 pub use sink::{JsonlSink, RingSink, Sink};
 
 /// What a single [`Event`] records.

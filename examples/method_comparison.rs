@@ -1,16 +1,15 @@
 //! Method comparison: the paper's Table-III scenario in miniature — run
 //! Finetune, SI, DER, LUMP, CaSSLe and EDSR on the same CIFAR-10-style
-//! stream and compare accuracy, forgetting, and wall-clock cost.
+//! stream and compare accuracy, forgetting, and wall-clock cost. Each
+//! method comes from `edsr::core::method_by_name` with the same paper
+//! defaults Table III uses.
 //!
 //! ```bash
 //! cargo run --release --example method_comparison
 //! ```
 
-use edsr::cl::{
-    run_multitask, Cassle, ContinualModel, Der, Finetune, Lump, Method, ModelConfig, RunBuilder,
-    Si, TrainConfig,
-};
-use edsr::core::{Edsr, Error};
+use edsr::cl::{run_multitask, ContinualModel, ModelConfig, RunBuilder, TrainConfig};
+use edsr::core::{method_by_name, Error};
 use edsr::data::cifar10_sim;
 use edsr::tensor::rng::seeded;
 
@@ -33,20 +32,9 @@ fn main() -> Result<(), Error> {
         "method", "Acc %", "Fgt %", "time (s)"
     );
 
-    let methods: Vec<Box<dyn Method>> = vec![
-        Box::new(Finetune::new()),
-        Box::new(Si::new(1.0)),
-        Box::new(Der::new(budget, cfg.replay_batch, 0.5)),
-        Box::new(Lump::new(budget)),
-        Box::new(Cassle::new()),
-        Box::new(Edsr::paper_default(
-            budget,
-            cfg.replay_batch,
-            preset.noise_neighbors,
-        )),
-    ];
-
-    for mut method in methods {
+    for name in ["finetune", "si", "der", "lump", "cassle", "edsr"] {
+        let mut method = method_by_name(name, budget, cfg.replay_batch, preset.noise_neighbors)
+            .expect("a registered method");
         // Same data, same init, same batch order for every method.
         let mut data_rng = seeded(seed);
         let (sequence, augmenters) = preset.build_with_augmenters(&mut data_rng);

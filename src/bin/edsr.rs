@@ -60,10 +60,10 @@
 
 use edsr::cl::{
     latest_valid_serve_snapshot, load_any_serve_snapshot, quantize_serve_snapshot, run_multitask,
-    tabular_augmenters, AnyServeSnapshot, Cassle, CheckpointConfig, ContinualModel, Der, Finetune,
-    Lump, Method, ModelConfig, RunBuilder, Si, TrainConfig,
+    tabular_augmenters, AnyServeSnapshot, CheckpointConfig, ContinualModel, ModelConfig,
+    RunBuilder, TrainConfig,
 };
-use edsr::core::{CompEmb, Edsr, EnvConfig, Error, R2r};
+use edsr::core::{method_by_name, EnvConfig, Error};
 use edsr::data::{
     build_scenario, cifar100_sim, cifar10_sim, domainnet_sim, tabular_sequence, test_sim,
     tiny_imagenet_sim, write_scenario, Preset, ShardStream, TabularConfig, SCENARIO_NAMES,
@@ -112,25 +112,6 @@ fn preset_by_name(name: &str) -> Option<Preset> {
         "test" => Some(test_sim()),
         _ => None,
     }
-}
-
-fn method_by_name(
-    name: &str,
-    budget: usize,
-    replay_batch: usize,
-    noise_k: usize,
-) -> Option<Box<dyn Method>> {
-    Some(match name {
-        "finetune" => Box::new(Finetune::new()),
-        "si" => Box::new(Si::new(0.1)),
-        "der" => Box::new(Der::new(budget, replay_batch, 0.5)),
-        "lump" => Box::new(Lump::new(budget)),
-        "cassle" => Box::new(Cassle::new()),
-        "edsr" => Box::new(Edsr::paper_default(budget, replay_batch, noise_k)),
-        "compemb" => Box::new(CompEmb::new(budget, replay_batch)),
-        "r2r" => Box::new(R2r::new(budget, replay_batch, 4)),
-        _ => return None,
-    })
 }
 
 fn cmd_presets() {
