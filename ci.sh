@@ -319,14 +319,35 @@ with open(sys.argv[1]) as f:
 for event in events:
     if event["kind"] == "exit":
         exits[event["name"]] = exits.get(event["name"], 0) + 1
-for span in ("run", "task"):
+for span in ("run", "task", "multitask"):
     assert exits.get(span, 0) > 0, f"table7 obs smoke: no {span} span exits, saw {exits}"
 assert [e["seq"] for e in events] == list(range(len(events))), "table7 obs smoke: events missing"
 last = events[-1]
 assert (last["kind"], last["name"]) == ("exit", "run"), f"table7 obs smoke: file ends with {last}"
-print(f"table7 obs smoke: {exits['run']} run and {exits['task']} task span exits")
+print(f"table7 obs smoke: {exits['run']} run, {exits['task']} task and "
+      f"{exits['multitask']} multitask span exits")
 EOF
 rm -rf "$EXP_DIR"
+
+echo "== table7 seed fan-out parity (EDSR_SEEDS=2 at EDSR_THREADS=1 and 2) =="
+# Every experiment fans its seeds out through edsr_bench::sweep, and each
+# seed is self-contained, so a report must not depend on how the seeds
+# are spread over the pool: the 2-seed table7 report (4 methods x 2 seeds)
+# must be identical at 1 and 2 threads once the wall-time line is masked.
+# It runs from a temp directory so results/table7.txt is not overwritten.
+PARITY_DIR=$(mktemp -d)
+for T in 1 2; do
+    mkdir -p "$PARITY_DIR/t$T"
+    (cd "$PARITY_DIR/t$T" && EDSR_SEEDS=2 EDSR_THREADS=$T "$TABLE7" > /dev/null)
+    sed 's/^\[completed in .*\]$/[completed in -]/' "$PARITY_DIR/t$T/results/table7.txt" \
+        > "$PARITY_DIR/t$T.txt"
+done
+grep -q "^2 seeds;" "$PARITY_DIR/t1.txt" \
+    || { echo "table7 parity: the report did not run 2 seeds"; cat "$PARITY_DIR/t1.txt"; exit 1; }
+diff "$PARITY_DIR/t1.txt" "$PARITY_DIR/t2.txt" \
+    || { echo "table7 parity: report differs between 1 and 2 threads"; exit 1; }
+echo "table7 parity: the 2-seed report is identical at 1 and 2 threads"
+rm -rf "$PARITY_DIR"
 
 echo "== bench regression gate (vs BENCH_baseline.json) =="
 # Quick-mode matmul / conv_forward 1-thread medians must stay within 2x of

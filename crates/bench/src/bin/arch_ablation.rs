@@ -4,7 +4,7 @@
 //! both stems on the CIFAR-100 simulation so the substitution's effect is
 //! measurable rather than assumed.
 
-use edsr_bench::{paper_method, run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
+use edsr_bench::{continual_run, paper_method, start, sweep, Report, IMAGE_SEEDS};
 use edsr_cl::{ModelConfig, TrainConfig};
 use edsr_data::cifar100_sim;
 use edsr_nn::ConvShape;
@@ -27,10 +27,10 @@ fn main() {
     ] {
         report.line(format!("\n== {arch} =="));
         for name in ["Finetune", "CaSSLe", "EDSR"] {
-            let sweep =
-                run_method_over_seeds_with_model(&preset, &cfg, &seeds, &model_cfg, &|| {
-                    paper_method(name, &preset, &cfg)
-                });
+            let sweep = sweep(&seeds, |seed| {
+                let method = paper_method(name, &preset, &cfg);
+                continual_run(&preset, &model_cfg, &cfg, method, seed)
+            });
             sweep.report_failures(&mut report, name);
             let agg = sweep.aggregate();
             report.line(format!(

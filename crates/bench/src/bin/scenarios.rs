@@ -9,14 +9,16 @@
 //! must never hold more than two shards resident — the JSON records both
 //! so the CI gate can assert them without re-deriving.
 //!
-//! Seeds come from `Setup::seeds(&[11, 12])` like every other sweep (one
-//! in quick mode, `EDSR_SEEDS` of them when set). `EDSR_BENCH_QUICK=1`
-//! also shrinks epochs; the table keeps its full scenario × method shape
-//! either way.
+//! Seeds come from `Setup::seeds(&[11, 12])` and fan out through
+//! `edsr_bench::sweep` like every other sweep (one in quick mode,
+//! `EDSR_SEEDS` of them when set). `EDSR_BENCH_QUICK=1` also shrinks
+//! epochs; the table keeps its full scenario × method shape either way.
+//! A failed seed is printed and the grid runs on, but the binary then
+//! exits non-zero without writing the JSON, which feeds a CI gate.
 
-use edsr_bench::{paper_method, write_json, Json};
-use edsr_cl::{mean_std, ContinualModel, Finetune, ModelConfig, RunBuilder};
-use edsr_core::prelude::seeded;
+use edsr_bench::{paper_method, sweep, write_json, Json};
+use edsr_cl::{Finetune, ModelConfig, RunBuilder};
+use edsr_core::seeded_run;
 use edsr_data::{build_scenario, ShardStream, SCENARIO_NAMES};
 
 fn main() -> Result<(), edsr_core::Error> {
@@ -29,6 +31,7 @@ fn main() -> Result<(), edsr_core::Error> {
 
     let methods: &[&str] = &["Finetune", "LUMP", "EDSR", "CompEmb", "R2R"];
     let mut scenario_rows = Vec::new();
+    let mut failed = 0;
 
     for &scenario in SCENARIO_NAMES {
         let probe = build_scenario(scenario, seeds[0]).expect("known scenario name");
@@ -37,36 +40,36 @@ fn main() -> Result<(), edsr_core::Error> {
 
         let mut method_rows = Vec::new();
         for &mname in methods {
-            let mut accs = Vec::new();
-            let mut fgts = Vec::new();
-            for &seed in &seeds {
+            let sweep = sweep(&seeds, |seed| {
                 let data = build_scenario(scenario, seed).expect("known scenario name");
                 let mut method = paper_method(mname, &probe.preset, &cfg);
-                let mut model = ContinualModel::new(
-                    &ModelConfig::image(data.preset.grid.dim()),
-                    &mut seeded(seed + 1000),
-                );
-                let mut run_rng = seeded(seed + 2000);
-                let r = RunBuilder::new(&cfg).run(
+                let model_cfg = ModelConfig::image(data.preset.grid.dim());
+                let (mut model, mut run_rng) = seeded_run(&model_cfg, seed);
+                RunBuilder::new(&cfg).run(
                     method.as_mut(),
                     &mut model,
                     &mut &data.seq,
                     &data.augmenters,
                     &mut run_rng,
-                )?;
-                accs.push(r.matrix.final_acc() * 100.0);
-                fgts.push(r.matrix.final_fgt() * 100.0);
+                )
+            });
+            for f in &sweep.failures {
+                println!("  !! {mname} seed {}: {}", f.seed, f.error);
             }
-            let (am, asd) = mean_std(&accs);
-            let (fm, fsd) = mean_std(&fgts);
-            println!("{mname:<10} | Acc {am:5.2} ± {asd:.2} | Fgt {fm:5.2} ± {fsd:.2}");
+            failed += sweep.failures.len();
+            let agg = sweep.aggregate();
+            println!(
+                "{mname:<10} | Acc {} | Fgt {}",
+                agg.acc_cell(),
+                agg.fgt_cell()
+            );
             let pct = |v: f32| Json::Num(f64::from(v), 4);
             method_rows.push(Json::Obj(vec![
                 ("method", Json::Str(mname.into())),
-                ("acc_mean", pct(am)),
-                ("acc_std", pct(asd)),
-                ("fgt_mean", pct(fm)),
-                ("fgt_std", pct(fsd)),
+                ("acc_mean", pct(agg.acc)),
+                ("acc_std", pct(agg.acc_std)),
+                ("fgt_mean", pct(agg.fgt)),
+                ("fgt_std", pct(agg.fgt_std)),
             ]));
         }
 
@@ -92,6 +95,12 @@ fn main() -> Result<(), edsr_core::Error> {
         ]));
     }
 
+    edsr_par::emit_pool_metrics();
+    edsr_obs::flush();
+    if failed > 0 {
+        eprintln!("error: {failed} seed run(s) failed; BENCH_scenarios.json not written");
+        std::process::exit(1);
+    }
     let doc = [
         ("quick", Json::Bool(quick)),
         ("epochs_per_task", Json::Int(cfg.epochs_per_task as u64)),
@@ -103,8 +112,6 @@ fn main() -> Result<(), edsr_core::Error> {
     ];
     write_json("BENCH_scenarios.json", &doc)?;
     println!("wrote BENCH_scenarios.json");
-    edsr_par::emit_pool_metrics();
-    edsr_obs::flush();
     Ok(())
 }
 
@@ -122,32 +129,27 @@ fn stream_check(
         std::process::id()
     ));
 
-    let mut ram_model = ContinualModel::new(
-        &ModelConfig::image(data.preset.grid.dim()),
-        &mut seeded(seed + 1000),
-    );
+    let model_cfg = ModelConfig::image(data.preset.grid.dim());
+    let (mut ram_model, mut ram_rng) = seeded_run(&model_cfg, seed);
     let mut method = Finetune::new();
     let ram = RunBuilder::new(cfg).run(
         &mut method,
         &mut ram_model,
         &mut &data.seq,
         &data.augmenters,
-        &mut seeded(seed + 2000),
+        &mut ram_rng,
     )?;
 
     edsr_data::write_shard_dir(&dir, &data.seq)?;
     let mut stream = ShardStream::open(&dir)?;
-    let mut stream_model = ContinualModel::new(
-        &ModelConfig::image(data.preset.grid.dim()),
-        &mut seeded(seed + 1000),
-    );
+    let (mut stream_model, mut stream_rng) = seeded_run(&model_cfg, seed);
     let mut method = Finetune::new();
     let streamed = RunBuilder::new(cfg).run(
         &mut method,
         &mut stream_model,
         &mut stream,
         &data.augmenters,
-        &mut seeded(seed + 2000),
+        &mut stream_rng,
     )?;
     let peak = stream.resident_peak();
     let _ = std::fs::remove_dir_all(&dir);

@@ -27,8 +27,8 @@
 //!   the largest Acc gain.
 
 use edsr_bench::{
-    fig4_lines, fig5_lines, fig9_line, paper_method, run_method_over_seeds,
-    run_multitask_over_seeds, start, Report, Sweep, IMAGE_SEEDS,
+    fig4_lines, fig5_lines, fig9_line, image_model_config, multitask_run, paper_method,
+    run_method_over_seeds, start, sweep, Report, Sweep, IMAGE_SEEDS,
 };
 use edsr_cl::TrainConfig;
 use edsr_data::all_image_presets;
@@ -106,16 +106,22 @@ fn main() {
         ));
 
         // Multitask upper bound.
-        let (mt_acc, mt_std, _, mt_failures) = run_multitask_over_seeds(&preset, &cfg, &seeds);
-        for f in &mt_failures {
-            report.line(format!("  !! Multitask seed {}: {}", f.seed, f.error));
-        }
+        let model_cfg = image_model_config(&preset);
+        let mt = sweep(&seeds, |seed| {
+            multitask_run(&preset, &model_cfg, &cfg, seed)
+        });
+        mt.report_failures(&mut report, "Multitask");
+        let mt = mt.aggregate();
+        let mt_cell = if mt.acc.is_nan() {
+            mt.acc_cell()
+        } else {
+            format!("{:>6.2} ± {:4.2}", mt.acc, mt.acc_std)
+        };
         let paper_mt = PAPER[0].1[bench_idx].0;
         report.line(format!(
-            "{:<10} | {:>6.2} ± {:4.2} {:>9} | {:>14} {:>9}",
+            "{:<10} | {} {:>9} | {:>14} {:>9}",
             "Multitask",
-            mt_acc,
-            mt_std,
+            mt_cell,
             format!("({paper_mt:.2})"),
             "-",
             "-"

@@ -10,9 +10,8 @@
 //! *SimSiam* column is the degraded variant — the comparison direction
 //! inverts while the within-column method ordering is what we check.
 
-use edsr_bench::{paper_method, run_method_over_seeds_with_model, start, Report, IMAGE_SEEDS};
-use edsr_cl::{run_multitask, ContinualModel, TrainConfig};
-use edsr_core::prelude::seeded;
+use edsr_bench::{continual_run, multitask_run, paper_method, start, sweep, Report, IMAGE_SEEDS};
+use edsr_cl::TrainConfig;
 use edsr_data::{cifar100_sim, tiny_imagenet_sim, Preset};
 use edsr_ssl::SslVariant;
 
@@ -34,25 +33,19 @@ fn main() {
 
             // Multitask under this variant; failed seeds are reported
             // and excluded from the mean.
-            let mut mt = Vec::new();
-            for &seed in &seeds {
-                let mut data_rng = seeded(seed);
-                let (seq, augs) = preset.build_with_augmenters(&mut data_rng);
-                let mut model = ContinualModel::new(&model_cfg, &mut seeded(seed + 1000));
-                let mut run_rng = seeded(seed + 2000);
-                match run_multitask(&mut model, &mut &seq, &augs, &cfg, &mut run_rng) {
-                    Ok(r) => mt.push(r.acc_pct()),
-                    Err(e) => report.line(format!("  !! Multitask seed {seed}: {e}")),
-                }
-            }
-            let (m, s) = edsr_cl::mean_std(&mt);
-            report.line(format!("{:<10} | Acc {:5.2} ± {:.2}", "Multitask", m, s));
+            let mt = sweep(&seeds, |seed| multitask_run(preset, &model_cfg, &cfg, seed));
+            mt.report_failures(&mut report, "Multitask");
+            report.line(format!(
+                "{:<10} | Acc {}",
+                "Multitask",
+                mt.aggregate().acc_cell()
+            ));
 
             for name in ["Finetune", "LUMP", "CaSSLe", "EDSR"] {
-                let sweep =
-                    run_method_over_seeds_with_model(preset, &cfg, &seeds, &model_cfg, &|| {
-                        paper_method(name, preset, &cfg)
-                    });
+                let sweep = sweep(&seeds, |seed| {
+                    let method = paper_method(name, preset, &cfg);
+                    continual_run(preset, &model_cfg, &cfg, method, seed)
+                });
                 sweep.report_failures(&mut report, name);
                 let agg = sweep.aggregate();
                 report.line(format!(

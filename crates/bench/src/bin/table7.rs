@@ -7,13 +7,12 @@
 //! Acc and lowest Fgt. LUMP is excluded (mixup cannot span heterogeneous
 //! input dims).
 
-use edsr_bench::{aggregate, start, Report, SeedFailure, TABULAR_SEEDS};
+use edsr_bench::{start, sweep, Report, TABULAR_SEEDS};
 use edsr_cl::{
-    run_multitask, tabular_augmenters, Cassle, ContinualModel, Finetune, Method, ModelConfig,
-    RunBuilder, TrainConfig,
+    run_multitask, tabular_augmenters, ModelConfig, RunBuilder, TrainConfig, TrainError,
 };
 use edsr_core::prelude::seeded;
-use edsr_core::Edsr;
+use edsr_core::{seeded_run, tabular_method_by_name};
 use edsr_data::{tabular_sequence, TabularConfig, TABULAR_SPECS};
 
 /// Paper row: (name, acc, fgt or NaN).
@@ -39,59 +38,33 @@ fn main() {
 
     let mut rows: Vec<(String, String, String)> = Vec::new();
 
+    // One seed's stream, augmenters, model and run RNG.
+    let model_cfg = ModelConfig::tabular(input_dims);
+    let seeded_stream = |seed| {
+        let seq = tabular_sequence(&data_cfg, &mut seeded(seed));
+        let augs = tabular_augmenters(&mut &seq, 0.4)?;
+        let (model, run_rng) = seeded_run(&model_cfg, seed);
+        Ok::<_, TrainError>((seq, augs, model, run_rng))
+    };
+
     // Multitask; failed seeds are reported and excluded from the mean.
-    let mut mt = Vec::new();
-    for &seed in &seeds {
-        let mut data_rng = seeded(seed);
-        let seq = tabular_sequence(&data_cfg, &mut data_rng);
-        let augs = tabular_augmenters(&mut &seq, 0.4).expect("tabular augmenters");
-        let model_cfg = ModelConfig::tabular(input_dims.clone());
-        let mut model = ContinualModel::new(&model_cfg, &mut seeded(seed + 1000));
-        let mut run_rng = seeded(seed + 2000);
-        match run_multitask(&mut model, &mut &seq, &augs, &cfg, &mut run_rng) {
-            Ok(r) => mt.push(r.acc_pct()),
-            Err(e) => report.line(format!("  !! Multitask seed {seed}: {e}")),
-        }
-    }
-    let (m, s) = edsr_cl::mean_std(&mt);
-    rows.push(("Multitask".into(), format!("{m:5.2} ± {s:.2}"), "-".into()));
+    let mt = sweep(&seeds, |seed| {
+        let (seq, augs, mut model, mut run_rng) = seeded_stream(seed)?;
+        run_multitask(&mut model, &mut &seq, &augs, &cfg, &mut run_rng)
+    });
+    mt.report_failures(&mut report, "Multitask");
+    rows.push(("Multitask".into(), mt.aggregate().acc_cell(), "-".into()));
 
     for name in ["Finetune", "CaSSLe", "EDSR"] {
-        let mut runs: Vec<edsr_cl::RunResult> = Vec::new();
-        let mut failures: Vec<SeedFailure> = Vec::new();
-        for &seed in &seeds {
-            let mut data_rng = seeded(seed);
-            let seq = tabular_sequence(&data_cfg, &mut data_rng);
-            let augs = tabular_augmenters(&mut &seq, 0.4).expect("tabular augmenters");
-            let model_cfg = ModelConfig::tabular(input_dims.clone());
-            let mut model = ContinualModel::new(&model_cfg, &mut seeded(seed + 1000));
-            let mut run_rng = seeded(seed + 2000);
-            let mut method: Box<dyn Method> = match name {
-                "Finetune" => Box::new(Finetune::new()),
-                "CaSSLe" => Box::new(Cassle::new()),
-                _ => {
-                    // 1% memory per increment: use the largest train
-                    // split to size the budget; end_task clamps.
-                    let budget =
-                        (seq.tasks.iter().map(|t| t.train.len()).max().unwrap_or(100) / 100).max(2);
-                    Box::new(Edsr::paper_default(budget, cfg.replay_batch, 10))
-                }
-            };
-            match RunBuilder::new(&cfg).run(
-                method.as_mut(),
-                &mut model,
-                &mut &seq,
-                &augs,
-                &mut run_rng,
-            ) {
-                Ok(run) => runs.push(run),
-                Err(error) => failures.push(SeedFailure { seed, error }),
-            }
-        }
-        for f in &failures {
-            report.line(format!("  !! {name} seed {}: {}", f.seed, f.error));
-        }
-        let agg = aggregate(&runs);
+        let sweep = sweep(&seeds, |seed| {
+            let (seq, augs, mut model, mut run_rng) = seeded_stream(seed)?;
+            let mut method =
+                tabular_method_by_name(&name.to_ascii_lowercase(), &seq, cfg.replay_batch)
+                    .expect("Table VII names registered methods");
+            RunBuilder::new(&cfg).run(method.as_mut(), &mut model, &mut &seq, &augs, &mut run_rng)
+        });
+        sweep.report_failures(&mut report, name);
+        let agg = sweep.aggregate();
         rows.push((name.into(), agg.acc_cell(), agg.fgt_cell()));
     }
 

@@ -16,20 +16,20 @@
 //! work starts with [`start`], so the process knobs
 //! (`--quick`/`EDSR_BENCH_QUICK`, `--threads`, `--isa`, `--obs`/`EDSR_OBS`,
 //! …) work the same in each; `exp_all`, which only launches the others,
-//! checks them with [`resolve`] and passes them on. The benchmarks time
-//! code only through [`sample`] and write JSON only through
-//! [`write_json`].
+//! checks them with [`resolve`] and passes them on. The experiments fan
+//! their seeds out only through [`sweep`]; the benchmarks time code only
+//! through [`sample`] and write JSON only through [`write_json`].
 
 use std::io::Write;
 use std::time::Instant;
 
 use edsr_cl::metrics::mean_std;
 use edsr_cl::{
-    run_multitask, ContinualModel, Method, ModelConfig, MultitaskResult, RunBuilder, RunResult,
-    TrainConfig, TrainError,
+    run_multitask, Method, ModelConfig, MultitaskResult, RunBuilder, RunResult, TrainConfig,
+    TrainError,
 };
 use edsr_core::prelude::seeded;
-use edsr_core::{method_by_name, EnvConfig};
+use edsr_core::{method_by_name, seeded_run, EnvConfig};
 use edsr_data::Preset;
 
 /// Seeds used for image experiments (paper: 4 runs).
@@ -54,6 +54,16 @@ pub struct AccFgt {
 }
 
 impl AccFgt {
+    /// The aggregate of zero surviving seeds: NaN statistics, which the
+    /// cell formatters render as `n/a`.
+    const NONE: AccFgt = AccFgt {
+        acc: f32::NAN,
+        acc_std: f32::NAN,
+        fgt: f32::NAN,
+        fgt_std: f32::NAN,
+        seconds: f64::NAN,
+    };
+
     /// Formats as the paper's `acc ± std` cell (`n/a` when every seed
     /// of the sweep failed).
     pub fn acc_cell(&self) -> String {
@@ -77,13 +87,7 @@ impl AccFgt {
 /// yields NaN statistics, which the cell formatters render as `n/a`.
 pub fn aggregate(runs: &[RunResult]) -> AccFgt {
     if runs.is_empty() {
-        return AccFgt {
-            acc: f32::NAN,
-            acc_std: f32::NAN,
-            fgt: f32::NAN,
-            fgt_std: f32::NAN,
-            seconds: f64::NAN,
-        };
+        return AccFgt::NONE;
     }
     let accs: Vec<f32> = runs.iter().map(RunResult::final_acc_pct).collect();
     let fgts: Vec<f32> = runs.iter().map(RunResult::final_fgt_pct).collect();
@@ -108,23 +112,18 @@ pub struct SeedFailure {
     pub error: TrainError,
 }
 
-/// Per-seed outcomes of one method x preset sweep: the successful runs
-/// plus every failed seed's structured error. A failing seed no longer
-/// aborts the sweep — it is recorded and the remaining seeds run.
-#[derive(Debug, Default)]
-pub struct Sweep {
-    /// Successful runs, in seed order.
-    pub runs: Vec<RunResult>,
+/// Per-seed outcomes of one [`sweep`]: the successful results plus every
+/// failed seed's structured error. A failing seed does not abort the
+/// sweep — it is recorded and the remaining seeds run.
+#[derive(Debug)]
+pub struct Sweep<T = RunResult> {
+    /// Successful results, in seed order.
+    pub runs: Vec<T>,
     /// Failed seeds with their errors, in seed order.
     pub failures: Vec<SeedFailure>,
 }
 
-impl Sweep {
-    /// Aggregated Acc/Fgt of the successful seeds (NaN cells when none).
-    pub fn aggregate(&self) -> AccFgt {
-        aggregate(&self.runs)
-    }
-
+impl<T> Sweep<T> {
     /// Writes one `!!` line per failed seed into the report, naming the
     /// method/seed/increment, and returns how many failed.
     pub fn report_failures(&self, report: &mut Report, label: &str) -> usize {
@@ -135,6 +134,62 @@ impl Sweep {
     }
 }
 
+impl Sweep {
+    /// Aggregated Acc/Fgt of the successful seeds (NaN cells when none).
+    pub fn aggregate(&self) -> AccFgt {
+        aggregate(&self.runs)
+    }
+}
+
+impl Sweep<MultitaskResult> {
+    /// Mean ± std Multitask accuracy of the successful seeds, with NaN
+    /// forgetting (the joint bound reports none); NaN accuracy too when
+    /// every seed failed, so [`AccFgt::acc_cell`] prints `n/a`.
+    pub fn aggregate(&self) -> AccFgt {
+        if self.runs.is_empty() {
+            return AccFgt::NONE;
+        }
+        let accs: Vec<f32> = self.runs.iter().map(MultitaskResult::acc_pct).collect();
+        let (acc, acc_std) = mean_std(&accs);
+        let seconds = self.runs.iter().map(|r| r.seconds).sum::<f64>() / self.runs.len() as f64;
+        AccFgt {
+            acc,
+            acc_std,
+            seconds,
+            ..AccFgt::NONE
+        }
+    }
+}
+
+/// Runs `run` once per seed and returns every outcome in seed order: the
+/// one place the experiments fan their seeds out.
+///
+/// Seeds go over the `edsr-par` pool. Each seed must be self-contained —
+/// its own data, model, RNG streams and method, built from the seed alone
+/// (by [`seeded_run`]'s convention) — so every result is identical to the
+/// serial loop's at any thread count. A seed whose closure panics is
+/// recorded as [`TrainError::Worker`], and the remaining seeds still run.
+pub fn sweep<T: Send>(
+    seeds: &[u64],
+    run: impl Fn(u64) -> Result<T, TrainError> + Sync,
+) -> Sweep<T> {
+    // Each seed is a whole run: always worth a pool hand-off.
+    let outcomes = edsr_par::par_map_collect(seeds.len(), usize::MAX, |i| {
+        edsr_par::catch_panic(|| run(seeds[i])).unwrap_or_else(|msg| Err(TrainError::Worker(msg)))
+    });
+    let mut sweep = Sweep {
+        runs: Vec::new(),
+        failures: Vec::new(),
+    };
+    for (&seed, outcome) in seeds.iter().zip(outcomes) {
+        match outcome {
+            Ok(run) => sweep.runs.push(run),
+            Err(error) => sweep.failures.push(SeedFailure { seed, error }),
+        }
+    }
+    sweep
+}
+
 /// Builds the standard image model config for a preset.
 pub fn image_model_config(preset: &Preset) -> ModelConfig {
     ModelConfig::image(preset.grid.dim())
@@ -143,7 +198,7 @@ pub fn image_model_config(preset: &Preset) -> ModelConfig {
 /// The method with display name `name` (`CaSSLe`, `EDSR`, …) and its
 /// paper defaults ([`method_by_name`]), sized for `preset` under `cfg`.
 /// The tables name their methods with string literals, so an unknown name
-/// is a bug and panics (inside a sweep, the seed then fails with
+/// is a bug and panics (inside a [`sweep`], the seed then fails with
 /// [`TrainError::Worker`]).
 pub fn paper_method(name: &str, preset: &Preset, cfg: &TrainConfig) -> Box<dyn Method> {
     method_by_name(
@@ -155,98 +210,46 @@ pub fn paper_method(name: &str, preset: &Preset, cfg: &TrainConfig) -> Box<dyn M
     .unwrap_or_else(|| panic!("no method named {name:?}"))
 }
 
-/// Runs one method over one preset for the given seeds, building fresh
-/// data/model per seed (data seed = seed, model seed = seed + 1000,
-/// training stream seed = seed + 2000, matching all experiments).
-///
-/// Seeds fan out over the `edsr-par` pool. Every seed is fully
-/// self-contained (own data, model, RNG streams, method instance), so the
-/// per-seed results are identical to the serial loop at any thread count;
-/// they are collected back in seed order. A panicking seed is recorded as
-/// [`TrainError::Worker`] and the remaining seeds still run.
+/// One seed of a continual run of `method` on `preset` with the model
+/// `model_cfg`: the data from `seed`, the model and run RNG by
+/// [`seeded_run`].
+pub fn continual_run(
+    preset: &Preset,
+    model_cfg: &ModelConfig,
+    cfg: &TrainConfig,
+    mut method: Box<dyn Method>,
+    seed: u64,
+) -> Result<RunResult, TrainError> {
+    let (mut seq, augs) = preset.build_with_augmenters(&mut seeded(seed));
+    let (mut model, mut run_rng) = seeded_run(model_cfg, seed);
+    RunBuilder::new(cfg).run(method.as_mut(), &mut model, &mut seq, &augs, &mut run_rng)
+}
+
+/// One seed of the Multitask upper bound on `preset`, seeded like
+/// [`continual_run`].
+pub fn multitask_run(
+    preset: &Preset,
+    model_cfg: &ModelConfig,
+    cfg: &TrainConfig,
+    seed: u64,
+) -> Result<MultitaskResult, TrainError> {
+    let (mut seq, augs) = preset.build_with_augmenters(&mut seeded(seed));
+    let (mut model, mut run_rng) = seeded_run(model_cfg, seed);
+    run_multitask(&mut model, &mut seq, &augs, cfg, &mut run_rng)
+}
+
+/// A [`sweep`] of [`continual_run`] with the preset's image model and a
+/// fresh method per seed.
 pub fn run_method_over_seeds(
     preset: &Preset,
     cfg: &TrainConfig,
     seeds: &[u64],
     make_method: impl Fn() -> Box<dyn Method> + Sync,
 ) -> Sweep {
-    run_method_over_seeds_with_model(
-        preset,
-        cfg,
-        seeds,
-        &image_model_config(preset),
-        &make_method,
-    )
-}
-
-/// As [`run_method_over_seeds`] with an explicit model config (Table VI
-/// swaps the SSL variant).
-pub fn run_method_over_seeds_with_model(
-    preset: &Preset,
-    cfg: &TrainConfig,
-    seeds: &[u64],
-    model_cfg: &ModelConfig,
-    make_method: &(dyn Fn() -> Box<dyn Method> + Sync),
-) -> Sweep {
-    // Each seed is a whole continual run: always worth a pool hand-off.
-    let outcomes = edsr_par::par_map_collect(seeds.len(), usize::MAX, |si| {
-        let seed = seeds[si];
-        edsr_par::catch_panic(|| {
-            let mut data_rng = seeded(seed);
-            let (mut seq, augs) = preset.build_with_augmenters(&mut data_rng);
-            let mut model = ContinualModel::new(model_cfg, &mut seeded(seed + 1000));
-            let mut run_rng = seeded(seed + 2000);
-            let mut method = make_method();
-            RunBuilder::new(cfg).run(method.as_mut(), &mut model, &mut seq, &augs, &mut run_rng)
-        })
-        .unwrap_or_else(|msg| Err(TrainError::Worker(msg)))
-    });
-    let mut sweep = Sweep::default();
-    for (&seed, outcome) in seeds.iter().zip(outcomes) {
-        match outcome {
-            Ok(run) => sweep.runs.push(run),
-            Err(error) => sweep.failures.push(SeedFailure { seed, error }),
-        }
-    }
-    sweep
-}
-
-/// Runs the Multitask upper bound over seeds, returning mean/std percent
-/// plus the per-seed results and any per-seed failures (NaN mean when
-/// every seed failed). Seeds fan out over the `edsr-par` pool exactly as
-/// in [`run_method_over_seeds`].
-pub fn run_multitask_over_seeds(
-    preset: &Preset,
-    cfg: &TrainConfig,
-    seeds: &[u64],
-) -> (f32, f32, Vec<MultitaskResult>, Vec<SeedFailure>) {
-    // Each seed is a whole continual run: always worth a pool hand-off.
-    let outcomes = edsr_par::par_map_collect(seeds.len(), usize::MAX, |si| {
-        let seed = seeds[si];
-        edsr_par::catch_panic(|| {
-            let mut data_rng = seeded(seed);
-            let (mut seq, augs) = preset.build_with_augmenters(&mut data_rng);
-            let model_cfg = image_model_config(preset);
-            let mut model = ContinualModel::new(&model_cfg, &mut seeded(seed + 1000));
-            let mut run_rng = seeded(seed + 2000);
-            run_multitask(&mut model, &mut seq, &augs, cfg, &mut run_rng)
-        })
-        .unwrap_or_else(|msg| Err(TrainError::Worker(msg)))
-    });
-    let mut results = Vec::new();
-    let mut failures = Vec::new();
-    for (&seed, outcome) in seeds.iter().zip(outcomes) {
-        match outcome {
-            Ok(r) => results.push(r),
-            Err(error) => failures.push(SeedFailure { seed, error }),
-        }
-    }
-    if results.is_empty() {
-        return (f32::NAN, f32::NAN, results, failures);
-    }
-    let accs: Vec<f32> = results.iter().map(MultitaskResult::acc_pct).collect();
-    let (m, s) = mean_std(&accs);
-    (m, s, results, failures)
+    let model_cfg = image_model_config(preset);
+    sweep(seeds, |seed| {
+        continual_run(preset, &model_cfg, cfg, make_method(), seed)
+    })
 }
 
 /// A writer that tees output to stdout and `results/<name>.txt`.
@@ -644,21 +647,97 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_means_and_stds() {
+    fn aggregates_give_paper_cells_and_n_a_when_every_seed_failed() {
         let runs = vec![run_result(&[0.8, 0.8]), run_result(&[0.6, 0.6])];
         let agg = aggregate(&runs);
         assert!((agg.acc - 70.0).abs() < 1e-4);
         assert!((agg.acc_std - 10.0).abs() < 1e-4);
         assert_eq!(agg.fgt, 0.0);
         assert!((agg.seconds - 2.0).abs() < 1e-9);
+        assert_eq!(
+            [agg.acc_cell(), agg.fgt_cell()],
+            ["70.00 ± 10.00", " 0.00 ± 0.00"]
+        );
+        assert_eq!(aggregate(&[]).acc_cell(), "     n/a    ");
+
+        // The Multitask row has no forgetting, and prints n/a when every
+        // seed failed.
+        let failed: Sweep<MultitaskResult> = sweep(&[1, 2], |_| {
+            Err(TrainError::InvalidConfig("no increments".into()))
+        });
+        assert_eq!(failed.failures.len(), 2);
+        assert_eq!(failed.aggregate().acc_cell(), "     n/a    ");
+        let one = Sweep {
+            runs: vec![MultitaskResult {
+                per_task_acc: vec![0.5, 0.75],
+                acc: 0.625,
+                seconds: 1.0,
+            }],
+            failures: Vec::new(),
+        };
+        let agg = one.aggregate();
+        assert_eq!(
+            [agg.acc_cell(), agg.fgt_cell()],
+            ["62.50 ± 0.00", "     n/a    "]
+        );
     }
 
     #[test]
-    fn cells_format_like_the_paper() {
-        let runs = vec![run_result(&[0.9])];
-        let agg = aggregate(&runs);
-        assert!(agg.acc_cell().contains('±'));
-        assert!(agg.fgt_cell().contains('±'));
+    fn sweep_keeps_seed_order_and_records_a_panicking_seed_as_a_worker_failure() {
+        let out = edsr_par::with_threads(4, || {
+            sweep(&[5, 3, 9, 1, 7], |seed| {
+                assert_ne!(seed, 9, "seed {seed} exploded");
+                Ok(seed * 10)
+            })
+        });
+        assert_eq!(out.runs, [50, 30, 10, 70]);
+        let [SeedFailure {
+            seed: 9,
+            error: TrainError::Worker(msg),
+        }] = &out.failures[..]
+        else {
+            panic!("expected seed 9 to fail as a worker: {:?}", out.failures);
+        };
+        assert!(msg.contains("seed 9 exploded"), "{msg}");
+    }
+
+    #[test]
+    fn sweeps_are_bit_identical_at_one_and_two_threads() {
+        let preset = edsr_data::test_sim();
+        let mut cfg = TrainConfig::image();
+        cfg.epochs_per_task = 1;
+        let model_cfg = image_model_config(&preset);
+        // The bits of every accuracy and loss a continual and a Multitask
+        // sweep produce, and the pool hand-offs they took.
+        let at = |threads| {
+            edsr_par::with_threads(threads, || {
+                let before = edsr_par::handoffs();
+                let runs = run_method_over_seeds(&preset, &cfg, &[11, 12], || {
+                    paper_method("EDSR", &preset, &cfg)
+                });
+                let mt = sweep(&[11, 12], |seed| {
+                    multitask_run(&preset, &model_cfg, &cfg, seed)
+                });
+                assert!(runs.failures.is_empty() && mt.failures.is_empty());
+                let continual = runs
+                    .runs
+                    .iter()
+                    .flat_map(|r| r.matrix.rows().iter().flatten().chain(&r.task_losses));
+                let multitask = mt
+                    .runs
+                    .iter()
+                    .flat_map(|r| r.per_task_acc.iter().chain([&r.acc]));
+                let bits: Vec<u32> = continual.chain(multitask).map(|v| v.to_bits()).collect();
+                (bits, edsr_par::handoffs() - before)
+            })
+        };
+        let (serial, _) = at(1);
+        let (pooled, handoffs) = at(2);
+        assert_eq!(serial, pooled);
+        if edsr_par::pool_workers() > 0 {
+            // Each sweep handed its two seeds to the pool in one call.
+            assert_eq!(handoffs, 2);
+        }
     }
 
     #[test]

@@ -32,25 +32,27 @@ pub const RUN_STATE_MAGIC: &[u8; 8] = b"EDSRRS01";
 /// Magic of a serve snapshot file (model + replay-memory representations).
 pub const SERVE_SNAPSHOT_MAGIC: &[u8; 8] = b"EDSRSS01";
 
-/// Where and how often to snapshot a run.
+/// Snapshots of one run that a save keeps, newest first; older ones are
+/// pruned. Two, so one corrupt snapshot at the end still leaves a
+/// fallback.
+const KEEP: usize = 2;
+
+/// Where to snapshot a run.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Directory that receives snapshot files (created on demand).
     pub dir: PathBuf,
     /// Filename stem — one run per stem; resume scans this stem only.
     pub run_id: String,
-    /// Completed snapshots to retain (older ones are pruned); 0 = all.
-    pub keep: usize,
 }
 
 impl CheckpointConfig {
-    /// Snapshots under `dir` with filenames starting `run_id`, keeping
-    /// the last two (so one corrupt tail still leaves a fallback).
+    /// Snapshots under `dir` with filenames starting `run_id`; each save
+    /// keeps the newest two.
     pub fn new(dir: impl Into<PathBuf>, run_id: impl Into<String>) -> Self {
         Self {
             dir: dir.into(),
             run_id: run_id.into(),
-            keep: 2,
         }
     }
 
@@ -176,7 +178,7 @@ pub fn decode_run_state(payload: &[u8]) -> Result<RunState, CheckpointError> {
 }
 
 /// Writes the snapshot for `state.completed_tasks` increments and prunes
-/// snapshots older than `cfg.keep`. Returns the snapshot's path.
+/// all but the newest two snapshots. Returns the snapshot's path.
 ///
 /// Inherits `write_envelope`'s durability contract: the payload is
 /// fsynced before the atomic rename, so a crash or power loss mid-save
@@ -188,10 +190,8 @@ pub fn save_run_state(
     std::fs::create_dir_all(&cfg.dir)?;
     let path = cfg.snapshot_path(state.completed_tasks);
     write_envelope(&path, RUN_STATE_MAGIC, &encode_run_state(state))?;
-    if cfg.keep > 0 {
-        for (_, old) in list_snapshots(cfg).iter().rev().skip(cfg.keep) {
-            let _ = std::fs::remove_file(old);
-        }
+    for (_, old) in list_snapshots(cfg).iter().rev().skip(KEEP) {
+        let _ = std::fs::remove_file(old);
     }
     Ok(path)
 }
@@ -530,7 +530,7 @@ pub fn serve_snapshot_path(cfg: &CheckpointConfig, completed: usize) -> PathBuf 
 }
 
 /// Writes the serve snapshot for `snapshot.completed_tasks` increments
-/// and prunes snapshots older than `cfg.keep`. Returns the written path.
+/// and prunes all but the newest two. Returns the written path.
 pub fn save_serve_snapshot(
     cfg: &CheckpointConfig,
     snapshot: &ServeSnapshot,
@@ -538,10 +538,8 @@ pub fn save_serve_snapshot(
     std::fs::create_dir_all(&cfg.dir)?;
     let path = serve_snapshot_path(cfg, snapshot.completed_tasks);
     snapshot.save(&path)?;
-    if cfg.keep > 0 {
-        for (_, old) in list_serve_snapshots(cfg).iter().rev().skip(cfg.keep) {
-            let _ = std::fs::remove_file(old);
-        }
+    for (_, old) in list_serve_snapshots(cfg).iter().rev().skip(KEEP) {
+        let _ = std::fs::remove_file(old);
     }
     Ok(path)
 }
@@ -634,7 +632,7 @@ pub fn quantize_serve_snapshot(snapshot: &ServeSnapshot) -> Result<QuantSnapshot
 /// Writes a v2 (quantized) serve snapshot under the same filename
 /// convention as [`save_serve_snapshot`] — v1 and v2 files share one
 /// rotation namespace, which is what lets the serve watcher hot-swap
-/// across format versions — and prunes beyond `cfg.keep`.
+/// across format versions — and prunes all but the newest two.
 pub fn save_quant_serve_snapshot(
     cfg: &CheckpointConfig,
     snapshot: &QuantSnapshot,
@@ -642,10 +640,8 @@ pub fn save_quant_serve_snapshot(
     std::fs::create_dir_all(&cfg.dir)?;
     let path = serve_snapshot_path(cfg, snapshot.completed_tasks);
     snapshot.save(&path)?;
-    if cfg.keep > 0 {
-        for (_, old) in list_serve_snapshots(cfg).iter().rev().skip(cfg.keep) {
-            let _ = std::fs::remove_file(old);
-        }
+    for (_, old) in list_serve_snapshots(cfg).iter().rev().skip(KEEP) {
+        let _ = std::fs::remove_file(old);
     }
     Ok(path)
 }
@@ -835,8 +831,7 @@ mod tests {
 
     #[test]
     fn pruning_keeps_the_newest() {
-        let mut cfg = temp_cfg("prune");
-        cfg.keep = 2;
+        let cfg = temp_cfg("prune");
         for completed in 1..=5 {
             save_run_state(&cfg, &sample_state(completed)).expect("save");
         }
@@ -1033,8 +1028,7 @@ mod tests {
     #[test]
     fn serve_snapshot_save_prunes_and_latest_skips_corrupt() {
         let (model, reprs, tasks) = serve_fixture(705);
-        let mut cfg = temp_cfg("serve-scan");
-        cfg.keep = 2;
+        let cfg = temp_cfg("serve-scan");
         for completed in 1..=4 {
             let snap = ServeSnapshot::capture(&model, reprs.clone(), tasks.clone(), "b", completed)
                 .expect("capture");
@@ -1094,8 +1088,7 @@ mod tests {
         assert!(qsnap.gate.f32_accuracy >= 0.0 && qsnap.gate.f32_accuracy <= 100.0);
         // v2 files round-trip through the shared namespace and the
         // any-format loader picks them up as V2.
-        let mut cfg = temp_cfg("serve-quant");
-        cfg.keep = 2;
+        let cfg = temp_cfg("serve-quant");
         let path = save_quant_serve_snapshot(&cfg, &qsnap).expect("save v2");
         let any = load_any_serve_snapshot(&path).expect("load any");
         let AnyServeSnapshot::V2(loaded) = any else {

@@ -37,6 +37,7 @@
 use std::path::PathBuf;
 
 use edsr_obs::ObsMode;
+use edsr_par::parse_threads;
 use edsr_tensor::simd::IsaRequest;
 
 /// Resolved process configuration; see the module docs for the knob table.
@@ -269,15 +270,6 @@ impl EnvConfig {
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::Unsupported, e.to_string()))?;
         }
         edsr_obs::install_mode(self.obs, &self.obs_path)
-    }
-}
-
-fn parse_threads(source: &str, value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "{source}: expected a thread count >= 1, got {value:?}"
-        )),
     }
 }
 

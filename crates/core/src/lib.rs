@@ -12,7 +12,8 @@
 //! - [`config`]: one [`EnvConfig`] reader for every env-var/CLI knob
 //!   (`EDSR_THREADS`, `EDSR_OBS`, `--checkpoint`, …; CLI > env > default).
 //! - [`registry`]: [`method_by_name`], every method with its paper-default
-//!   hyperparameters.
+//!   hyperparameters, and [`seeded_run`], the seed convention of every
+//!   run.
 //!
 //! This crate also re-exports the substrate crates as a facade, so
 //! `edsr_core::prelude::*` is enough to run experiments.
@@ -30,7 +31,7 @@ pub use config::EnvConfig;
 pub use error::Error;
 pub use method::{Edsr, EdsrConfig, ReplayLoss, ReplaySampling};
 pub use noise::noise_magnitudes;
-pub use registry::method_by_name;
+pub use registry::{method_by_name, seeded_run, tabular_method_by_name};
 pub use select::{table5_strategies, trace_cov, SelectionContext, SelectionStrategy};
 
 /// One-stop imports for examples and experiment binaries.

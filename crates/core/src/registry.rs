@@ -1,10 +1,17 @@
 //! One registry of the continual-learning methods by name, so the
 //! paper-default hyperparameters are written once: SI λ = 0.1, DER α = 0.5,
 //! R2R with 4 augmentation views, EDSR per [`Edsr::paper_default`]. The CLI,
-//! the experiment tables, the scenario sweep and the examples all build
-//! their methods here.
+//! every experiment table (Table VII through [`tabular_method_by_name`],
+//! which adds the tabular stream's 1% memory and noise neighbour count),
+//! the scenario sweep and the examples all build their methods here.
+//!
+//! The seed convention of every run the CLI and the experiment sweeps make
+//! is written here once too, in [`seeded_run`].
 
-use edsr_cl::{Cassle, Der, Finetune, Lump, Method, Si};
+use edsr_cl::{Cassle, ContinualModel, Der, Finetune, Lump, Method, ModelConfig, Si};
+use edsr_data::TaskSequence;
+use edsr_tensor::rng::seeded;
+use rand::rngs::StdRng;
 
 use crate::{CompEmb, Edsr, R2r};
 
@@ -31,6 +38,34 @@ pub fn method_by_name(
         "r2r" => Box::new(R2r::new(budget, replay_batch, 4)),
         _ => return None,
     })
+}
+
+/// [`method_by_name`] sized for the tabular stream `seq` (§IV-E, Table
+/// VII): the memory budget is 1% of the largest increment's train split,
+/// at least 2 (`end_task` clamps it on smaller increments), and EDSR's
+/// replay noise uses 10 neighbours.
+pub fn tabular_method_by_name(
+    name: &str,
+    seq: &TaskSequence,
+    replay_batch: usize,
+) -> Option<Box<dyn Method>> {
+    let largest = seq.tasks.iter().map(|t| t.train.len()).max().unwrap_or(100);
+    method_by_name(name, (largest / 100).max(2), replay_batch, 10)
+}
+
+/// The model and run RNG of the run with base seed `seed`, by the one seed
+/// convention every run of the CLI and the experiment sweeps follows: the
+/// caller builds the data from `seeded(seed)`, the initial weights come
+/// from the seed 1000 above it and the run's RNG (batch order,
+/// augmentation draws) from the seed 2000 above it. A sweep's runs are
+/// then paired across methods: the same seed gives every method the same
+/// data and the same initial weights.
+pub fn seeded_run(model_cfg: &ModelConfig, seed: u64) -> (ContinualModel, StdRng) {
+    let (model_seed, run_seed) = (seed + 1000, seed + 2000);
+    (
+        ContinualModel::new(model_cfg, &mut seeded(model_seed)),
+        seeded(run_seed),
+    )
 }
 
 #[cfg(test)]

@@ -30,7 +30,8 @@
 //! ## Configuration
 //!
 //! Thread count comes from `EDSR_THREADS` (default:
-//! `available_parallelism()`), may be set programmatically before first
+//! `available_parallelism()`; a value [`parse_threads`] rejects panics
+//! with its grammar), may be set programmatically before first
 //! use via [`set_threads`] (the CLI's `--threads`), and can be overridden
 //! per-scope with [`with_threads`] (used by the determinism tests and the
 //! `bench` binary to compare serial and parallel timings in one process).
@@ -82,23 +83,37 @@ pub(crate) fn enter_pool_context<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// The process-wide thread count: `EDSR_THREADS` if set and ≥ 1,
-/// otherwise `available_parallelism()` (1 if unavailable). Resolved once;
+/// Parses a thread count, the one grammar of `EDSR_THREADS` and
+/// `--threads`: an integer ≥ 1, surrounding whitespace ignored. The error
+/// names `source` (the variable or flag) and the grammar.
+pub fn parse_threads(source: &str, value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "{source}: expected a thread count >= 1, got {value:?}"
+        )),
+    }
+}
+
+/// The process-wide thread count: `EDSR_THREADS` if set, otherwise
+/// `available_parallelism()` (1 if unavailable). Resolved once;
 /// [`set_threads`] before first parallel use takes precedence.
+///
+/// # Panics
+/// On an `EDSR_THREADS` value [`parse_threads`] rejects (`0`, `two`, …),
+/// with a message naming the grammar: a silent fall-back to every core
+/// would invalidate pinned-thread test runs.
 pub fn configured_threads() -> usize {
     let current = CONFIGURED.load(Ordering::Relaxed);
     if current != 0 {
         return current;
     }
-    let resolved = std::env::var("EDSR_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+    let resolved = match std::env::var("EDSR_THREADS") {
+        Ok(raw) => parse_threads("EDSR_THREADS", &raw).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1),
+    };
     // First resolver wins so every thread agrees on one value.
     match CONFIGURED.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed) {
         Ok(_) => resolved,
@@ -461,6 +476,20 @@ mod tests {
         });
         let expected: Vec<usize> = (0..6).map(|i| (0..50).map(|j| i + j).sum()).collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn thread_counts_parse_as_trimmed_integers_of_at_least_one() {
+        assert_eq!(parse_threads("EDSR_THREADS", "2"), Ok(2));
+        assert_eq!(parse_threads("EDSR_THREADS", " 2 "), Ok(2));
+        assert_eq!(parse_threads("--threads", "16\n"), Ok(16));
+        for bad in ["0", "two", "", " ", "-1", "2.0", "+ 2"] {
+            let err = parse_threads("EDSR_THREADS", bad).unwrap_err();
+            assert_eq!(
+                err,
+                format!("EDSR_THREADS: expected a thread count >= 1, got {bad:?}")
+            );
+        }
     }
 
     #[test]

@@ -60,10 +60,9 @@
 
 use edsr::cl::{
     latest_valid_serve_snapshot, load_any_serve_snapshot, quantize_serve_snapshot, run_multitask,
-    tabular_augmenters, AnyServeSnapshot, CheckpointConfig, ContinualModel, ModelConfig,
-    RunBuilder, TrainConfig,
+    tabular_augmenters, AnyServeSnapshot, CheckpointConfig, ModelConfig, RunBuilder, TrainConfig,
 };
-use edsr::core::{method_by_name, EnvConfig, Error};
+use edsr::core::{method_by_name, seeded_run, tabular_method_by_name, EnvConfig, Error};
 use edsr::data::{
     build_scenario, cifar100_sim, cifar10_sim, domainnet_sim, tabular_sequence, test_sim,
     tiny_imagenet_sim, write_scenario, Preset, ShardStream, TabularConfig, SCENARIO_NAMES,
@@ -172,11 +171,7 @@ fn cmd_run(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
     }
 
     let (mut sequence, augmenters) = preset.build_with_augmenters(&mut seeded(seed));
-    let mut model = ContinualModel::new(
-        &ModelConfig::image(preset.grid.dim()),
-        &mut seeded(seed + 1000),
-    );
-    let mut run_rng = seeded(seed + 2000);
+    let (mut model, mut run_rng) = seeded_run(&ModelConfig::image(preset.grid.dim()), seed);
 
     if method_name == "multitask" {
         let mt = run_multitask(&mut model, &mut sequence, &augmenters, &cfg, &mut run_rng)?;
@@ -257,9 +252,7 @@ fn cmd_tabular(args: &[String]) -> Result<(), Error> {
     let mut sequence = tabular_sequence(&TabularConfig::default(), &mut seeded(seed));
     let augmenters = tabular_augmenters(&mut sequence, 0.4)?;
     let input_dims: Vec<usize> = TABULAR_SPECS.iter().map(|s| s.input_dim).collect();
-    let mut model =
-        ContinualModel::new(&ModelConfig::tabular(input_dims), &mut seeded(seed + 1000));
-    let mut run_rng = seeded(seed + 2000);
+    let (mut model, mut run_rng) = seeded_run(&ModelConfig::tabular(input_dims), seed);
 
     if method_name == "multitask" {
         let mt = run_multitask(&mut model, &mut sequence, &augmenters, &cfg, &mut run_rng)?;
@@ -270,15 +263,7 @@ fn cmd_tabular(args: &[String]) -> Result<(), Error> {
         );
         return Ok(());
     }
-    let budget = (sequence
-        .tasks
-        .iter()
-        .map(|t| t.train.len())
-        .max()
-        .unwrap_or(100)
-        / 100)
-        .max(2);
-    let Some(mut method) = method_by_name(method_name, budget, cfg.replay_batch, 10) else {
+    let Some(mut method) = tabular_method_by_name(method_name, &sequence, cfg.replay_batch) else {
         eprintln!("unknown method {method_name:?}");
         usage()
     };
@@ -584,11 +569,8 @@ fn cmd_scenario(args: &[String]) -> Result<(), Error> {
                 eprintln!("unknown method {method_name:?}");
                 usage()
             };
-            let mut model = ContinualModel::new(
-                &ModelConfig::image(data.preset.grid.dim()),
-                &mut seeded(seed + 1000),
-            );
-            let mut run_rng = seeded(seed + 2000);
+            let (mut model, mut run_rng) =
+                seeded_run(&ModelConfig::image(data.preset.grid.dim()), seed);
             // The augmenters come from the in-RAM generator either way:
             // they are part of the scenario definition (deterministic in
             // the seed), not of the storage backend.
