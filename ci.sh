@@ -58,10 +58,10 @@ echo "== bench bin smoke (BENCH_par.json + thread and ISA dispatch gates) =="
 EDSR_BENCH_QUICK=1 cargo run -q --release -p edsr-bench --bin bench
 test -s BENCH_par.json
 
-echo "== perfbench self-tests + one-unit boundary smoke =="
+echo "== perfbench self-tests + one-unit boundary and train smokes =="
 # The end-to-end benchmark (BENCHMARK.json) must keep building, pass its
 # own tests, and answer correctly: one boundary unit, checked through the
-# final JSON line.
+# final JSON line, and one train unit, checked for its pinned Acc/Fgt.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 PERF_LAST=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
     --workload boundary --seed 1 --seconds 1 --trace 0 | tail -n 1)
@@ -70,6 +70,24 @@ import json, sys
 doc = json.loads(sys.argv[1])
 assert doc["correct"] is True and doc["failed"] == 0, f"perfbench smoke failed: {doc}"
 print(f"perfbench smoke: boundary run_s {doc['metrics']['run_s']['value']:.2f} s, correct")
+EOF
+# One `train` unit at seed 1 pins the training step's bits: a change to
+# the step's arithmetic (kernels, tape, losses) moves Acc/Fgt.
+PERF_TRAIN=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload train --seed 1 --seconds 1 --trace 0)
+python3 - "$PERF_TRAIN" <<'EOF'
+import json, re, sys
+lines = sys.argv[1].splitlines()
+doc = json.loads(lines[-1])
+assert doc["correct"] is True and doc["failed"] == 0, f"perfbench train smoke failed: {doc}"
+units = [l for l in lines if l.startswith("unit ")]
+assert units, "perfbench train smoke: no unit lines"
+for line in units:
+    m = re.search(r"Acc ([0-9.]+)%\s+Fgt ([0-9.]+)%", line)
+    assert m and m.groups() == ("73.6667", "4.9123"), \
+        f"perfbench train smoke: seed 1 should read Acc 73.6667% / Fgt 4.9123%: {line}"
+print(f"perfbench smoke: train run_s {doc['metrics']['run_s']['value']:.2f} s, "
+      "Acc 73.6667% / Fgt 4.9123%, correct")
 EOF
 
 echo "== serve smoke (snapshot -> serve -> query -> graceful drain) =="
@@ -356,22 +374,22 @@ echo "== bench regression gate (vs BENCH_baseline.json) =="
 # host-to-host noise. Regenerate the baseline with:
 #   EDSR_BENCH_QUICK=1 cargo run --release -p edsr-bench --bin bench \
 #     && cp BENCH_par.json BENCH_baseline.json
+# Within BENCH_par.json, the 22-row epoch-tail product (train_matmul_tail)
+# must not take longer than the full 64-row batch (train_matmul) at one
+# thread: a slower tail means edge tiles fell off the dispatched kernel.
 python3 - <<'EOF'
 import json, sys
 
 def one_thread_ns(path):
     with open(path) as f:
         doc = json.load(f)
-    return {
-        r["op"]: r["ns_per_iter"]
-        for r in doc["records"]
-        if r["threads"] == 1 and r["op"] in ("matmul", "conv_forward")
-    }
+    return {r["op"]: r["ns_per_iter"] for r in doc["records"] if r["threads"] == 1}
 
 baseline = one_thread_ns("BENCH_baseline.json")
 current = one_thread_ns("BENCH_par.json")
 failed = False
-for op, base in sorted(baseline.items()):
+for op in ("conv_forward", "matmul"):
+    base = baseline[op]
     now = current.get(op)
     if now is None:
         print(f"bench gate: {op} missing from BENCH_par.json")
@@ -382,6 +400,11 @@ for op, base in sorted(baseline.items()):
     print(f"bench gate: {op:<14} {now:>12.0f} ns vs baseline {base:>12.0f} ns "
           f"({ratio:.2f}x) {status}")
     failed |= ratio > 2.0
+tail, full = current["train_matmul_tail"], current["train_matmul"]
+status = "FAIL" if tail > full else "ok"
+print(f"bench gate: train_matmul_tail {tail:>8.0f} ns vs train_matmul {full:>8.0f} ns "
+      f"({tail / full:.2f}x) {status}")
+failed |= tail > full
 sys.exit(1 if failed else 0)
 EOF
 

@@ -11,9 +11,11 @@
 //!   on, and one `boundary` eval cell (the 1,600 x 300 x 96 forward and a
 //!   400 x 1,600 cosine kNN at d=48);
 //! - one `L_css` step (two augmented views, forward, loss, backward) for
-//!   BarlowTwins and SimSiam on a cifar100-sim batch, and the tabular
-//!   augmenter's `two_views` on a 64-row batch of the widest Table II
-//!   corpus, as `table7` draws it;
+//!   BarlowTwins and SimSiam on a cifar100-sim batch, one whole EDSR
+//!   `train_step` on the same batch shape after one increment (frozen
+//!   teacher, filled memory, Adam), and the tabular augmenter's
+//!   `two_views` on a 64-row batch of the widest Table II corpus, as
+//!   `table7` draws it;
 //! - the Table V memory-selection strategies on one increment of the
 //!   perfbench `train` and `boundary` workloads (150 rows with budget 4,
 //!   1,600 rows with budget 64, at d=48).
@@ -40,9 +42,9 @@ use std::hint::black_box;
 use std::ops::Range;
 
 use edsr_bench::{sample, write_json, Json, Timing};
-use edsr_cl::{tabular_augmenters, ContinualModel, ModelConfig, TrainConfig};
+use edsr_cl::{tabular_augmenters, ContinualModel, Method, ModelConfig, TrainConfig};
 use edsr_core::prelude::seeded;
-use edsr_core::{SelectionContext, SelectionStrategy};
+use edsr_core::{Edsr, SelectionContext, SelectionStrategy};
 use edsr_data::{tabular_sequence, TabularConfig, TABULAR_SPECS};
 use edsr_linalg::{KnnQuery, Metric, Pca};
 use edsr_nn::Workspace;
@@ -345,10 +347,10 @@ fn main() -> Result<(), edsr_core::Error> {
     let barlow = edsr_bench::image_model_config(&cifar100);
     let simsiam = barlow.clone().with_variant(SslVariant::SimSiam);
     for (op, model_cfg) in [
-        ("css_step_barlowtwins", barlow),
-        ("css_step_simsiam", simsiam),
+        ("css_step_barlowtwins", &barlow),
+        ("css_step_simsiam", &simsiam),
     ] {
-        let model = ContinualModel::new(&model_cfg, &mut seeded(9005));
+        let model = ContinualModel::new(model_cfg, &mut seeded(9005));
         let mut ws = Workspace::new();
         let mut step_rng = seeded(9006);
         bench.op(op, &step_size, || {
@@ -365,6 +367,39 @@ fn main() -> Result<(), edsr_core::Error> {
             ws.tape.recycle(black_box(grads));
         });
     }
+
+    // One whole EDSR step as the `train` workload takes it on its second
+    // increment: `L_css`, the frozen teacher's forwards on both new views
+    // for `L_dis` and on the replay batch for `L_rpl`, backward and Adam.
+    // The memory holds the first increment's selection (no training on
+    // it: an untrained encoder stands in for the trained one).
+    let train_cfg = TrainConfig::image();
+    let mut model = ContinualModel::new(&barlow, &mut seeded(9005));
+    let mut edsr = Edsr::paper_default(
+        cifar100.per_task_budget(),
+        train_cfg.replay_batch,
+        cifar100.noise_neighbors,
+    );
+    let mut setup_rng = seeded(9009);
+    let (first, second) = (&seq.tasks[0].train, &seq.tasks[1].train);
+    edsr.begin_task(&mut model, 0, first, &mut setup_rng);
+    edsr.end_task(&mut model, 0, first, &augs[0], &mut setup_rng);
+    edsr.begin_task(&mut model, 1, second, &mut setup_rng);
+    let edsr_batch = second.inputs.select_rows(&(0..64).collect::<Vec<_>>());
+    let mut opt = train_cfg.build_optimizer();
+    let mut ws = Workspace::new();
+    let mut step_rng = seeded(9010);
+    bench.op("edsr_step", &step_size, || {
+        black_box(edsr.train_step(
+            &mut model,
+            opt.as_mut(),
+            &augs,
+            &edsr_batch,
+            1,
+            &mut ws,
+            &mut step_rng,
+        ));
+    });
 
     // The tabular (SCARF) augmenter's positive pair as `table7` draws it:
     // a 64-row batch of the widest Table II corpus (blastchar, d=20), its

@@ -71,13 +71,12 @@ impl Method for Der {
             let Some(stored) = group.stored_features.as_ref() else {
                 continue;
             };
-            let x = tape.leaf_copy(&group.inputs);
+            let x = tape.constant_copy(&group.inputs);
             let (features, _) = model
                 .encoder
                 .forward(tape, binder, &model.params, x, group.task);
-            let target = tape.leaf_copy(stored);
-            let frozen = tape.detach(target);
-            let match_loss = tape.mse(features, frozen);
+            let target = tape.constant_copy(stored);
+            let match_loss = tape.mse(features, target);
             let weighted = tape.scale(match_loss, self.alpha);
             loss = tape.add(loss, weighted);
         }

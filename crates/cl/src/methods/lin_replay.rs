@@ -55,14 +55,14 @@ impl LinReplay {
 fn pairwise_sq_dists(tape: &mut Tape, a: Var, b: Var) -> Var {
     let (m, d) = tape.value(a).shape();
     let n = tape.value(b).rows();
-    let ones_d1 = tape.leaf_filled(d, 1, 1.0);
+    let ones_d1 = tape.constant_filled(d, 1, 1.0);
     let sq_a = tape.square(a);
     let row_sq_a = tape.matmul(sq_a, ones_d1); // M x 1
     let sq_b = tape.square(b);
     let row_sq_b = tape.matmul(sq_b, ones_d1); // B x 1
-    let ones_1b = tape.leaf_filled(1, n, 1.0);
+    let ones_1b = tape.constant_filled(1, n, 1.0);
     let left = tape.matmul(row_sq_a, ones_1b); // M x B
-    let ones_m1 = tape.leaf_filled(m, 1, 1.0);
+    let ones_m1 = tape.constant_filled(m, 1, 1.0);
     let row_sq_b_t = tape.transpose(row_sq_b); // 1 x B
     let right = tape.matmul(ones_m1, row_sq_b_t); // M x B
     let bt = tape.transpose(b);
@@ -125,11 +125,10 @@ impl Method for LinReplay {
                 // Distances under the current model.
                 let zm = model.repr_var(tape, &mut ws.binder, &group.inputs, group.task);
                 let dists = pairwise_sq_dists(tape, zm, z1);
-                let target = tape.leaf(anchor);
-                let frozen_target = tape.detach(target);
-                let keep = tape.mse(dists, frozen_target);
+                let target = tape.constant_copy(&anchor);
+                let keep = tape.mse(dists, target);
                 // Normalize by the anchor scale so λ is dimensionless.
-                let scale = self.lambda / tape.value(frozen_target).map(|v| v * v).mean().max(1e-6);
+                let scale = self.lambda / anchor.map(|v| v * v).mean().max(1e-6);
                 let keep = tape.scale(keep, scale);
                 loss = tape.add(loss, keep);
             }

@@ -270,8 +270,8 @@ impl ContinualModel {
         x2: &Matrix,
         task: usize,
     ) -> (Var, Var, Var) {
-        let v1 = tape.leaf_copy(x1);
-        let v2 = tape.leaf_copy(x2);
+        let v1 = tape.constant_copy(x1);
+        let v2 = tape.constant_copy(x2);
         let (_, z1) = self.encoder.forward(tape, binder, &self.params, v1, task);
         let (_, z2) = self.encoder.forward(tape, binder, &self.params, v2, task);
         let loss = self.ssl.loss(tape, binder, &self.params, z1, z2);
@@ -295,7 +295,7 @@ impl ContinualModel {
     /// Records the current model's representation of a raw (already
     /// augmented) view — used by distillation paths.
     pub fn repr_var(&self, tape: &mut Tape, binder: &mut Binder, x: &Matrix, task: usize) -> Var {
-        let v = tape.leaf_copy(x);
+        let v = tape.constant_copy(x);
         let (_, z) = self.encoder.forward(tape, binder, &self.params, v, task);
         z
     }

@@ -53,7 +53,7 @@ impl DistillHead {
         frozen_repr: &Matrix,
     ) -> Var {
         let projected = self.project(tape, binder, params, z);
-        let target = tape.leaf_copy(frozen_repr);
+        let target = tape.constant_copy(frozen_repr);
         ssl.align(tape, projected, target)
     }
 
@@ -81,9 +81,9 @@ impl DistillHead {
             frozen_repr.rows(),
             "replay_loss: one noise scale per memory sample required"
         );
-        // Perturb the pool-backed leaf copy in place (fresh leaf, nothing
+        // Perturb the pool-backed constant in place (fresh, nothing
         // downstream has read it yet) instead of cloning `frozen_repr`.
-        let target = tape.leaf_copy(frozen_repr);
+        let target = tape.constant_copy(frozen_repr);
         let noisy = tape.value_mut(target);
         for (r, &scale) in noise_scales.iter().enumerate() {
             for v in noisy.row_mut(r) {

@@ -330,7 +330,7 @@ impl Encoder {
         x: &Matrix,
         task: usize,
     ) -> Var {
-        let input = tape.leaf_copy(x);
+        let input = tape.constant_copy(x);
         let (_, repr) = self.forward(tape, binder, params, input, task);
         repr
     }
@@ -347,7 +347,7 @@ impl Encoder {
         x: &Matrix,
         task: usize,
     ) -> Var {
-        let input = tape.leaf_copy(x);
+        let input = tape.constant_copy(x);
         let (_, repr) = self.forward_eval(tape, binder, params, input, task);
         repr
     }
@@ -372,7 +372,7 @@ impl Encoder {
     pub fn features(&self, params: &ParamSet, x: &Matrix, task: usize) -> Matrix {
         let mut tape = Tape::new();
         let mut binder = Binder::new();
-        let input = tape.leaf_copy(x);
+        let input = tape.constant_copy(x);
         let (features, _) = self.forward(&mut tape, &mut binder, params, input, task);
         tape.value(features).clone()
     }

@@ -139,16 +139,16 @@ fn barlow_loss(tape: &mut Tape, z1: Var, z2: Var, lambda: f32) -> Var {
     let s1t = tape.transpose(s1);
     let cc = tape.matmul(s1t, s2);
     let c = tape.scale(cc, 1.0 / batch as f32);
-    // (C - I)², weighted 1 on the diagonal and λ off it. Both constant
-    // leaves are pool-backed and set in place (fresh leaves, nothing has
-    // read them yet) so repeated losses allocate nothing.
-    let identity = tape.leaf_filled(d, d, 0.0);
+    // (C - I)², weighted 1 on the diagonal and λ off it. Both masks are
+    // pool-backed constants set in place (fresh, nothing has read them
+    // yet) so repeated losses allocate nothing.
+    let identity = tape.constant_filled(d, d, 0.0);
     for i in 0..d {
         tape.value_mut(identity).set(i, i, 1.0);
     }
     let diff = tape.sub(c, identity);
     let sq = tape.square(diff);
-    let w = tape.leaf_filled(d, d, lambda);
+    let w = tape.constant_filled(d, d, lambda);
     for i in 0..d {
         tape.value_mut(w).set(i, i, 1.0);
     }

@@ -37,7 +37,9 @@
 //! with `EDSR_ISA`). Every ISA's tile preserves the per-element ascending
 //! `k` order with separate multiply and add, so the bit-identity contract
 //! above holds across ISAs too, not just per ISA level. Edge tiles (partial
-//! rows/columns) stay scalar: same addition sequence, negligible time.
+//! rows/columns) run the same dispatched tile on a stack copy and store
+//! only their live elements. They carry real work: every cifar100-sim
+//! epoch ends on a 22-row batch, whose last 6 rows are an edge.
 
 use crate::simd;
 use std::cell::Cell;
@@ -174,37 +176,6 @@ fn pack_lhs(
     }
 }
 
-/// Edge tile (partial rows and/or columns): same packed panels, same
-/// per-element ascending-`k` addition sequence, scalar loop. Only live
-/// elements are loaded and stored.
-#[allow(clippy::too_many_arguments)] // flat tile coordinates, hot path
-fn edge_tile(
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    row0: usize,
-    mr_eff: usize,
-    j0: usize,
-    nr_eff: usize,
-    ldc: usize,
-    dc: usize,
-    first: bool,
-) {
-    for ii in 0..mr_eff {
-        for jj in 0..nr_eff {
-            let mut v = if first {
-                0.0
-            } else {
-                c[(row0 + ii) * ldc + j0 + jj]
-            };
-            for dd in 0..dc {
-                v += ap[dd * MR + ii] * bp[dd * NR + jj];
-            }
-            c[(row0 + ii) * ldc + j0 + jj] = v;
-        }
-    }
-}
-
 /// Computes one contiguous out-row chunk (`rows`, writing into the
 /// chunk-local slice `chunk`) of the `R x C` product with reduction length
 /// `d_total`, reading the pre-packed right operand `bp`.
@@ -220,6 +191,8 @@ fn tiled_chunk(
     r_total: usize,
 ) {
     let mut ap = [0.0f32; MR * KC];
+    // Stack tile for edge tiles (partial rows and/or columns).
+    let mut edge = [0.0f32; MR * NR];
     let c_panels = c_total.div_ceil(NR);
     let mut d0 = 0;
     while d0 < d_total {
@@ -242,23 +215,25 @@ fn tiled_chunk(
             let row0 = r0 - rows.start;
             for jp in 0..c_panels {
                 let j0 = jp * NR;
+                let nr_eff = NR.min(c_total - j0);
                 let bp_block = &bp[jp * d_total * NR + d0 * NR..][..dc * NR];
-                if mr_eff == MR && j0 + NR <= c_total {
+                if mr_eff == MR && nr_eff == NR {
                     (kern.tile8x16)(&ap[..ap_used], bp_block, chunk, row0, j0, c_total, first);
-                } else {
-                    let nr_eff = NR.min(c_total - j0);
-                    edge_tile(
-                        &ap[..ap_used],
-                        bp_block,
-                        chunk,
-                        row0,
-                        mr_eff,
-                        j0,
-                        nr_eff,
-                        c_total,
-                        dc,
-                        first,
-                    );
+                    continue;
+                }
+                // Edge tile: the same dispatched tile on the stack copy.
+                // Both panels are zero-padded, and each lane owns one
+                // element, so whatever the dead lanes hold never reaches
+                // a live one; only live partials go in and out.
+                let at = |ii: usize| (row0 + ii) * c_total + j0;
+                if !first {
+                    for ii in 0..mr_eff {
+                        edge[ii * NR..][..nr_eff].copy_from_slice(&chunk[at(ii)..][..nr_eff]);
+                    }
+                }
+                (kern.tile8x16)(&ap[..ap_used], bp_block, &mut edge, 0, 0, NR, first);
+                for ii in 0..mr_eff {
+                    chunk[at(ii)..][..nr_eff].copy_from_slice(&edge[ii * NR..][..nr_eff]);
                 }
             }
             r0 += MR;
@@ -642,9 +617,14 @@ mod proptests {
 
     /// Shapes for the per-ISA identity property: one-below / exact /
     /// one-above each tile edge (MR = 8, NR = 16) plus a multi-tile size.
-    fn isa_dim() -> impl Strategy<Value = usize> {
-        let shapes = [1usize, 7, 8, 9, 15, 16, 17, 48];
-        (0usize..shapes.len()).prop_map(move |i| shapes[i])
+    /// The reduction also runs one KC block past the first, so edge tiles
+    /// resume from a stored partial (`first = false`); and half the cases
+    /// are the 22 x 192 x 96 product every cifar100-sim epoch ends on.
+    fn isa_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+        const DIMS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 48];
+        let dim = || (0usize..DIMS.len()).prop_map(|i| DIMS[i]);
+        let kdim = (0usize..=DIMS.len()).prop_map(|i| DIMS.get(i).copied().unwrap_or(KC + 3));
+        prop_oneof![(dim(), kdim, dim()), Just((22usize, 192usize, 96usize))]
     }
 
     proptest! {
@@ -742,11 +722,13 @@ mod proptests {
         /// to the scalar micro-kernel (DESIGN.md §15): the output-stationary
         /// tile gives each lane one output element with the same ascending-k
         /// mul+add chain at every width. Shapes cover the MR=8 / NR=16 tile
-        /// edges (one-below, exact, one-above) plus a multi-tile size.
+        /// edges (one-below, exact, one-above) plus a multi-tile size, a
+        /// second KC block and the cifar100-sim epoch tail.
         #[test]
         fn every_isa_bit_identical_to_scalar_kernel(
-            n in isa_dim(), k in isa_dim(), m in isa_dim(), seed in 0u64..=u64::MAX,
+            shape in isa_shape(), seed in 0u64..=u64::MAX,
         ) {
+            let (n, k, m) = shape;
             let scalar = simd::Kernel::for_isa(simd::Isa::Scalar)
                 .expect("scalar kernel is always supported");
             let mut rng = seeded(seed);

@@ -2,9 +2,20 @@
 //!
 //! A [`Tape`] records a forward computation as a sequence of nodes; calling
 //! [`Tape::backward`] on a scalar loss walks the tape in reverse and
-//! accumulates gradients for every node. The op set is exactly what the
-//! EDSR training objectives need (SimSiam, BarlowTwins, CaSSLe-style
-//! distillation, DER logit matching, SI penalties).
+//! accumulates gradients for every node that can reach a gradient leaf.
+//! The op set is exactly what the EDSR training objectives need (SimSiam,
+//! BarlowTwins, CaSSLe-style distillation, DER logit matching, SI
+//! penalties).
+//!
+//! Leaves come in two kinds. Gradient leaves ([`Tape::leaf`],
+//! [`Tape::leaf_copy`]: parameters, gradcheck inputs) carry a `needs_grad`
+//! bit; constants ([`Tape::constant_copy`], [`Tape::constant_filled`]:
+//! input batches, frozen-teacher targets, masks) do not. Every op's node
+//! sets the bit when any operand has it, and [`Tape::backward`] skips
+//! every node and every operand side without it, so no work is spent on a
+//! gradient nobody reads. Skipping a side never reorders the
+//! accumulations that remain, so the gradients it does compute keep
+//! their bits.
 //!
 //! One tape corresponds to one training step. The tape owns a [`Scratch`]
 //! arena: every node value and every gradient matrix is served from the
@@ -31,7 +42,10 @@ impl Var {
 
 /// Recorded operation; parents are earlier tape nodes.
 enum Op {
+    /// Gradient leaf: `backward` computes its gradient.
     Leaf,
+    /// Constant leaf: no gradient is computed for it.
+    Constant,
     MatMul(Var, Var),
     Add(Var, Var),
     Sub(Var, Var),
@@ -46,9 +60,10 @@ enum Op {
     Mean(Var),
     RowNormalize(Var),
     ColStandardize(Var, f32),
-    /// Stop-gradient: the parent var is recorded for debugging/inspection
-    /// but the backward pass intentionally never reads it.
-    Detach(#[allow(dead_code)] Var),
+    /// Stop-gradient: the node takes its operand's `needs_grad` bit when
+    /// recorded, so a gradient still reaches the detached copy, but the
+    /// backward pass never passes it on to the operand.
+    Detach(Var),
     Transpose(Var),
     MseLoss(Var, Var),
     /// Pure index gather: `out.data[i] = in.data[map[i]]`. Duplicated
@@ -58,9 +73,39 @@ enum Op {
     Gather(Var, std::sync::Arc<Vec<usize>>),
 }
 
+impl Op {
+    /// The earlier nodes this op reads: none for a leaf or a constant.
+    fn operands(&self) -> [Option<Var>; 2] {
+        match *self {
+            Op::Leaf | Op::Constant => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::MulElem(a, b)
+            | Op::AddRow(a, b)
+            | Op::MseLoss(a, b) => [Some(a), Some(b)],
+            Op::Scale(a, _)
+            | Op::AddConst(a)
+            | Op::Relu(a)
+            | Op::Tanh(a)
+            | Op::Square(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::RowNormalize(a)
+            | Op::ColStandardize(a, _)
+            | Op::Detach(a)
+            | Op::Transpose(a)
+            | Op::Gather(a, _) => [Some(a), None],
+        }
+    }
+}
+
 struct Node {
     op: Op,
     value: Matrix,
+    /// A gradient leaf reaches this node: `backward` computes its
+    /// gradient (and, Detach aside, its operands' that have the bit).
+    needs_grad: bool,
 }
 
 /// Gradients produced by [`Tape::backward`].
@@ -152,29 +197,48 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
-        self.nodes.push(Node { op, value });
+        let needs_grad = match op {
+            Op::Leaf => true,
+            _ => op
+                .operands()
+                .into_iter()
+                .flatten()
+                .any(|v| self.nodes[v.0].needs_grad),
+        };
+        self.nodes.push(Node {
+            op,
+            value,
+            needs_grad,
+        });
         Var(self.nodes.len() - 1)
     }
 
-    /// Records an input (leaf) node. Gradients accumulate on leaves but do
-    /// not flow past them.
+    /// Records a gradient leaf (a parameter, or an input whose gradient is
+    /// wanted). Gradients accumulate on leaves but do not flow past them.
     pub fn leaf(&mut self, value: Matrix) -> Var {
         self.push(Op::Leaf, value)
     }
 
-    /// Records a leaf whose value is a pool-backed copy of `value` — the
-    /// allocation-free counterpart of `leaf(value.clone())`.
+    /// Records a gradient leaf whose value is a pool-backed copy of
+    /// `value` — the allocation-free counterpart of `leaf(value.clone())`.
     pub fn leaf_copy(&mut self, value: &Matrix) -> Var {
         let m = self.scratch.take_copy(value);
         self.push(Op::Leaf, m)
     }
 
-    /// Records a constant leaf filled with `v` — the allocation-free
-    /// counterpart of `leaf(Matrix::filled(rows, cols, v))`.
-    pub fn leaf_filled(&mut self, rows: usize, cols: usize, v: f32) -> Var {
+    /// Records a constant (input data, a frozen target) as a pool-backed
+    /// copy of `value`. No gradient is computed for it, nor for any node
+    /// that reads only constants.
+    pub fn constant_copy(&mut self, value: &Matrix) -> Var {
+        let m = self.scratch.take_copy(value);
+        self.push(Op::Constant, m)
+    }
+
+    /// Records a pool-backed constant filled with `v` (masks).
+    pub fn constant_filled(&mut self, rows: usize, cols: usize, v: f32) -> Var {
         let mut m = self.scratch.take_matrix(rows, cols);
         m.data_mut().fill(v);
-        self.push(Op::Leaf, m)
+        self.push(Op::Constant, m)
     }
 
     /// Value of a node.
@@ -183,9 +247,10 @@ impl Tape {
     }
 
     /// Mutable value of a node. Intended for initializing freshly recorded
-    /// *leaves* in place (e.g. perturbing a [`leaf_copy`](Self::leaf_copy)
-    /// with noise) — mutating a node after downstream ops have read it
-    /// desynchronizes forward values from the recorded graph.
+    /// leaves and constants in place (e.g. perturbing a
+    /// [`constant_copy`](Self::constant_copy) with noise) — mutating a node
+    /// after downstream ops have read it desynchronizes forward values
+    /// from the recorded graph.
     pub fn value_mut(&mut self, var: Var) -> &mut Matrix {
         &mut self.nodes[var.0].value
     }
@@ -326,23 +391,15 @@ impl Tape {
         let x = &nodes[a.0].value;
         let (rows, cols) = x.shape();
         let mut out = scratch.take_matrix(rows, cols);
-        for c in 0..cols {
-            let mut mean = 0.0;
-            for r in 0..rows {
-                mean += x.get(r, c);
-            }
-            mean /= rows as f32;
-            let mut var = 0.0;
-            for r in 0..rows {
-                let d = x.get(r, c) - mean;
-                var += d * d;
-            }
-            var /= rows as f32;
-            let s = (var + eps).sqrt();
-            for r in 0..rows {
-                out.set(r, c, (x.get(r, c) - mean) / s);
+        let (mean, std) = col_stats(x, eps, scratch);
+        for r in 0..rows {
+            let cells = out.row_mut(r).iter_mut().zip(x.row(r));
+            for ((o, &v), (&m, &s)) in cells.zip(mean.iter().zip(&std)) {
+                *o = (v - m) / s;
             }
         }
+        scratch.give(mean);
+        scratch.give(std);
         self.push(Op::ColStandardize(a, eps), out)
     }
 
@@ -457,54 +514,81 @@ impl Tape {
         grads[loss.0] = Some(seed);
 
         for idx in (0..=loss.0).rev() {
-            let Some(g) = grads[idx].take() else { continue };
-            // Re-insert so callers can read gradients of interior nodes too.
             let node = &nodes[idx];
+            // A node without the bit reads only constants (or is the seed
+            // of a loss that does): nothing upstream wants a gradient.
+            if !node.needs_grad {
+                continue;
+            }
+            let Some(g) = grads[idx].take() else { continue };
+            // Only operand sides with the bit get a gradient. A unary op's
+            // node has the bit only through its operand (Detach aside).
+            let wants = |v: &Var| nodes[v.0].needs_grad;
             match &node.op {
-                Op::Leaf => {}
+                Op::Leaf | Op::Constant => {}
                 Op::MatMul(a, b) => {
                     let (va, vb) = (&nodes[a.0].value, &nodes[b.0].value);
-                    let mut ga = scratch.take_matrix(g.rows(), vb.rows());
-                    g.matmul_transpose_into(vb, &mut ga);
-                    let mut gb = scratch.take_matrix(va.cols(), g.cols());
-                    va.transpose_matmul_into(&g, &mut gb);
-                    accumulate(&mut grads, scratch, *a, ga);
-                    accumulate(&mut grads, scratch, *b, gb);
+                    if wants(a) {
+                        let mut ga = scratch.take_matrix(g.rows(), vb.rows());
+                        g.matmul_transpose_into(vb, &mut ga);
+                        accumulate(&mut grads, scratch, *a, ga);
+                    }
+                    if wants(b) {
+                        let mut gb = scratch.take_matrix(va.cols(), g.cols());
+                        va.transpose_matmul_into(&g, &mut gb);
+                        accumulate(&mut grads, scratch, *b, gb);
+                    }
                 }
                 Op::Add(a, b) => {
-                    let ga = scratch.take_copy(&g);
-                    accumulate(&mut grads, scratch, *a, ga);
-                    let gb = scratch.take_copy(&g);
-                    accumulate(&mut grads, scratch, *b, gb);
+                    if wants(a) {
+                        let ga = scratch.take_copy(&g);
+                        accumulate(&mut grads, scratch, *a, ga);
+                    }
+                    if wants(b) {
+                        let gb = scratch.take_copy(&g);
+                        accumulate(&mut grads, scratch, *b, gb);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    let ga = scratch.take_copy(&g);
-                    accumulate(&mut grads, scratch, *a, ga);
-                    let mut gb = scratch.take_matrix(g.rows(), g.cols());
-                    g.map_into(&mut gb, |v| -v);
-                    accumulate(&mut grads, scratch, *b, gb);
+                    if wants(a) {
+                        let ga = scratch.take_copy(&g);
+                        accumulate(&mut grads, scratch, *a, ga);
+                    }
+                    if wants(b) {
+                        let mut gb = scratch.take_matrix(g.rows(), g.cols());
+                        g.map_into(&mut gb, |v| -v);
+                        accumulate(&mut grads, scratch, *b, gb);
+                    }
                 }
                 Op::MulElem(a, b) => {
                     let (va, vb) = (&nodes[a.0].value, &nodes[b.0].value);
-                    let mut ga = scratch.take_matrix(g.rows(), g.cols());
-                    g.zip_map_into(vb, &mut ga, |gv, bv| gv * bv);
-                    let mut gb = scratch.take_matrix(g.rows(), g.cols());
-                    g.zip_map_into(va, &mut gb, |gv, av| gv * av);
-                    accumulate(&mut grads, scratch, *a, ga);
-                    accumulate(&mut grads, scratch, *b, gb);
+                    if wants(a) {
+                        let mut ga = scratch.take_matrix(g.rows(), g.cols());
+                        g.zip_map_into(vb, &mut ga, |gv, bv| gv * bv);
+                        accumulate(&mut grads, scratch, *a, ga);
+                    }
+                    if wants(b) {
+                        let mut gb = scratch.take_matrix(g.rows(), g.cols());
+                        g.zip_map_into(va, &mut gb, |gv, av| gv * av);
+                        accumulate(&mut grads, scratch, *b, gb);
+                    }
                 }
                 Op::AddRow(a, bias) => {
-                    let ga = scratch.take_copy(&g);
-                    accumulate(&mut grads, scratch, *a, ga);
-                    // Column sums in ascending-row order (matches
-                    // `Matrix::col_sums`), written without allocating.
-                    let mut gbias = scratch.take_matrix(1, g.cols());
-                    for r in 0..g.rows() {
-                        for (o, &v) in gbias.row_mut(0).iter_mut().zip(g.row(r)) {
-                            *o += v;
-                        }
+                    if wants(a) {
+                        let ga = scratch.take_copy(&g);
+                        accumulate(&mut grads, scratch, *a, ga);
                     }
-                    accumulate(&mut grads, scratch, *bias, gbias);
+                    if wants(bias) {
+                        // Column sums in ascending-row order (matches
+                        // `Matrix::col_sums`), written without allocating.
+                        let mut gbias = scratch.take_matrix(1, g.cols());
+                        for r in 0..g.rows() {
+                            for (o, &v) in gbias.row_mut(0).iter_mut().zip(g.row(r)) {
+                                *o += v;
+                            }
+                        }
+                        accumulate(&mut grads, scratch, *bias, gbias);
+                    }
                 }
                 Op::Scale(a, c) => {
                     let mut ga = scratch.take_matrix(g.rows(), g.cols());
@@ -567,32 +651,29 @@ impl Tape {
                     let y = &node.value;
                     let (rows, cols) = x.shape();
                     let n = rows as f32;
+                    let (mean, std) = col_stats(x, *eps, scratch);
+                    // Column means of g and g ⊙ y, whole rows in ascending
+                    // row order like `col_stats`.
+                    let mut g_mean = scratch.take(cols);
+                    let mut gy_mean = scratch.take(cols);
+                    for r in 0..rows {
+                        crate::simd::add_assign(&mut g_mean, g.row(r));
+                        for ((o, &gv), &yv) in gy_mean.iter_mut().zip(g.row(r)).zip(y.row(r)) {
+                            *o += gv * yv;
+                        }
+                    }
+                    g_mean.iter_mut().for_each(|v| *v /= n);
+                    gy_mean.iter_mut().for_each(|v| *v /= n);
                     let mut ga = scratch.take_matrix(rows, cols);
-                    for c in 0..cols {
-                        let mut mean = 0.0;
-                        for r in 0..rows {
-                            mean += x.get(r, c);
+                    for r in 0..rows {
+                        let cells = ga.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r));
+                        let stats = g_mean.iter().zip(&gy_mean).zip(&std);
+                        for (((o, &gv), &yv), ((&gm, &gym), &s)) in cells.zip(stats) {
+                            *o = (gv - gm - yv * gym) / s;
                         }
-                        mean /= n;
-                        let mut var = 0.0;
-                        for r in 0..rows {
-                            let d = x.get(r, c) - mean;
-                            var += d * d;
-                        }
-                        var /= n;
-                        let s = (var + eps).sqrt();
-                        let mut g_mean = 0.0;
-                        let mut gy_mean = 0.0;
-                        for r in 0..rows {
-                            g_mean += g.get(r, c);
-                            gy_mean += g.get(r, c) * y.get(r, c);
-                        }
-                        g_mean /= n;
-                        gy_mean /= n;
-                        for r in 0..rows {
-                            let v = (g.get(r, c) - g_mean - y.get(r, c) * gy_mean) / s;
-                            ga.set(r, c, v);
-                        }
+                    }
+                    for buf in [mean, std, g_mean, gy_mean] {
+                        scratch.give(buf);
                     }
                     accumulate(&mut grads, scratch, *a, ga);
                 }
@@ -605,12 +686,16 @@ impl Tape {
                 Op::MseLoss(a, b) => {
                     let (va, vb) = (&nodes[a.0].value, &nodes[b.0].value);
                     let scale = 2.0 * g.get(0, 0) / va.len().max(1) as f32;
-                    let mut ga = scratch.take_matrix(va.rows(), va.cols());
-                    va.zip_map_into(vb, &mut ga, |x, y| (x - y) * scale);
-                    let mut gb = scratch.take_matrix(va.rows(), va.cols());
-                    va.zip_map_into(vb, &mut gb, |x, y| (x - y) * -scale);
-                    accumulate(&mut grads, scratch, *a, ga);
-                    accumulate(&mut grads, scratch, *b, gb);
+                    if wants(a) {
+                        let mut ga = scratch.take_matrix(va.rows(), va.cols());
+                        va.zip_map_into(vb, &mut ga, |x, y| (x - y) * scale);
+                        accumulate(&mut grads, scratch, *a, ga);
+                    }
+                    if wants(b) {
+                        let mut gb = scratch.take_matrix(va.rows(), va.cols());
+                        va.zip_map_into(vb, &mut gb, |x, y| (x - y) * -scale);
+                        accumulate(&mut grads, scratch, *b, gb);
+                    }
                 }
                 Op::Gather(a, map) => {
                     let src = &nodes[a.0].value;
@@ -622,10 +707,33 @@ impl Tape {
                     accumulate(&mut grads, scratch, *a, ga);
                 }
             }
+            // Re-insert so callers can read gradients of interior nodes too.
             grads[idx] = Some(g);
         }
         Grads { grads }
     }
+}
+
+/// Column means and `sqrt(var + eps)` of `x`, as `cols`-long pool
+/// buffers (return both with [`Scratch::give`]). Whole rows are added in
+/// ascending row order, so every column keeps the serial addition chain of
+/// a per-column loop, bit for bit, at row-major speed.
+fn col_stats(x: &Matrix, eps: f32, scratch: &mut Scratch) -> (Vec<f32>, Vec<f32>) {
+    let n = x.rows() as f32;
+    let mut mean = scratch.take(x.cols());
+    for r in 0..x.rows() {
+        crate::simd::add_assign(&mut mean, x.row(r));
+    }
+    mean.iter_mut().for_each(|m| *m /= n);
+    let mut std = scratch.take(x.cols());
+    for r in 0..x.rows() {
+        for ((s, &v), &m) in std.iter_mut().zip(x.row(r)).zip(&mean) {
+            let d = v - m;
+            *s += d * d;
+        }
+    }
+    std.iter_mut().for_each(|s| *s = (*s / n + eps).sqrt());
+    (mean, std)
 }
 
 /// Adds `g` into the slot for `var`, returning `g`'s buffer to the pool
@@ -958,6 +1066,109 @@ mod tests {
         let _ = t.gather(x, Arc::new(vec![5usize]), 1, 1);
     }
 
+    /// Records one graph twice: with `input` as a gradient leaf and as a
+    /// constant. `graph(tape, param, input)` returns the loss and the node
+    /// whose gradient the `needs_grad` rule governs. The parameter's
+    /// gradient must keep its bits, and neither the constant nor that node
+    /// may get a gradient.
+    fn check_constant_input(
+        param: &Matrix,
+        input: &Matrix,
+        graph: impl Fn(&mut Tape, Var, Var) -> (Var, Var),
+    ) {
+        let run = |constant: bool| {
+            let mut t = Tape::new();
+            let p = t.leaf_copy(param);
+            let x = if constant {
+                t.constant_copy(input)
+            } else {
+                t.leaf_copy(input)
+            };
+            let (loss, governed) = graph(&mut t, p, x);
+            let g = t.backward(loss);
+            let gp = g.get(p).expect("parameter gradient").clone();
+            (gp, g.get(x).is_some(), g.get(governed).is_some())
+        };
+        let (leaf_gp, _, leaf_governed) = run(false);
+        let (const_gp, const_x, const_governed) = run(true);
+        assert!(leaf_governed, "a gradient leaf input must reach the node");
+        assert!(!const_x, "the constant got a gradient");
+        assert!(
+            !const_governed,
+            "a node reading only constants got a gradient"
+        );
+        assert_eq!(leaf_gp.shape(), const_gp.shape());
+        for (a, b) in leaf_gp.data().iter().zip(const_gp.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient changed");
+        }
+    }
+
+    #[test]
+    fn constant_matmul_left_operand_gets_no_gradient() {
+        let mut rng = seeded(40);
+        let w = Matrix::randn(5, 3, 1.0, &mut rng);
+        let x = Matrix::randn(4, 5, 1.0, &mut rng);
+        check_constant_input(&w, &x, |t, w, x| {
+            let y = t.matmul(x, w);
+            let sq = t.square(y);
+            (t.sum(sq), x)
+        });
+    }
+
+    #[test]
+    fn constant_gather_source_is_skipped() {
+        use std::sync::Arc;
+        let mut rng = seeded(41);
+        let w = Matrix::randn(4, 2, 1.0, &mut rng);
+        let x = Matrix::randn(2, 3, 1.0, &mut rng);
+        let map = Arc::new(vec![0usize, 5, 1, 1, 4, 2, 3, 0, 2, 2, 5, 4]);
+        check_constant_input(&w, &x, |t, w, x| {
+            let cols = t.gather(x, Arc::clone(&map), 3, 4);
+            let y = t.matmul(cols, w);
+            let sq = t.square(y);
+            (t.sum(sq), cols)
+        });
+    }
+
+    #[test]
+    fn constant_mse_target_gets_no_gradient() {
+        let mut rng = seeded(42);
+        let w = Matrix::randn(3, 4, 1.0, &mut rng);
+        let target = Matrix::randn(3, 4, 1.0, &mut rng);
+        check_constant_input(&w, &target, |t, w, target| {
+            let h = t.tanh(w);
+            (t.mse(h, target), target)
+        });
+    }
+
+    #[test]
+    fn constant_masks_get_no_gradient() {
+        let mut rng = seeded(43);
+        let w = Matrix::randn(3, 3, 1.0, &mut rng);
+        let mask = Matrix::randn(3, 3, 1.0, &mut rng);
+        check_constant_input(&w, &mask, |t, w, mask| {
+            let diff = t.sub(w, mask);
+            (t.sum(diff), mask)
+        });
+        check_constant_input(&w, &mask, |t, w, mask| {
+            let sq = t.square(w);
+            let weighted = t.mul_elem(sq, mask);
+            (t.sum(weighted), mask)
+        });
+    }
+
+    #[test]
+    fn detach_of_a_constant_gets_no_gradient() {
+        let mut rng = seeded(44);
+        let w = Matrix::randn(2, 4, 1.0, &mut rng);
+        let x = Matrix::randn(2, 4, 1.0, &mut rng);
+        check_constant_input(&w, &x, |t, w, x| {
+            let frozen = t.detach(x);
+            let c = t.cosine_rows_mean(w, frozen);
+            (t.scale(c, -1.0), frozen)
+        });
+    }
+
     #[test]
     fn add_const_passes_gradient() {
         let mut t = Tape::new();
@@ -969,5 +1180,77 @@ mod tests {
         assert_eq!(t.value(y).data(), &[1.5, 1.5]);
         let g = t.backward(loss);
         assert_eq!(g.get(x).unwrap().data(), &[3.0, 3.0]);
+    }
+
+    /// `col_standardize` and its backward as per-column loops (the
+    /// pre-row-major code): the bit reference for the row-major pair.
+    /// Returns the output and the input gradient for output gradient `g`.
+    fn col_standardize_by_columns(x: &Matrix, g: &Matrix, eps: f32) -> (Matrix, Matrix) {
+        let (rows, cols) = x.shape();
+        let n = rows as f32;
+        let mut y = Matrix::zeros(rows, cols);
+        let mut ga = Matrix::zeros(rows, cols);
+        for c in 0..cols {
+            let mut mean = 0.0;
+            for r in 0..rows {
+                mean += x.get(r, c);
+            }
+            mean /= n;
+            let mut var = 0.0;
+            for r in 0..rows {
+                let d = x.get(r, c) - mean;
+                var += d * d;
+            }
+            var /= n;
+            let s = (var + eps).sqrt();
+            for r in 0..rows {
+                y.set(r, c, (x.get(r, c) - mean) / s);
+            }
+            let mut g_mean = 0.0;
+            let mut gy_mean = 0.0;
+            for r in 0..rows {
+                g_mean += g.get(r, c);
+                gy_mean += g.get(r, c) * y.get(r, c);
+            }
+            g_mean /= n;
+            gy_mean /= n;
+            for r in 0..rows {
+                let v = (g.get(r, c) - g_mean - y.get(r, c) * gy_mean) / s;
+                ga.set(r, c, v);
+            }
+        }
+        (y, ga)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The row-major `col_standardize` forward and backward keep the
+        /// per-column loops' bits: each column's sums run over rows in the
+        /// same ascending order.
+        #[test]
+        fn col_standardize_bit_identical_to_column_loops(
+            rows in 1usize..=70,
+            cols in 1usize..=40,
+            shift in -20.0f32..20.0,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let mut rng = seeded(seed);
+            let x = Matrix::randn(rows, cols, 3.0, &mut rng).map(|v| v + shift);
+            let g = Matrix::randn(rows, cols, 1.0, &mut rng);
+            let (want_y, want_ga) = col_standardize_by_columns(&x, &g, 1e-4);
+            let mut t = Tape::new();
+            let v = t.leaf_copy(&x);
+            let y = t.col_standardize(v, 1e-4);
+            // d(sum(y ⊙ g))/dy is `g` exactly (1 * g), so the input
+            // gradient is the op's backward applied to `g`.
+            let gv = t.constant_copy(&g);
+            let weighted = t.mul_elem(y, gv);
+            let loss = t.sum(weighted);
+            let grads = t.backward(loss);
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(t.value(y)), bits(&want_y));
+            proptest::prop_assert_eq!(bits(grads.get(v).expect("input gradient")), bits(&want_ga));
+        }
     }
 }

@@ -78,9 +78,8 @@ impl Method for FeatureAnchor {
             };
             let tape = &mut ws.tape;
             let z = model.repr_var(tape, &mut ws.binder, &inputs, task);
-            let target = tape.leaf(anchor);
-            let frozen = tape.detach(target);
-            let mse = tape.mse(z, frozen);
+            let target = tape.constant_copy(&anchor);
+            let mse = tape.mse(z, target);
             let weighted = tape.scale(mse, self.weight);
             loss = tape.add(loss, weighted);
         }
