@@ -615,16 +615,91 @@ mod proptests {
         threads == 1 || edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before
     }
 
-    /// Shapes for the per-ISA identity property: one-below / exact /
+    /// Sizes for the per-ISA identity property: one-below / exact /
     /// one-above each tile edge (MR = 8, NR = 16) plus a multi-tile size.
-    /// The reduction also runs one KC block past the first, so edge tiles
-    /// resume from a stored partial (`first = false`); and half the cases
-    /// are the 22 x 192 x 96 product every cifar100-sim epoch ends on.
-    fn isa_shape() -> impl Strategy<Value = (usize, usize, usize)> {
-        const DIMS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 48];
-        let dim = || (0usize..DIMS.len()).prop_map(|i| DIMS[i]);
-        let kdim = (0usize..=DIMS.len()).prop_map(|i| DIMS.get(i).copied().unwrap_or(KC + 3));
-        prop_oneof![(dim(), kdim, dim()), Just((22usize, 192usize, 96usize))]
+    const ISA_DIMS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 48];
+
+    fn isa_dim() -> impl Strategy<Value = usize> {
+        (0usize..ISA_DIMS.len()).prop_map(|i| ISA_DIMS[i])
+    }
+
+    /// Inner sizes for the per-ISA property: [`ISA_DIMS`] plus one KC
+    /// block past the first, so edge tiles resume from a stored partial
+    /// (`first = false`).
+    fn isa_kdim() -> impl Strategy<Value = usize> {
+        (0usize..=ISA_DIMS.len()).prop_map(|i| ISA_DIMS.get(i).copied().unwrap_or(KC + 3))
+    }
+
+    /// Every supported SIMD ISA level produces bit-identical products
+    /// to the scalar micro-kernel (DESIGN.md §15) for the n x k x m shape
+    /// drawn from `seed`, in all three product forms, at 1, 2 and 7
+    /// threads: the output-stationary tile gives each lane one output
+    /// element with the same ascending-k mul+add chain at every width.
+    fn every_isa_matches_scalar(n: usize, k: usize, m: usize, seed: u64) -> TestCaseResult {
+        let scalar =
+            simd::Kernel::for_isa(simd::Isa::Scalar).expect("scalar kernel is always supported");
+        let mut rng = seeded(seed);
+        let a = Matrix::randn(n, k, 1.0, &mut rng);
+        let b = Matrix::randn(k, m, 1.0, &mut rng);
+        let bt = {
+            let mut t = vec![0.0f32; k * m];
+            transpose(b.data(), &mut t, k, m);
+            t // `b` as an m x k matrix, so a·btᵀ == a·b
+        };
+        let mut want_ab = vec![0.0f32; n * m];
+        matmul_tiled_with(scalar, a.data(), b.data(), &mut want_ab, n, k, m);
+        let mut want_atb = vec![0.0f32; k * k];
+        transpose_matmul_tiled_with(scalar, a.data(), a.data(), &mut want_atb, n, k, k);
+        let mut want_abt = vec![0.0f32; n * m];
+        matmul_transpose_tiled_with(scalar, a.data(), &bt, &mut want_abt, n, k, m);
+        for isa in [simd::Isa::Avx2, simd::Isa::Avx512] {
+            let Some(kern) = simd::Kernel::for_isa(isa) else {
+                eprintln!(
+                    "SKIPPING ISA bit-identity case for {}: not supported on this host",
+                    isa.name()
+                );
+                continue;
+            };
+            for threads in [1usize, 2, 7] {
+                let mut got = vec![0.0f32; n * m];
+                edsr_par::with_threads(threads, || {
+                    matmul_tiled_with(kern, a.data(), b.data(), &mut got, n, k, m);
+                });
+                prop_assert!(
+                    bits_eq(&want_ab, &got),
+                    "matmul {n}x{k}x{m} diverged from scalar on {} at {threads} threads",
+                    isa.name(),
+                );
+                let mut got = vec![0.0f32; k * k];
+                edsr_par::with_threads(threads, || {
+                    transpose_matmul_tiled_with(kern, a.data(), a.data(), &mut got, n, k, k);
+                });
+                prop_assert!(
+                    bits_eq(&want_atb, &got),
+                    "transpose_matmul {n}x{k}x{k} diverged from scalar on {} at {threads} threads",
+                    isa.name(),
+                );
+                let mut got = vec![0.0f32; n * m];
+                edsr_par::with_threads(threads, || {
+                    matmul_transpose_tiled_with(kern, a.data(), &bt, &mut got, n, k, m);
+                });
+                prop_assert!(
+                    bits_eq(&want_abt, &got),
+                    "matmul_transpose {n}x{k}x{m} diverged from scalar on {} at {threads} threads",
+                    isa.name(),
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// The 22 x 192 x 96 product every cifar100-sim epoch ends on: its
+    /// last 6 rows are an edge tile on every ISA.
+    #[test]
+    fn every_isa_bit_identical_on_the_epoch_tail() {
+        if let Err(e) = every_isa_matches_scalar(22, 192, 96, 0x7a11) {
+            panic!("{e:?}");
+        }
     }
 
     proptest! {
@@ -718,71 +793,13 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every supported SIMD ISA level produces bit-identical products
-        /// to the scalar micro-kernel (DESIGN.md §15): the output-stationary
-        /// tile gives each lane one output element with the same ascending-k
-        /// mul+add chain at every width. Shapes cover the MR=8 / NR=16 tile
-        /// edges (one-below, exact, one-above) plus a multi-tile size, a
-        /// second KC block and the cifar100-sim epoch tail.
+        /// [`every_isa_matches_scalar`] over the tile-edge grid, with a
+        /// second KC block among the inner sizes.
         #[test]
         fn every_isa_bit_identical_to_scalar_kernel(
-            shape in isa_shape(), seed in 0u64..=u64::MAX,
+            n in isa_dim(), k in isa_kdim(), m in isa_dim(), seed in 0u64..=u64::MAX,
         ) {
-            let (n, k, m) = shape;
-            let scalar = simd::Kernel::for_isa(simd::Isa::Scalar)
-                .expect("scalar kernel is always supported");
-            let mut rng = seeded(seed);
-            let a = Matrix::randn(n, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, m, 1.0, &mut rng);
-            let bt = {
-                let mut t = vec![0.0f32; k * m];
-                transpose(b.data(), &mut t, k, m);
-                t // `b` as an m x k matrix, so a·btᵀ == a·b
-            };
-            let mut want_ab = vec![0.0f32; n * m];
-            matmul_tiled_with(scalar, a.data(), b.data(), &mut want_ab, n, k, m);
-            let mut want_atb = vec![0.0f32; k * k];
-            transpose_matmul_tiled_with(scalar, a.data(), a.data(), &mut want_atb, n, k, k);
-            let mut want_abt = vec![0.0f32; n * m];
-            matmul_transpose_tiled_with(scalar, a.data(), &bt, &mut want_abt, n, k, m);
-            for isa in [simd::Isa::Avx2, simd::Isa::Avx512] {
-                let Some(kern) = simd::Kernel::for_isa(isa) else {
-                    eprintln!(
-                        "SKIPPING ISA bit-identity case for {}: not supported on this host",
-                        isa.name()
-                    );
-                    continue;
-                };
-                for threads in [1usize, 2, 7] {
-                    let mut got = vec![0.0f32; n * m];
-                    edsr_par::with_threads(threads, || {
-                        matmul_tiled_with(kern, a.data(), b.data(), &mut got, n, k, m);
-                    });
-                    prop_assert!(
-                        bits_eq(&want_ab, &got),
-                        "matmul {}x{}x{} diverged from scalar on {} at {} threads",
-                        n, k, m, isa.name(), threads,
-                    );
-                    let mut got = vec![0.0f32; k * k];
-                    edsr_par::with_threads(threads, || {
-                        transpose_matmul_tiled_with(kern, a.data(), a.data(), &mut got, n, k, k);
-                    });
-                    prop_assert!(
-                        bits_eq(&want_atb, &got),
-                        "transpose_matmul {}x{}x{} diverged from scalar on {} at {} threads",
-                        n, k, k, isa.name(), threads,
-                    );
-                    let mut got = vec![0.0f32; n * m];
-                    edsr_par::with_threads(threads, || {
-                        matmul_transpose_tiled_with(kern, a.data(), &bt, &mut got, n, k, m);
-                    });
-                    prop_assert!(
-                        bits_eq(&want_abt, &got),
-                        "matmul_transpose {}x{}x{} diverged from scalar on {} at {} threads",
-                        n, k, m, isa.name(), threads,
-                    );
-                }
-            }
+            every_isa_matches_scalar(n, k, m, seed)?;
         }
 
         /// The int8 reductions are exact i32 accumulations, so every ISA
