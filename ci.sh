@@ -60,35 +60,35 @@ test -s BENCH_par.json
 
 echo "== perfbench self-tests + one-unit boundary and train smokes =="
 # The end-to-end benchmark (BENCHMARK.json) must keep building, pass its
-# own tests, and answer correctly: one boundary unit, checked through the
-# final JSON line, and one train unit, checked for its pinned Acc/Fgt.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
-PERF_LAST=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload boundary --seed 1 --seconds 1 --trace 0 | tail -n 1)
-python3 - "$PERF_LAST" <<'EOF'
-import json, sys
-doc = json.loads(sys.argv[1])
-assert doc["correct"] is True and doc["failed"] == 0, f"perfbench smoke failed: {doc}"
-print(f"perfbench smoke: boundary run_s {doc['metrics']['run_s']['value']:.2f} s, correct")
-EOF
-# One `train` unit at seed 1 pins the training step's bits: a change to
-# the step's arithmetic (kernels, tape, losses) moves Acc/Fgt.
-PERF_TRAIN=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload train --seed 1 --seconds 1 --trace 0)
-python3 - "$PERF_TRAIN" <<'EOF'
+# own tests, and answer correctly. One unit of a workload at seed 1 pins
+# its bits: every unit line must read the given Acc/Fgt, which move with
+# any change to the step's arithmetic (kernels, tape, losses), to
+# selection or to replay.
+perf_smoke() {
+    local workload=$1 acc=$2 fgt=$3 out
+    out=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    python3 - "$workload" "$acc" "$fgt" "$out" <<'EOF'
 import json, re, sys
-lines = sys.argv[1].splitlines()
+workload, acc, fgt, out = sys.argv[1:]
+lines = out.splitlines()
 doc = json.loads(lines[-1])
-assert doc["correct"] is True and doc["failed"] == 0, f"perfbench train smoke failed: {doc}"
+assert doc["correct"] is True and doc["failed"] == 0, f"perfbench {workload} smoke failed: {doc}"
 units = [l for l in lines if l.startswith("unit ")]
-assert units, "perfbench train smoke: no unit lines"
+assert units, f"perfbench {workload} smoke: no unit lines"
 for line in units:
     m = re.search(r"Acc ([0-9.]+)%\s+Fgt ([0-9.]+)%", line)
-    assert m and m.groups() == ("73.6667", "4.9123"), \
-        f"perfbench train smoke: seed 1 should read Acc 73.6667% / Fgt 4.9123%: {line}"
-print(f"perfbench smoke: train run_s {doc['metrics']['run_s']['value']:.2f} s, "
-      "Acc 73.6667% / Fgt 4.9123%, correct")
+    assert m and m.groups() == (acc, fgt), \
+        f"perfbench {workload} smoke: seed 1 should read Acc {acc}% / Fgt {fgt}%: {line}"
+print(f"perfbench smoke: {workload} run_s {doc['metrics']['run_s']['value']:.2f} s, "
+      f"Acc {acc}% / Fgt {fgt}%, correct")
 EOF
+}
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# `boundary` stores each increment's selection and replays 64-row steps;
+# `train` runs the paper-default step on cifar100-sim.
+perf_smoke boundary 47.8333 0.7143
+perf_smoke train 73.6667 4.9123
 
 echo "== serve smoke (snapshot -> serve -> query -> graceful drain) =="
 # Train one quick run exporting serve snapshots, serve the newest on an

@@ -37,6 +37,12 @@ pub const SERVE_SNAPSHOT_MAGIC: &[u8; 8] = b"EDSRSS01";
 /// fallback.
 const KEEP: usize = 2;
 
+/// Extension of run-state snapshot files.
+const RUN_STATE_EXT: &str = "runstate";
+
+/// Extension of serve snapshot files, v1 and v2 alike.
+const SERVE_SNAPSHOT_EXT: &str = "snapshot";
+
 /// Where to snapshot a run.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
@@ -58,8 +64,58 @@ impl CheckpointConfig {
 
     /// Path of the snapshot taken after `completed` increments.
     pub fn snapshot_path(&self, completed: usize) -> PathBuf {
+        self.task_path(completed, RUN_STATE_EXT)
+    }
+
+    /// `{dir}/{run_id}.task{completed:04}.{ext}`: every file a run writes
+    /// per increment is named this way.
+    fn task_path(&self, completed: usize, ext: &str) -> PathBuf {
         self.dir
-            .join(format!("{}.task{completed:04}.runstate", self.run_id))
+            .join(format!("{}.task{completed:04}.{ext}", self.run_id))
+    }
+
+    /// This run's `.{ext}` files, sorted by completed-increment count
+    /// (ascending). Existence only — validity is checked at load time.
+    fn task_files(&self, ext: &str) -> Vec<(usize, PathBuf)> {
+        let prefix = format!("{}.task", self.run_id);
+        let suffix = format!(".{ext}");
+        let mut found = Vec::new();
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return found;
+        };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            let Some(rest) = name.strip_prefix(&prefix) else {
+                continue;
+            };
+            let Some(digits) = rest.strip_suffix(&suffix) else {
+                continue;
+            };
+            if let Ok(completed) = digits.parse::<usize>() {
+                found.push((completed, entry.path()));
+            }
+        }
+        found.sort();
+        found
+    }
+
+    /// Creates the directory, writes the `.{ext}` file for `completed`
+    /// increments through `write`, then prunes all but the newest [`KEEP`]
+    /// of this run's `.{ext}` files. Returns the written path.
+    fn save_task_file(
+        &self,
+        completed: usize,
+        ext: &str,
+        write: impl FnOnce(&Path) -> Result<(), CheckpointError>,
+    ) -> Result<PathBuf, CheckpointError> {
+        std::fs::create_dir_all(&self.dir)?;
+        let path = self.task_path(completed, ext);
+        write(&path)?;
+        for (_, old) in self.task_files(ext).iter().rev().skip(KEEP) {
+            let _ = std::fs::remove_file(old);
+        }
+        Ok(path)
     }
 }
 
@@ -187,13 +243,9 @@ pub fn save_run_state(
     cfg: &CheckpointConfig,
     state: &RunState,
 ) -> Result<PathBuf, CheckpointError> {
-    std::fs::create_dir_all(&cfg.dir)?;
-    let path = cfg.snapshot_path(state.completed_tasks);
-    write_envelope(&path, RUN_STATE_MAGIC, &encode_run_state(state))?;
-    for (_, old) in list_snapshots(cfg).iter().rev().skip(KEEP) {
-        let _ = std::fs::remove_file(old);
-    }
-    Ok(path)
+    cfg.save_task_file(state.completed_tasks, RUN_STATE_EXT, |path| {
+        write_envelope(path, RUN_STATE_MAGIC, &encode_run_state(state))
+    })
 }
 
 /// Loads and validates one snapshot file.
@@ -204,26 +256,7 @@ pub fn load_run_state(path: impl AsRef<Path>) -> Result<RunState, CheckpointErro
 /// All snapshot files of this run, sorted by completed-increment count
 /// (ascending). Existence only — validity is checked at load time.
 pub fn list_snapshots(cfg: &CheckpointConfig) -> Vec<(usize, PathBuf)> {
-    let prefix = format!("{}.task", cfg.run_id);
-    let mut found = Vec::new();
-    let Ok(entries) = std::fs::read_dir(&cfg.dir) else {
-        return found;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some(digits) = rest.strip_suffix(".runstate") else {
-            continue;
-        };
-        if let Ok(completed) = digits.parse::<usize>() {
-            found.push((completed, entry.path()));
-        }
-    }
-    found.sort();
-    found
+    cfg.task_files(RUN_STATE_EXT)
 }
 
 /// Finds the newest snapshot that loads cleanly, skipping truncated or
@@ -525,8 +558,7 @@ pub fn memory_representations(memory: &MemoryBuffer, repr_dim: usize) -> (Matrix
 /// Path of the serve snapshot taken after `completed` increments, under
 /// the same dir/run-id convention as run-state checkpoints.
 pub fn serve_snapshot_path(cfg: &CheckpointConfig, completed: usize) -> PathBuf {
-    cfg.dir
-        .join(format!("{}.task{completed:04}.snapshot", cfg.run_id))
+    cfg.task_path(completed, SERVE_SNAPSHOT_EXT)
 }
 
 /// Writes the serve snapshot for `snapshot.completed_tasks` increments
@@ -535,38 +567,15 @@ pub fn save_serve_snapshot(
     cfg: &CheckpointConfig,
     snapshot: &ServeSnapshot,
 ) -> Result<PathBuf, CheckpointError> {
-    std::fs::create_dir_all(&cfg.dir)?;
-    let path = serve_snapshot_path(cfg, snapshot.completed_tasks);
-    snapshot.save(&path)?;
-    for (_, old) in list_serve_snapshots(cfg).iter().rev().skip(KEEP) {
-        let _ = std::fs::remove_file(old);
-    }
-    Ok(path)
+    cfg.save_task_file(snapshot.completed_tasks, SERVE_SNAPSHOT_EXT, |path| {
+        snapshot.save(path)
+    })
 }
 
 /// All serve-snapshot files of this run, sorted by completed-increment
 /// count (ascending). Existence only — validity is checked at load time.
 pub fn list_serve_snapshots(cfg: &CheckpointConfig) -> Vec<(usize, PathBuf)> {
-    let prefix = format!("{}.task", cfg.run_id);
-    let mut found = Vec::new();
-    let Ok(entries) = std::fs::read_dir(&cfg.dir) else {
-        return found;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some(digits) = rest.strip_suffix(".snapshot") else {
-            continue;
-        };
-        if let Ok(completed) = digits.parse::<usize>() {
-            found.push((completed, entry.path()));
-        }
-    }
-    found.sort();
-    found
+    cfg.task_files(SERVE_SNAPSHOT_EXT)
 }
 
 /// Quantizes a v1 serve snapshot into the EDSRSS02 format: restores the
@@ -637,13 +646,9 @@ pub fn save_quant_serve_snapshot(
     cfg: &CheckpointConfig,
     snapshot: &QuantSnapshot,
 ) -> Result<PathBuf, CheckpointError> {
-    std::fs::create_dir_all(&cfg.dir)?;
-    let path = serve_snapshot_path(cfg, snapshot.completed_tasks);
-    snapshot.save(&path)?;
-    for (_, old) in list_serve_snapshots(cfg).iter().rev().skip(KEEP) {
-        let _ = std::fs::remove_file(old);
-    }
-    Ok(path)
+    cfg.save_task_file(snapshot.completed_tasks, SERVE_SNAPSHOT_EXT, |path| {
+        snapshot.save(path)
+    })
 }
 
 /// A serve snapshot in either on-disk format.
@@ -686,6 +691,21 @@ pub fn load_any_serve_snapshot(
         }
         Err(e) => Err(e),
     }
+}
+
+/// Every `.snapshot` file in `dir` (any run id, either format),
+/// path-sorted ascending: the exporter's `{run_id}.taskNNNN.snapshot`
+/// names sort a run's newest last. Existence only — validity is checked
+/// at load time. Both the startup scan ([`latest_valid_serve_snapshot`])
+/// and the server's rotation watcher walk the directory through this.
+pub fn serve_snapshot_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.extension().is_some_and(|e| e == SERVE_SNAPSHOT_EXT))
+        .collect();
+    files.sort();
+    Ok(files)
 }
 
 /// A snapshot candidate (or the scan directory itself) that could not be
@@ -731,8 +751,8 @@ impl std::error::Error for UnreadableSnapshot {
 pub fn latest_valid_serve_snapshot(
     dir: impl AsRef<Path>,
 ) -> Result<Option<(PathBuf, AnyServeSnapshot)>, UnreadableSnapshot> {
-    let entries = match std::fs::read_dir(dir.as_ref()) {
-        Ok(entries) => entries,
+    let candidates = match serve_snapshot_files(dir.as_ref()) {
+        Ok(candidates) => candidates,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
             return Err(UnreadableSnapshot {
@@ -741,12 +761,6 @@ pub fn latest_valid_serve_snapshot(
             })
         }
     };
-    let mut candidates: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "snapshot"))
-        .collect();
-    candidates.sort();
     for path in candidates.into_iter().rev() {
         match load_any_serve_snapshot(&path) {
             Ok(snapshot) => return Ok(Some((path, snapshot))),

@@ -2,11 +2,16 @@
 //!
 //! Stores raw inputs (the replayable medium), their source increment (so
 //! heterogeneous-input streams pick the right adapter), the per-sample
-//! replay-noise magnitude `r(x^m)` (EDSR, §III-B), and optionally the
-//! frozen backbone features recorded at storage time (DER's medium).
+//! replay-noise magnitude `r(x^m)` (EDSR, §III-B), and optionally features
+//! recorded at storage time (DER's backbone features, EDSR's
+//! representations).
+//!
+//! Every replay method draws its rows through one sampler,
+//! [`MemoryBuffer::draw`]: uniform or weighted, as one merged batch or as
+//! one batch per source increment.
 
 use edsr_nn::CheckpointError;
-use edsr_tensor::rng::sample_indices;
+use edsr_tensor::rng::{sample_indices, weighted_index};
 use edsr_tensor::Matrix;
 use edsr_wire::{put_f32, put_f32s, put_u32, put_u64, Reader};
 use rand::rngs::StdRng;
@@ -20,21 +25,22 @@ pub struct MemoryItem {
     pub task: usize,
     /// Noise magnitude `r(x^m)`; 0 disables the noise term.
     pub noise_scale: f32,
-    /// Backbone features at storage time (DER only).
+    /// Features recorded at storage time: DER's backbone features, or
+    /// the representation EDSR selected the sample on.
     pub stored_features: Option<Vec<f32>>,
 }
 
-/// A batch of memory samples drawn from one source task (uniform input
-/// dimensionality, one adapter).
+/// A batch of drawn memory samples: one source task's, or a merged draw's
+/// (uniform input dimensionality, one adapter).
 #[derive(Debug)]
 pub struct MemoryBatch {
-    /// Source increment.
+    /// Source increment (a merged batch's first row's).
     pub task: usize,
     /// Inputs, one row per drawn item.
     pub inputs: Matrix,
     /// `r(x^m)` per row.
     pub noise_scales: Vec<f32>,
-    /// Stored DER features per row (empty matrix if absent).
+    /// Stored features per row; `None` unless every drawn item has some.
     pub stored_features: Option<Matrix>,
 }
 
@@ -70,123 +76,59 @@ impl MemoryBuffer {
         self.items.extend(items);
     }
 
-    /// Draws up to `k` items uniformly (without replacement) and groups
-    /// them by source task so each group shares an adapter. Returns an
-    /// empty vec when the buffer is empty.
-    pub fn sample_grouped(&self, k: usize, rng: &mut StdRng) -> Vec<MemoryBatch> {
-        if self.items.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let k = k.min(self.items.len());
-        let chosen = sample_indices(rng, self.items.len(), k);
-        self.group(&chosen)
-    }
-
-    /// Draws up to `k` items with probability proportional to `weights`
-    /// (with replacement), grouped by task. Used by the similarity-
-    /// weighted replay extension (§IV-F's "potential way").
+    /// Draws `k` replay rows. With no `weights` the draw is uniform
+    /// without replacement and clamps `k` to the population; with weights
+    /// (one per item) it makes `k` draws with replacement, each item with
+    /// probability proportional to its weight (§IV-F's similarity-weighted
+    /// replay). A `merged` draw returns ONE batch, labelled with the first
+    /// drawn item's source task; that suits a shared encoder adapter,
+    /// which ignores the label, and batch-statistic losses (BarlowTwins),
+    /// which degenerate on per-task groups as small as one row. Otherwise
+    /// the rows come back grouped by source task, in ascending task order,
+    /// so each group shares an adapter. Returns no batch when the buffer
+    /// is empty or `k` is 0.
     ///
     /// # Panics
-    /// Panics if `weights.len() != self.len()`.
-    pub fn sample_weighted_grouped(
+    /// Panics if `weights` does not hold one weight per item, or if a
+    /// merged draw meets items of differing input dimensionality.
+    pub fn draw(
         &self,
         k: usize,
-        weights: &[f32],
+        weights: Option<&[f32]>,
+        merged: bool,
         rng: &mut StdRng,
     ) -> Vec<MemoryBatch> {
-        assert_eq!(
-            weights.len(),
-            self.items.len(),
-            "sample_weighted: weight count mismatch"
-        );
+        if let Some(weights) = weights {
+            assert_eq!(
+                weights.len(),
+                self.items.len(),
+                "draw: weight count mismatch"
+            );
+        }
         if self.items.is_empty() || k == 0 {
             return Vec::new();
         }
-        let chosen: Vec<usize> = (0..k)
-            .map(|_| edsr_tensor::rng::weighted_index(rng, weights))
-            .collect();
-        self.group(&chosen)
-    }
-
-    /// Draws up to `k` items uniformly (without replacement) as ONE merged
-    /// batch — valid when all items share the encoder adapter (uniform
-    /// input dimensionality, e.g. every image benchmark). Batch-statistic
-    /// losses (BarlowTwins) need this: per-task groups can be as small as
-    /// one row, where batch standardization degenerates.
-    ///
-    /// The batch's `task` is the first drawn item's source task (with a
-    /// shared adapter the value is ignored by the encoder).
-    ///
-    /// # Panics
-    /// Panics if stored items have differing input dimensionality.
-    pub fn sample_merged(&self, k: usize, rng: &mut StdRng) -> Option<MemoryBatch> {
-        if self.items.is_empty() || k == 0 {
-            return None;
+        let chosen = match weights {
+            None => sample_indices(rng, self.items.len(), k.min(self.items.len())),
+            Some(weights) => (0..k).map(|_| weighted_index(rng, weights)).collect(),
+        };
+        if merged {
+            return vec![self.batch(self.items[chosen[0]].task, &chosen)];
         }
-        let k = k.min(self.items.len());
-        let chosen = sample_indices(rng, self.items.len(), k);
-        let dim = self.items[chosen[0]].input.len();
-        let mut inputs = Matrix::zeros(k, dim);
-        let mut noise_scales = Vec::with_capacity(k);
-        for (row, &i) in chosen.iter().enumerate() {
-            assert_eq!(
-                self.items[i].input.len(),
-                dim,
-                "sample_merged: heterogeneous input dims; use sample_grouped"
-            );
-            inputs.row_mut(row).copy_from_slice(&self.items[i].input);
-            noise_scales.push(self.items[i].noise_scale);
-        }
-        Some(MemoryBatch {
-            task: self.items[chosen[0]].task,
-            inputs,
-            noise_scales,
-            stored_features: None,
-        })
-    }
-
-    /// Weighted-with-replacement variant of
-    /// [`sample_merged`](Self::sample_merged) (uniform input
-    /// dimensionality required). Used by similarity-weighted replay on
-    /// shared-adapter encoders.
-    ///
-    /// # Panics
-    /// Panics on weight-count mismatch or heterogeneous input dims.
-    pub fn sample_weighted_merged(
-        &self,
-        k: usize,
-        weights: &[f32],
-        rng: &mut StdRng,
-    ) -> Option<MemoryBatch> {
-        assert_eq!(
-            weights.len(),
-            self.items.len(),
-            "sample_weighted_merged: weight count mismatch"
-        );
-        if self.items.is_empty() || k == 0 {
-            return None;
-        }
-        let chosen: Vec<usize> = (0..k)
-            .map(|_| edsr_tensor::rng::weighted_index(rng, weights))
-            .collect();
-        let dim = self.items[chosen[0]].input.len();
-        let mut inputs = Matrix::zeros(chosen.len(), dim);
-        let mut noise_scales = Vec::with_capacity(chosen.len());
-        for (row, &i) in chosen.iter().enumerate() {
-            assert_eq!(
-                self.items[i].input.len(),
-                dim,
-                "sample_weighted_merged: heterogeneous input dims; use sample_weighted_grouped"
-            );
-            inputs.row_mut(row).copy_from_slice(&self.items[i].input);
-            noise_scales.push(self.items[i].noise_scale);
-        }
-        Some(MemoryBatch {
-            task: self.items[chosen[0]].task,
-            inputs,
-            noise_scales,
-            stored_features: None,
-        })
+        let mut tasks: Vec<usize> = chosen.iter().map(|&i| self.items[i].task).collect();
+        tasks.sort_unstable();
+        tasks.dedup();
+        tasks
+            .into_iter()
+            .map(|task| {
+                let members: Vec<usize> = chosen
+                    .iter()
+                    .copied()
+                    .filter(|&i| self.items[i].task == task)
+                    .collect();
+                self.batch(task, &members)
+            })
+            .collect()
     }
 
     /// Serializes the buffer for a run-state snapshot (see
@@ -246,50 +188,39 @@ impl MemoryBuffer {
         Ok(Self { items })
     }
 
-    /// Groups item indices by task into dense batches.
-    fn group(&self, indices: &[usize]) -> Vec<MemoryBatch> {
-        let mut tasks: Vec<usize> = indices.iter().map(|&i| self.items[i].task).collect();
-        tasks.sort_unstable();
-        tasks.dedup();
-        tasks
-            .into_iter()
-            .map(|task| {
-                let members: Vec<usize> = indices
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.items[i].task == task)
-                    .collect();
-                let dim = self.items[members[0]].input.len();
-                let mut inputs = Matrix::zeros(members.len(), dim);
-                let mut noise_scales = Vec::with_capacity(members.len());
-                let mut feats: Vec<&Vec<f32>> = Vec::new();
-                let mut all_have_features = true;
-                for (row, &i) in members.iter().enumerate() {
-                    inputs.row_mut(row).copy_from_slice(&self.items[i].input);
-                    noise_scales.push(self.items[i].noise_scale);
-                    match &self.items[i].stored_features {
-                        Some(f) => feats.push(f),
-                        None => all_have_features = false,
-                    }
-                }
-                let stored_features = if all_have_features && !feats.is_empty() {
-                    let fd = feats[0].len();
-                    let mut m = Matrix::zeros(feats.len(), fd);
-                    for (row, f) in feats.iter().enumerate() {
-                        m.row_mut(row).copy_from_slice(f);
-                    }
-                    Some(m)
-                } else {
-                    None
-                };
-                MemoryBatch {
-                    task,
-                    inputs,
-                    noise_scales,
-                    stored_features,
-                }
-            })
-            .collect()
+    /// Gathers the items at `indices` into one dense batch labelled
+    /// `task`, with their stored features when every item has some.
+    fn batch(&self, task: usize, indices: &[usize]) -> MemoryBatch {
+        let dim = self.items[indices[0]].input.len();
+        let mut inputs = Matrix::zeros(indices.len(), dim);
+        let mut noise_scales = Vec::with_capacity(indices.len());
+        for (row, &i) in indices.iter().enumerate() {
+            let item = &self.items[i];
+            assert_eq!(
+                item.input.len(),
+                dim,
+                "draw: heterogeneous input dims in one batch; draw them grouped"
+            );
+            inputs.row_mut(row).copy_from_slice(&item.input);
+            noise_scales.push(item.noise_scale);
+        }
+        let feats: Option<Vec<&Vec<f32>>> = indices
+            .iter()
+            .map(|&i| self.items[i].stored_features.as_ref())
+            .collect();
+        let stored_features = feats.map(|feats| {
+            let mut m = Matrix::zeros(feats.len(), feats[0].len());
+            for (row, f) in feats.iter().enumerate() {
+                m.row_mut(row).copy_from_slice(f);
+            }
+            m
+        });
+        MemoryBatch {
+            task,
+            inputs,
+            noise_scales,
+            stored_features,
+        }
     }
 }
 
@@ -316,11 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_grouped_groups_by_task() {
+    fn draw_grouped_groups_by_task() {
         let mut m = MemoryBuffer::new();
         m.extend([item(0, 1.0), item(1, 2.0), item(0, 3.0), item(1, 4.0)]);
         let mut rng = seeded(310);
-        let groups = m.sample_grouped(4, &mut rng);
+        let groups = m.draw(4, None, false, &mut rng);
         assert_eq!(groups.len(), 2);
         let total: usize = groups.iter().map(|g| g.inputs.rows()).sum();
         assert_eq!(total, 4);
@@ -339,20 +270,20 @@ mod tests {
     }
 
     #[test]
-    fn sample_clamps_to_population() {
+    fn draw_clamps_to_population() {
         let mut m = MemoryBuffer::new();
         m.extend([item(0, 1.0)]);
         let mut rng = seeded(311);
-        let groups = m.sample_grouped(10, &mut rng);
+        let groups = m.draw(10, None, false, &mut rng);
         assert_eq!(groups[0].inputs.rows(), 1);
     }
 
     #[test]
-    fn empty_buffer_samples_nothing() {
+    fn empty_buffer_draws_nothing() {
         let m = MemoryBuffer::new();
         let mut rng = seeded(312);
-        assert!(m.sample_grouped(5, &mut rng).is_empty());
-        assert!(m.sample_grouped(0, &mut rng).is_empty());
+        assert!(m.draw(5, None, false, &mut rng).is_empty());
+        assert!(m.draw(0, None, false, &mut rng).is_empty());
     }
 
     #[test]
@@ -360,7 +291,7 @@ mod tests {
         let mut m = MemoryBuffer::new();
         m.extend([item(0, 2.0), item(0, 4.0)]);
         let mut rng = seeded(313);
-        let groups = m.sample_grouped(2, &mut rng);
+        let groups = m.draw(2, None, false, &mut rng);
         let g = &groups[0];
         for r in 0..g.inputs.rows() {
             let v = g.inputs.get(r, 0);
@@ -386,7 +317,7 @@ mod tests {
             },
         ]);
         let mut rng = seeded(314);
-        let groups = m.sample_grouped(2, &mut rng);
+        let groups = m.draw(2, None, false, &mut rng);
         let f = groups[0]
             .stored_features
             .as_ref()
@@ -412,18 +343,20 @@ mod tests {
             },
         ]);
         let mut rng = seeded(315);
-        let groups = m.sample_grouped(2, &mut rng);
+        let groups = m.draw(2, None, false, &mut rng);
         assert_eq!(groups.len(), 2);
         let dims: Vec<usize> = groups.iter().map(|g| g.inputs.cols()).collect();
         assert!(dims.contains(&4) && dims.contains(&7));
     }
 
     #[test]
-    fn sample_merged_single_batch_uniform_dims() {
+    fn merged_draw_is_one_batch_with_uniform_dims() {
         let mut m = MemoryBuffer::new();
         m.extend([item(0, 1.0), item(1, 2.0), item(2, 3.0)]);
         let mut rng = seeded(317);
-        let batch = m.sample_merged(3, &mut rng).expect("non-empty");
+        let batches = m.draw(3, None, true, &mut rng);
+        assert_eq!(batches.len(), 1, "a merged draw is one batch");
+        let batch = &batches[0];
         assert_eq!(batch.inputs.rows(), 3);
         assert_eq!(batch.noise_scales.len(), 3);
         // Noise scales still aligned with their rows.
@@ -434,18 +367,18 @@ mod tests {
     }
 
     #[test]
-    fn sample_merged_empty_and_zero() {
+    fn merged_draw_of_empty_or_zero_is_empty() {
         let m = MemoryBuffer::new();
         let mut rng = seeded(318);
-        assert!(m.sample_merged(4, &mut rng).is_none());
+        assert!(m.draw(4, None, true, &mut rng).is_empty());
         let mut m2 = MemoryBuffer::new();
         m2.extend([item(0, 1.0)]);
-        assert!(m2.sample_merged(0, &mut rng).is_none());
+        assert!(m2.draw(0, None, true, &mut rng).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "heterogeneous input dims")]
-    fn sample_merged_rejects_mixed_dims() {
+    fn merged_draw_rejects_mixed_dims() {
         let mut m = MemoryBuffer::new();
         m.extend([
             MemoryItem {
@@ -463,17 +396,17 @@ mod tests {
         ]);
         let mut rng = seeded(319);
         // Draw everything so both dims are guaranteed to collide.
-        let _ = m.sample_merged(2, &mut rng);
+        let _ = m.draw(2, None, true, &mut rng);
     }
 
     #[test]
-    fn weighted_merged_is_one_batch_respecting_weights() {
+    fn weighted_merged_draw_is_one_batch_respecting_weights() {
         let mut m = MemoryBuffer::new();
         m.extend([item(0, 1.0), item(1, 2.0)]);
         let mut rng = seeded(320);
-        let batch = m
-            .sample_weighted_merged(40, &[0.0, 1.0], &mut rng)
-            .expect("batch");
+        let batches = m.draw(40, Some(&[0.0, 1.0]), true, &mut rng);
+        assert_eq!(batches.len(), 1, "a merged draw is one batch");
+        let batch = &batches[0];
         assert_eq!(batch.inputs.rows(), 40);
         for r in 0..40 {
             assert_eq!(batch.inputs.get(r, 0), 2.0, "zero-weight item drawn");
@@ -517,11 +450,11 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sampling_respects_weights() {
+    fn weighted_grouped_draw_respects_weights() {
         let mut m = MemoryBuffer::new();
         m.extend([item(0, 1.0), item(0, 2.0)]);
         let mut rng = seeded(316);
-        let groups = m.sample_weighted_grouped(50, &[0.0, 1.0], &mut rng);
+        let groups = m.draw(50, Some(&[0.0, 1.0]), false, &mut rng);
         let g = &groups[0];
         for r in 0..g.inputs.rows() {
             assert_eq!(g.inputs.get(r, 0), 2.0, "zero-weight item was drawn");

@@ -63,8 +63,7 @@ impl Method for Cassle {
         ws.reset();
         let (z1, z2, mut loss) =
             model.css_on_views(&mut ws.tape, &mut ws.binder, &x1, &x2, task_idx);
-        let obs_on = edsr_obs::enabled();
-        if obs_on {
+        if edsr_obs::enabled() {
             edsr_obs::gauge_at(
                 "loss/css",
                 task_idx as u64,
@@ -73,35 +72,7 @@ impl Method for Cassle {
         }
 
         if let Some(frozen) = &self.frozen {
-            // Frozen targets live on the aux tape; the main tape borrows
-            // their values without cloning them out.
-            let t1 = frozen.represent_on(&mut ws.aux_tape, &mut ws.aux_binder, &x1, task_idx);
-            let t2 = frozen.represent_on(&mut ws.aux_tape, &mut ws.aux_binder, &x2, task_idx);
-            let d1 = model.distill.distill_loss(
-                &mut ws.tape,
-                &mut ws.binder,
-                &model.params,
-                &model.ssl,
-                z1,
-                ws.aux_tape.value(t1),
-            );
-            let d2 = model.distill.distill_loss(
-                &mut ws.tape,
-                &mut ws.binder,
-                &model.params,
-                &model.ssl,
-                z2,
-                ws.aux_tape.value(t2),
-            );
-            let d = ws.tape.add(d1, d2);
-            let d = ws.tape.scale(d, 0.5);
-            if obs_on {
-                edsr_obs::gauge_at(
-                    "loss/dis",
-                    task_idx as u64,
-                    f64::from(ws.tape.value(d).get(0, 0)),
-                );
-            }
+            let d = frozen.distill_views(model, ws, [&x1, &x2], [z1, z2], task_idx);
             loss = ws.tape.add(loss, d);
         }
         apply_step(model, opt, &mut ws.tape, &ws.binder, loss)

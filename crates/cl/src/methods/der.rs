@@ -64,7 +64,7 @@ impl Method for Der {
         let binder = &mut ws.binder;
         let (_, _, mut loss) = model.css_on_batch(tape, binder, aug, batch, task_idx, rng);
 
-        for group in self.memory.sample_grouped(self.replay_batch, rng) {
+        for group in self.memory.draw(self.replay_batch, None, false, rng) {
             // end_task always stores features; a group without them (e.g.
             // a hand-built buffer) is skipped rather than panicking
             // mid-step.

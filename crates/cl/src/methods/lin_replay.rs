@@ -105,8 +105,8 @@ impl Method for LinReplay {
         let (z1, _, mut loss) =
             model.css_on_views(&mut ws.tape, &mut ws.binder, &x1, &x2, task_idx);
 
-        if let (Some(frozen), false) = (&self.frozen, self.memory.is_empty()) {
-            if let Some(group) = self.memory.sample_merged(self.replay_batch, rng) {
+        if let Some(frozen) = &self.frozen {
+            for group in self.memory.draw(self.replay_batch, None, true, rng) {
                 // Distances under the frozen model are the anchor; the
                 // frozen forwards live on the auxiliary tape so their
                 // buffers recycle with the workspace.

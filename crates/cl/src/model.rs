@@ -4,7 +4,7 @@
 use crate::error::TrainError;
 use edsr_data::Augmenter;
 use edsr_nn::ConvShape;
-use edsr_nn::{Binder, ParamSet};
+use edsr_nn::{Binder, ParamSet, Workspace};
 use edsr_ssl::{DistillHead, Encoder, EncoderConfig, SslHead, SslVariant, StemConfig};
 use edsr_tensor::{Matrix, Tape, Var};
 use rand::rngs::StdRng;
@@ -148,6 +148,47 @@ impl FrozenModel {
     ) -> Var {
         self.encoder
             .represent_on(tape, binder, &self.params, x, task)
+    }
+
+    /// Records the teacher term `½(L_dis(x₁) + L_dis(x₂))` of CaSSLe and
+    /// EDSR (Eq. 9 on both views): the live model's projections `z` of the
+    /// two views `x` are aligned, through `p_dis`, with this frozen model's
+    /// representations of the same views. The frozen forwards are recorded
+    /// on the workspace's auxiliary tape, so their targets stay
+    /// pool-backed and the main tape borrows them by value ref. Emits the
+    /// term as the `loss/dis` gauge when observability is on.
+    pub fn distill_views(
+        &self,
+        model: &ContinualModel,
+        ws: &mut Workspace,
+        [x1, x2]: [&Matrix; 2],
+        [z1, z2]: [Var; 2],
+        task: usize,
+    ) -> Var {
+        let t1 = self.represent_on(&mut ws.aux_tape, &mut ws.aux_binder, x1, task);
+        let t2 = self.represent_on(&mut ws.aux_tape, &mut ws.aux_binder, x2, task);
+        let mut term = |z, t| {
+            model.distill.distill_loss(
+                &mut ws.tape,
+                &mut ws.binder,
+                &model.params,
+                &model.ssl,
+                z,
+                ws.aux_tape.value(t),
+            )
+        };
+        let d1 = term(z1, t1);
+        let d2 = term(z2, t2);
+        let d = ws.tape.add(d1, d2);
+        let d = ws.tape.scale(d, 0.5);
+        if edsr_obs::enabled() {
+            edsr_obs::gauge_at(
+                "loss/dis",
+                task as u64,
+                f64::from(ws.tape.value(d).get(0, 0)),
+            );
+        }
+        d
     }
 
     /// Representations under the old parameters.

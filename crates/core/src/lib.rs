@@ -3,12 +3,14 @@
 //! The paper's contribution: **E**ffective **D**ata **S**election and
 //! **R**eplay for unsupervised continual learning (ICDE 2024).
 //!
-//! - [`select`]: entropy-based data selection (Eq. 12–15) and the Table-V
-//!   baseline selectors.
+//! - [`select`]: entropy-based data selection (Eq. 12–15), the Table-V
+//!   baseline selectors and the storage rules of the CompEmb and R2R
+//!   replay baselines.
 //! - [`noise`]: the kNN-std replay-noise magnitude `r(x^m)` (§III-B).
 //! - [`method`]: the [`Edsr`] continual-learning method (Fig. 2) with all
 //!   ablation switches (replay loss, selection strategy, neighbour count,
-//!   similarity-weighted replay).
+//!   similarity-weighted replay); CompEmb and R2R are two of its
+//!   configurations.
 //! - [`config`]: one [`EnvConfig`] reader for every env-var/CLI knob
 //!   (`EDSR_THREADS`, `EDSR_OBS`, `--checkpoint`, …; CLI > env > default).
 //! - [`registry`]: [`method_by_name`], every method with its paper-default
@@ -18,7 +20,6 @@
 //! This crate also re-exports the substrate crates as a facade, so
 //! `edsr_core::prelude::*` is enough to run experiments.
 
-pub mod baselines;
 pub mod config;
 pub mod error;
 pub mod method;
@@ -26,7 +27,6 @@ pub mod noise;
 pub mod registry;
 pub mod select;
 
-pub use baselines::{CompEmb, R2r};
 pub use config::EnvConfig;
 pub use error::Error;
 pub use method::{Edsr, EdsrConfig, ReplayLoss, ReplaySampling};
@@ -37,8 +37,7 @@ pub use select::{table5_strategies, trace_cov, SelectionContext, SelectionStrate
 /// One-stop imports for examples and experiment binaries.
 pub mod prelude {
     pub use crate::{
-        CompEmb, Edsr, EdsrConfig, EnvConfig, Error, R2r, ReplayLoss, ReplaySampling,
-        SelectionStrategy,
+        Edsr, EdsrConfig, EnvConfig, Error, ReplayLoss, ReplaySampling, SelectionStrategy,
     };
     pub use edsr_cl::{
         image_augmenters, run_multitask, tabular_augmenters, Cassle, CheckpointConfig,

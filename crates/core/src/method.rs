@@ -10,9 +10,14 @@
 //! The configuration also exposes every ablation the paper evaluates:
 //! replay-loss choice (Table IV), selection strategy (Table V), noise
 //! neighbourhood size (Fig. 6), and the §IV-F similarity-weighted replay
-//! extension.
+//! extension. Two related-work baselines are configurations too: CompEmb
+//! ([`SelectionStrategy::FarthestPoint`]) and R2R
+//! ([`SelectionStrategy::MaxVar`]) store by their own rule and replay
+//! through `L_css` alone (`ReplayLoss::Css`, no distillation on new data,
+//! no replay noise), and [`Method::name`] reports them by their published
+//! names.
 
-use edsr_cl::memory::{MemoryBuffer, MemoryItem};
+use edsr_cl::memory::{MemoryBatch, MemoryBuffer, MemoryItem};
 use edsr_cl::model::{ContinualModel, FrozenModel};
 use edsr_cl::trainer::{apply_step, Method};
 use edsr_data::{Augmenter, Dataset};
@@ -80,7 +85,7 @@ pub struct EdsrConfig {
     /// objective includes it; disable to isolate replay).
     pub distill_new: bool,
     /// Views of the train split drawn per sample when estimating Min-Var's
-    /// augmentation variance.
+    /// and Max-Var's augmentation variance.
     pub min_var_views: usize,
 }
 
@@ -160,47 +165,42 @@ impl Edsr {
         batch: &Matrix,
         task_idx: usize,
         rng: &mut StdRng,
-    ) -> Vec<edsr_cl::memory::MemoryBatch> {
-        match self.cfg.replay_sampling {
-            // With a shared adapter, draw one merged batch: batch-statistic
-            // losses (BarlowTwins) degenerate on tiny per-task groups.
-            ReplaySampling::Uniform if model.encoder.num_adapters() == 1 => self
-                .memory
-                .sample_merged(self.cfg.replay_batch, rng)
-                .into_iter()
-                .collect(),
-            ReplaySampling::Uniform => self.memory.sample_grouped(self.cfg.replay_batch, rng),
+    ) -> Vec<MemoryBatch> {
+        let weights: Option<Vec<f32>> = match self.cfg.replay_sampling {
+            ReplaySampling::Uniform => None,
             ReplaySampling::SimilarityWeighted => {
-                let batch_reps = model.represent(batch, task_idx);
-                let mean_rep = batch_reps.col_means();
-                let weights: Vec<f32> = self
-                    .memory
-                    .items()
-                    .iter()
-                    .map(|item| match &item.stored_features {
-                        Some(rep) => 1.0 + cosine_similarity(rep, mean_rep.row(0)),
-                        None => 1.0,
-                    })
-                    .collect();
-                if model.encoder.num_adapters() == 1 {
-                    // Shared adapter: one merged batch (batch-statistic
-                    // losses degenerate on tiny per-task groups).
+                let mean_rep = model.represent(batch, task_idx).col_means();
+                Some(
                     self.memory
-                        .sample_weighted_merged(self.cfg.replay_batch, &weights, rng)
-                        .into_iter()
-                        .collect()
-                } else {
-                    self.memory
-                        .sample_weighted_grouped(self.cfg.replay_batch, &weights, rng)
-                }
+                        .items()
+                        .iter()
+                        .map(|item| match &item.stored_features {
+                            Some(rep) => 1.0 + cosine_similarity(rep, mean_rep.row(0)),
+                            None => 1.0,
+                        })
+                        .collect(),
+                )
             }
-        }
+        };
+        // One shared adapter: one merged batch, since batch-statistic
+        // losses (BarlowTwins) degenerate on tiny per-task groups.
+        let merged = model.encoder.num_adapters() == 1;
+        self.memory
+            .draw(self.cfg.replay_batch, weights.as_deref(), merged, rng)
     }
 }
 
 impl Method for Edsr {
     fn name(&self) -> String {
-        match (self.cfg.selection, self.cfg.replay_loss) {
+        let c = &self.cfg;
+        // CompEmb and R2R: a published storage rule replayed through L_css
+        // alone, with no teacher term and no replay noise.
+        let css_only = !c.distill_new
+            && c.noise_neighbors == 0
+            && c.replay_sampling == ReplaySampling::Uniform;
+        match (c.selection, c.replay_loss) {
+            (SelectionStrategy::FarthestPoint, ReplayLoss::Css) if css_only => "CompEmb".into(),
+            (SelectionStrategy::MaxVar, ReplayLoss::Css) if css_only => "R2R".into(),
             (SelectionStrategy::HighEntropy, ReplayLoss::Rpl) => "EDSR".into(),
             (sel, rpl) => format!("EDSR[{},{}]", sel.name(), rpl.name()),
         }
@@ -246,37 +246,9 @@ impl Method for Edsr {
         }
 
         if let Some(frozen) = &self.frozen {
-            // ½(L_dis(x_1) + L_dis(x_2)) on the new increment. Frozen
-            // forwards are recorded on the auxiliary tape so their targets
-            // stay pool-backed; the main tape borrows them by value ref.
+            // ½(L_dis(x_1) + L_dis(x_2)) on the new increment.
             if self.cfg.distill_new {
-                let t1 = frozen.represent_on(&mut ws.aux_tape, &mut ws.aux_binder, &x1, task_idx);
-                let t2 = frozen.represent_on(&mut ws.aux_tape, &mut ws.aux_binder, &x2, task_idx);
-                let d1 = model.distill.distill_loss(
-                    &mut ws.tape,
-                    &mut ws.binder,
-                    &model.params,
-                    &model.ssl,
-                    z1,
-                    ws.aux_tape.value(t1),
-                );
-                let d2 = model.distill.distill_loss(
-                    &mut ws.tape,
-                    &mut ws.binder,
-                    &model.params,
-                    &model.ssl,
-                    z2,
-                    ws.aux_tape.value(t2),
-                );
-                let d = ws.tape.add(d1, d2);
-                let d = ws.tape.scale(d, 0.5);
-                if obs_on {
-                    edsr_obs::gauge_at(
-                        "loss/dis",
-                        task_idx as u64,
-                        f64::from(ws.tape.value(d).get(0, 0)),
-                    );
-                }
+                let d = frozen.distill_views(model, ws, [&x1, &x2], [z1, z2], task_idx);
                 loss = ws.tape.add(loss, d);
             }
 
@@ -357,8 +329,12 @@ impl Method for Edsr {
         // Selecting stage: un-augmented representations from f̂.
         let reps = model.represent(&train.inputs, task_idx);
 
-        // Min-Var needs the augmented-view representation spread.
-        let aug_std: Option<Vec<f32>> = if self.cfg.selection == SelectionStrategy::MinVar {
+        // Min-Var and Max-Var rank by the augmented-view representation
+        // spread.
+        let aug_std: Option<Vec<f32>> = if matches!(
+            self.cfg.selection,
+            SelectionStrategy::MinVar | SelectionStrategy::MaxVar
+        ) {
             let views = self.cfg.min_var_views.max(2);
             Some(
                 (0..train.len())
@@ -530,6 +506,11 @@ mod tests {
         cfg.selection = SelectionStrategy::Random;
         cfg.replay_loss = ReplayLoss::Dis;
         assert_eq!(Edsr::new(cfg).name(), "EDSR[Random,L_dis]");
+        // The published baseline names belong to their exact
+        // configurations only: with replay noise it is an ablation.
+        let mut cfg = css_baseline(SelectionStrategy::MaxVar, 4, 4).cfg;
+        cfg.noise_neighbors = 5;
+        assert_eq!(Edsr::new(cfg).name(), "EDSR[Max-Var,L_css]");
     }
 
     #[test]
@@ -566,6 +547,106 @@ mod tests {
             &mut rng,
         );
         assert!(l.is_finite());
+    }
+
+    /// The registry's CompEmb (`FarthestPoint`) or R2R (`MaxVar`)
+    /// configuration with its own budget and replay batch.
+    fn css_baseline(selection: SelectionStrategy, budget: usize, replay_batch: usize) -> Edsr {
+        let edsr = Edsr::new(EdsrConfig {
+            selection,
+            replay_loss: ReplayLoss::Css,
+            distill_new: false,
+            ..EdsrConfig::paper_default(budget, replay_batch, 0)
+        });
+        assert!(["CompEmb", "R2R"].contains(&edsr.name().as_str()));
+        edsr
+    }
+
+    #[test]
+    fn compemb_stores_budget_and_replays() {
+        let (mut model, mut opt, aug, train) = setup(910);
+        let mut rng = seeded(911);
+        let mut ws = Workspace::new();
+        let mut m = css_baseline(SelectionStrategy::FarthestPoint, 6, 4);
+        let batch = train.inputs.select_rows(&(0..8).collect::<Vec<_>>());
+        let l0 = m.train_step(
+            &mut model,
+            &mut opt,
+            std::slice::from_ref(&aug),
+            &batch,
+            0,
+            &mut ws,
+            &mut rng,
+        );
+        assert!(l0.is_finite());
+        m.end_task(&mut model, 0, &train, &aug, &mut rng);
+        assert_eq!(m.memory_len(), 6);
+        assert!(m
+            .memory()
+            .items()
+            .iter()
+            .all(|i| i.stored_features.is_some()));
+        m.begin_task(&mut model, 1, &train, &mut rng);
+        let l1 = m.train_step(
+            &mut model,
+            &mut opt,
+            std::slice::from_ref(&aug),
+            &batch,
+            1,
+            &mut ws,
+            &mut rng,
+        );
+        assert!(l1.is_finite());
+    }
+
+    #[test]
+    fn r2r_stores_most_uncertain_samples() {
+        let (mut model, mut opt, aug, train) = setup(920);
+        let mut rng = seeded(921);
+        let mut m = css_baseline(SelectionStrategy::MaxVar, 6, 4);
+        m.cfg.min_var_views = 3;
+        m.end_task(&mut model, 0, &train, &aug, &mut rng);
+        assert_eq!(m.memory_len(), 6);
+        m.begin_task(&mut model, 1, &train, &mut rng);
+        let mut ws = Workspace::new();
+        let batch = train.inputs.select_rows(&(0..8).collect::<Vec<_>>());
+        let l = m.train_step(
+            &mut model,
+            &mut opt,
+            std::slice::from_ref(&aug),
+            &batch,
+            1,
+            &mut ws,
+            &mut rng,
+        );
+        assert!(l.is_finite());
+    }
+
+    #[test]
+    fn state_round_trips_through_bytes() {
+        let (mut model, _opt, aug, train) = setup(930);
+        let mut rng = seeded(931);
+        for selection in [SelectionStrategy::FarthestPoint, SelectionStrategy::MaxVar] {
+            let mut method = css_baseline(selection, 4, 4);
+            method.cfg.min_var_views = 2;
+            method.end_task(&mut model, 0, &train, &aug, &mut rng);
+            let bytes = method.save_state().expect("state bytes");
+            let mut fresh = css_baseline(selection, 4, 4);
+            fresh.load_state(&bytes).expect("restore");
+            assert_eq!(fresh.save_state().expect("bytes"), bytes);
+        }
+    }
+
+    #[test]
+    fn replay_representations_expose_memory() {
+        let (mut model, _opt, aug, train) = setup(940);
+        let mut rng = seeded(941);
+        let mut m = css_baseline(SelectionStrategy::FarthestPoint, 5, 4);
+        assert!(m.replay_representations().is_none());
+        m.end_task(&mut model, 0, &train, &aug, &mut rng);
+        let (reps, tasks) = m.replay_representations().expect("cached reps");
+        assert_eq!(reps.rows(), 5);
+        assert_eq!(tasks.len(), 5);
     }
 
     #[test]

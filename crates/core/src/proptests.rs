@@ -25,6 +25,8 @@ fn all_strategies() -> Vec<SelectionStrategy> {
         SelectionStrategy::MinVar,
         SelectionStrategy::HighEntropy,
         SelectionStrategy::TraceGreedy,
+        SelectionStrategy::FarthestPoint,
+        SelectionStrategy::MaxVar,
     ]
 }
 

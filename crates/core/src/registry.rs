@@ -1,9 +1,14 @@
 //! One registry of the continual-learning methods by name, so the
 //! paper-default hyperparameters are written once: SI λ = 0.1, DER α = 0.5,
-//! R2R with 4 augmentation views, EDSR per [`Edsr::paper_default`]. The CLI,
-//! every experiment table (Table VII through [`tabular_method_by_name`],
-//! which adds the tabular stream's 1% memory and noise neighbour count),
-//! the scenario sweep and the examples all build their methods here.
+//! EDSR per [`Edsr::paper_default`]. The CLI, every experiment table
+//! (Table VII through [`tabular_method_by_name`], which adds the tabular
+//! stream's 1% memory and noise neighbour count), the scenario sweep and
+//! the examples all build their methods here.
+//!
+//! The two related-work replay baselines are EDSR configurations built
+//! here: CompEmb and R2R keep EDSR's memory and step, store by their own
+//! [`SelectionStrategy`] (farthest-point traversal; the largest spread
+//! over EDSR's 4 augmented views) and replay through `L_css` alone.
 //!
 //! The seed convention of every run the CLI and the experiment sweeps make
 //! is written here once too, in [`seeded_run`].
@@ -13,7 +18,7 @@ use edsr_data::TaskSequence;
 use edsr_tensor::rng::seeded;
 use rand::rngs::StdRng;
 
-use crate::{CompEmb, Edsr, R2r};
+use crate::{Edsr, EdsrConfig, ReplayLoss, SelectionStrategy};
 
 /// Builds the named method with its paper defaults. Names are the CLI's
 /// lowercase spellings (`cassle`, `edsr`, …); a caller holding a display
@@ -27,6 +32,16 @@ pub fn method_by_name(
     replay_batch: usize,
     noise_k: usize,
 ) -> Option<Box<dyn Method>> {
+    // CompEmb and R2R: their storage rule, replayed through L_css alone
+    // (no teacher term on new data, no replay noise).
+    let css_baseline = |selection| {
+        Box::new(Edsr::new(EdsrConfig {
+            selection,
+            replay_loss: ReplayLoss::Css,
+            distill_new: false,
+            ..EdsrConfig::paper_default(budget, replay_batch, 0)
+        }))
+    };
     Some(match name {
         "finetune" => Box::new(Finetune::new()),
         "si" => Box::new(Si::new(0.1)),
@@ -34,8 +49,8 @@ pub fn method_by_name(
         "lump" => Box::new(Lump::new(budget)),
         "cassle" => Box::new(Cassle::new()),
         "edsr" => Box::new(Edsr::paper_default(budget, replay_batch, noise_k)),
-        "compemb" => Box::new(CompEmb::new(budget, replay_batch)),
-        "r2r" => Box::new(R2r::new(budget, replay_batch, 4)),
+        "compemb" => css_baseline(SelectionStrategy::FarthestPoint),
+        "r2r" => css_baseline(SelectionStrategy::MaxVar),
         _ => return None,
     })
 }

@@ -6,7 +6,12 @@
 //! of Eq. 15 are implemented ([`SelectionStrategy::HighEntropy`] — the PCA
 //! practice — and [`SelectionStrategy::TraceGreedy`] — the literal trace
 //! maximizer), alongside the Table-V baselines (Random, Distant, K-means,
-//! Min-Var).
+//! Min-Var) and the storage rules of two related-work replay baselines
+//! (PAPERS.md): [`SelectionStrategy::FarthestPoint`] (Yanowsky &
+//! Weinshall's complementary embeddings) and [`SelectionStrategy::MaxVar`]
+//! (R2R, Mandalika et al.). Those two are whole methods once paired with
+//! `L_css` replay: `edsr_core::method_by_name("compemb" | "r2r")` builds
+//! them as [`crate::Edsr`] configurations.
 
 // Multi-array parallel indexing is clearer with explicit loops here.
 #![allow(clippy::needless_range_loop)]
@@ -24,7 +29,8 @@ pub struct SelectionContext<'a> {
     /// Representations `X̂ⁿ` (`n x d`).
     pub reps: &'a Matrix,
     /// Per-sample std across augmented-view representations (Min-Var's
-    /// criterion \[61\]); `None` falls back to distance-to-center.
+    /// criterion \[61\], and Max-Var's); `None` falls back to the distance
+    /// to a center.
     pub aug_view_std: Option<&'a [f32]>,
     /// Cluster-count hint for Min-Var ("the same amount of clusters as
     /// the number of classes" — the benchmark's classes-per-task).
@@ -56,6 +62,14 @@ pub enum SelectionStrategy {
     HighEntropy,
     /// Literal Eq. 15: top squared-representation-norm samples.
     TraceGreedy,
+    /// Complementary embeddings (Yanowsky & Weinshall): greedy
+    /// farthest-point traversal, so a small memory covers the increment's
+    /// representation support instead of its modes.
+    FarthestPoint,
+    /// R2R (Mandalika et al.): the samples whose representations spread
+    /// most across augmented views, i.e. the ones the encoder is least
+    /// certain about and most likely to forget (Min-Var's opposite end).
+    MaxVar,
 }
 
 impl SelectionStrategy {
@@ -68,6 +82,8 @@ impl SelectionStrategy {
             SelectionStrategy::MinVar => "Min-Var",
             SelectionStrategy::HighEntropy => "High Entropy",
             SelectionStrategy::TraceGreedy => "Trace Greedy",
+            SelectionStrategy::FarthestPoint => "Farthest-Point",
+            SelectionStrategy::MaxVar => "Max-Var",
         }
     }
 
@@ -97,6 +113,8 @@ impl SelectionStrategy {
             SelectionStrategy::MinVar => select_min_var(ctx, budget, rng),
             SelectionStrategy::HighEntropy => select_high_entropy(ctx.reps, budget, rng),
             SelectionStrategy::TraceGreedy => select_trace_greedy(ctx.reps, budget),
+            SelectionStrategy::FarthestPoint => select_farthest_point(ctx.reps, budget),
+            SelectionStrategy::MaxVar => select_max_var(ctx, budget),
         }
     }
 }
@@ -276,6 +294,76 @@ fn select_trace_greedy(reps: &Matrix, budget: usize) -> Vec<usize> {
     order
 }
 
+/// Squared Euclidean distance between two representation rows, summed
+/// left to right. The farthest-point traversal keeps this sequential sum
+/// rather than `stats::sq_euclidean`'s 8-lane fold: the two round
+/// differently, and a different rounding can break a distance tie the
+/// other way.
+fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Greedy farthest-point traversal: seed with the sample farthest from
+/// the representation mean, then repeatedly add the sample maximizing
+/// its distance to the closest already-selected one. Deterministic given
+/// the representations (ties break on the lower index); returned in
+/// ascending index order. `budget` must be in `1..=n`.
+fn select_farthest_point(reps: &Matrix, budget: usize) -> Vec<usize> {
+    let n = reps.rows();
+    let mean = reps.col_means();
+    let seed = (0..n)
+        .max_by(|&a, &b| {
+            sq_dist(reps.row(a), mean.row(0))
+                .total_cmp(&sq_dist(reps.row(b), mean.row(0)))
+                .then(b.cmp(&a))
+        })
+        .expect("non-empty population");
+    let mut selected = vec![seed];
+    // min_dist[i] = distance from i to its nearest selected sample.
+    let mut min_dist: Vec<f32> = (0..n)
+        .map(|i| sq_dist(reps.row(i), reps.row(seed)))
+        .collect();
+    while selected.len() < budget {
+        let next = (0..n)
+            .filter(|i| !selected.contains(i))
+            .max_by(|&a, &b| min_dist[a].total_cmp(&min_dist[b]).then(b.cmp(&a)))
+            .expect("budget <= n");
+        for (i, md) in min_dist.iter_mut().enumerate() {
+            let d = sq_dist(reps.row(i), reps.row(next));
+            if d < *md {
+                *md = d;
+            }
+        }
+        selected.push(next);
+    }
+    selected.sort_unstable();
+    selected
+}
+
+/// Max-Var (R2R): the `budget` samples with the largest augmented-view
+/// spread, ties to the lower index; returned in ascending index order.
+/// Without view spreads, the distance to the representation mean ranks
+/// the samples instead.
+fn select_max_var(ctx: &SelectionContext<'_>, budget: usize) -> Vec<usize> {
+    let n = ctx.reps.rows();
+    let from_mean: Vec<f32>;
+    let spread = match ctx.aug_view_std {
+        Some(stds) => stds,
+        None => {
+            let mean = ctx.reps.col_means();
+            from_mean = (0..n)
+                .map(|i| sq_dist(ctx.reps.row(i), mean.row(0)))
+                .collect();
+            &from_mean
+        }
+    };
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| spread[b].total_cmp(&spread[a]).then(a.cmp(&b)));
+    order.truncate(budget);
+    order.sort_unstable();
+    order
+}
+
 /// All strategies in the order Table V reports them.
 pub fn table5_strategies() -> Vec<SelectionStrategy> {
     vec![
@@ -325,6 +413,8 @@ mod tests {
             SelectionStrategy::MinVar,
             SelectionStrategy::HighEntropy,
             SelectionStrategy::TraceGreedy,
+            SelectionStrategy::FarthestPoint,
+            SelectionStrategy::MaxVar,
         ] {
             let sel = strat.select(&ctx(&reps), 10, &mut rng);
             assert_eq!(sel.len(), 10, "{} wrong count", strat.name());
@@ -450,6 +540,8 @@ mod tests {
             SelectionStrategy::MinVar,
             SelectionStrategy::HighEntropy,
             SelectionStrategy::TraceGreedy,
+            SelectionStrategy::FarthestPoint,
+            SelectionStrategy::MaxVar,
         ] {
             let mut rng = seeded(413);
             let sel = strat.select(&c, 5, &mut rng);
@@ -473,6 +565,65 @@ mod tests {
             SelectionStrategy::HighEntropy.select(&c, 3, &mut rng),
             vec![0]
         );
+    }
+
+    /// Farthest-point selection of `budget` rows of `reps`.
+    fn farthest_point_selection(reps: &Matrix, budget: usize) -> Vec<usize> {
+        SelectionStrategy::FarthestPoint.select(&ctx(reps), budget, &mut seeded(0))
+    }
+
+    #[test]
+    fn farthest_point_is_spread_and_deterministic() {
+        let mut rng = seeded(900);
+        let reps = Matrix::randn(20, 8, 1.0, &mut rng);
+        let a = farthest_point_selection(&reps, 6);
+        let b = farthest_point_selection(&reps, 6);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 6);
+        let mut dedup = a.clone();
+        dedup.dedup();
+        assert_eq!(dedup.len(), 6, "selected indices repeat: {a:?}");
+        // The greedy traversal must beat a contiguous prefix on minimum
+        // pairwise spread — that is the whole point of the rule.
+        let min_pair = |sel: &[usize]| {
+            let mut m = f32::INFINITY;
+            for (k, &i) in sel.iter().enumerate() {
+                for &j in &sel[k + 1..] {
+                    m = m.min(sq_dist(reps.row(i), reps.row(j)));
+                }
+            }
+            m
+        };
+        let prefix: Vec<usize> = (0..6).collect();
+        assert!(
+            min_pair(&a) >= min_pair(&prefix),
+            "farthest-point spread {} < prefix spread {}",
+            min_pair(&a),
+            min_pair(&prefix)
+        );
+    }
+
+    #[test]
+    fn farthest_point_handles_degenerate_budgets() {
+        let mut rng = seeded(901);
+        let reps = Matrix::randn(4, 3, 1.0, &mut rng);
+        assert!(farthest_point_selection(&reps, 0).is_empty());
+        assert_eq!(farthest_point_selection(&reps, 10).len(), 4);
+    }
+
+    #[test]
+    fn max_var_stores_the_most_view_sensitive_samples() {
+        let reps = aniso(12, 415);
+        let stds: Vec<f32> = (0..12)
+            .map(|i| if i % 3 == 0 { 5.0 } else { 0.1 })
+            .collect();
+        let c = SelectionContext {
+            reps: &reps,
+            aug_view_std: Some(&stds),
+            cluster_hint: 1,
+        };
+        let sel = SelectionStrategy::MaxVar.select(&c, 4, &mut seeded(416));
+        assert_eq!(sel, vec![0, 3, 6, 9]);
     }
 
     #[test]

@@ -51,12 +51,12 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use edsr_cl::checkpoint::{load_any_serve_snapshot, AnyServeSnapshot};
+use edsr_cl::checkpoint::{load_any_serve_snapshot, serve_snapshot_files, AnyServeSnapshot};
 use edsr_tensor::Matrix;
 
 use crate::engine::{EmbedReport, Engine};
@@ -673,29 +673,14 @@ fn fail_slot(slot: &Slot, code: u16, msg: &str) {
 // ---------------------------------------------------------------------------
 // Live snapshot rotation.
 
-/// `.snapshot` files in `dir`, path-sorted ascending (the exporter's
-/// naming embeds the completed-task count, so newest sorts last — the
-/// same convention as `latest_valid_serve_snapshot`).
-fn scan_snapshots(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("snapshot") {
-                out.push(path);
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// One rotation attempt: newest candidate first, skipping corrupt files
-/// (CRC/decode failures), stopping at the live snapshot. The fresh
-/// engine is fully built before the engine lock is taken, so the swap
-/// itself is one pointer-sized store between micro-batch flushes.
+/// One rotation attempt: newest candidate first, skipping every file
+/// that fails to load (CRC/decode failures, and unlike the startup scan
+/// unreadable ones too), stopping at the live snapshot. An unreadable
+/// directory is a poll with nothing new. The fresh engine is fully built
+/// before the engine lock is taken, so the swap itself is one
+/// pointer-sized store between micro-batch flushes.
 fn try_rotate(shared: &BatchShared, cfg: &RotateConfig, current: &mut Option<PathBuf>) {
-    let paths = scan_snapshots(&cfg.dir);
+    let paths = serve_snapshot_files(&cfg.dir).unwrap_or_default();
     for path in paths.iter().rev() {
         if let Some(cur) = current.as_ref() {
             if path <= cur {

@@ -66,7 +66,7 @@ impl Method for FeatureAnchor {
             model.css_on_batch(&mut ws.tape, &mut ws.binder, aug, batch, task_idx, rng);
 
         // Anchor stored samples to their storage-time representations.
-        for group in self.memory.sample_grouped(self.replay_batch, rng) {
+        for group in self.memory.draw(self.replay_batch, None, false, rng) {
             let MemoryBatch {
                 task,
                 inputs,
