@@ -55,8 +55,13 @@ echo "== bench bin smoke (BENCH_par.json + thread and ISA dispatch gates) =="
 # It also exits non-zero if the auto-dispatched tiled kernel runs >5%
 # slower than the scalar tiled kernel while a SIMD ISA is active and
 # three fresh samplings confirm it (DESIGN.md §15).
-EDSR_BENCH_QUICK=1 cargo run -q --release -p edsr-bench --bin bench
-test -s BENCH_par.json
+# The quick benchmarks run from a temp directory, so the checked-in
+# full-mode BENCH_par.json and BENCH_scenarios.json stay as they are; the
+# gates below read the quick files written there.
+BENCH_DIR=$(mktemp -d)
+RELEASE="$PWD/target/release"
+(cd "$BENCH_DIR" && EDSR_BENCH_QUICK=1 "$RELEASE/bench")
+test -s "$BENCH_DIR/BENCH_par.json"
 
 echo "== perfbench self-tests + one-unit boundary and train smokes =="
 # The end-to-end benchmark (BENCHMARK.json) must keep building, pass its
@@ -255,11 +260,11 @@ echo "== scenarios bench smoke (BENCH_scenarios.json) =="
 # Quick sweep over the full scenario zoo x method grid. The bin itself
 # asserts stream/RAM identity and the two-shard residency budget per
 # scenario; the JSON check pins the table shape the README documents.
-EDSR_BENCH_QUICK=1 cargo run -q --release -p edsr-bench --bin scenarios
-test -s BENCH_scenarios.json
-python3 - <<'EOF'
-import json
-doc = json.load(open("BENCH_scenarios.json"))
+(cd "$BENCH_DIR" && EDSR_BENCH_QUICK=1 "$RELEASE/scenarios")
+test -s "$BENCH_DIR/BENCH_scenarios.json"
+python3 - "$BENCH_DIR/BENCH_scenarios.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
 scenarios = doc["scenarios"]
 assert len(scenarios) >= 4, f"only {len(scenarios)} scenarios"
 for s in scenarios:
@@ -289,6 +294,15 @@ for SCN in blurry long-tail; do
     echo "scenario gate: $SCN streamed == in-RAM"
 done
 rm -rf ci_scn_shards ci_scn_ram.ckpt ci_scn_stream.ckpt
+
+echo "== registry smoke (edsr tabular lin) =="
+# Lin et al. is an EDSR configuration in the method registry. Its distance
+# replay draws one memory group per source increment, so it must finish
+# the five-adapter tabular stream.
+LIN_OUT=$("$EDSR" tabular lin --epochs 1)
+grep -q "^Lin on tabular-sim: Acc" <<< "$LIN_OUT" \
+    || { echo "registry smoke: no Lin result line"; echo "$LIN_OUT"; exit 1; }
+echo "registry smoke: $LIN_OUT"
 
 echo "== observability smoke (EDSR_OBS=jsonl) =="
 # A short EDSR training run streaming metrics: the file must be non-empty,
@@ -371,13 +385,13 @@ echo "== bench regression gate (vs BENCH_baseline.json) =="
 # Quick-mode matmul / conv_forward 1-thread medians must stay within 2x of
 # the checked-in baseline. Catches large kernel regressions (a dropped
 # fast path, an accidental debug build of the hot loop) while tolerating
-# host-to-host noise. Regenerate the baseline with:
-#   EDSR_BENCH_QUICK=1 cargo run --release -p edsr-bench --bin bench \
-#     && cp BENCH_par.json BENCH_baseline.json
-# Within BENCH_par.json, the 22-row epoch-tail product (train_matmul_tail)
-# must not take longer than the full 64-row batch (train_matmul) at one
-# thread: a slower tail means edge tiles fell off the dispatched kernel.
-python3 - <<'EOF'
+# host-to-host noise. Regenerate the baseline by copying a quick run's
+# BENCH_par.json (as written in $BENCH_DIR above) to BENCH_baseline.json.
+# Within the quick BENCH_par.json, the 22-row epoch-tail product
+# (train_matmul_tail) must not take longer than the full 64-row batch
+# (train_matmul) at one thread: a slower tail means edge tiles fell off
+# the dispatched kernel.
+python3 - "$BENCH_DIR/BENCH_par.json" <<'EOF'
 import json, sys
 
 def one_thread_ns(path):
@@ -386,7 +400,7 @@ def one_thread_ns(path):
     return {r["op"]: r["ns_per_iter"] for r in doc["records"] if r["threads"] == 1}
 
 baseline = one_thread_ns("BENCH_baseline.json")
-current = one_thread_ns("BENCH_par.json")
+current = one_thread_ns(sys.argv[1])
 failed = False
 for op in ("conv_forward", "matmul"):
     base = baseline[op]
@@ -407,6 +421,7 @@ print(f"bench gate: train_matmul_tail {tail:>8.0f} ns vs train_matmul {full:>8.0
 failed |= tail > full
 sys.exit(1 if failed else 0)
 EOF
+rm -rf "$BENCH_DIR"
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -9,8 +9,8 @@
 //!    distance preservation) — the related-work memory-based UCL approach
 //!    whose Min-Var selector appears in Table V.
 
-use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
-use edsr_cl::{LinReplay, Method, TrainConfig};
+use edsr_bench::{paper_method, run_method_over_seeds, start, Report, IMAGE_SEEDS};
+use edsr_cl::{Method, TrainConfig};
 use edsr_core::{Edsr, EdsrConfig, ReplaySampling, SelectionStrategy};
 use edsr_data::cifar100_sim;
 
@@ -56,9 +56,8 @@ fn main() {
     // The full Lin et al. method (its Min-Var storage rule appears in
     // Table V; the distance-preservation replay is exercised here).
     {
-        let sweep = run_method_over_seeds(&preset, &cfg, &seeds, || {
-            Box::new(LinReplay::new(budget, cfg.replay_batch, 1.0)) as Box<dyn Method>
-        });
+        let sweep =
+            run_method_over_seeds(&preset, &cfg, &seeds, || paper_method("Lin", &preset, &cfg));
         sweep.report_failures(&mut report, "Lin et al. [61]");
         let agg = sweep.aggregate();
         report.line(format!(

@@ -6,8 +6,8 @@
 //! useful knowledge; remote ones mislead); a suitable-k run also shows a
 //! smaller std than `L_dis`. CaSSLe's flat line is printed for reference.
 
-use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
-use edsr_cl::{Cassle, Method, TrainConfig};
+use edsr_bench::{paper_method, run_method_over_seeds, start, Report, IMAGE_SEEDS};
+use edsr_cl::{Method, TrainConfig};
 use edsr_core::{Edsr, EdsrConfig};
 use edsr_data::{cifar100_sim, cifar10_sim, tiny_imagenet_sim};
 
@@ -22,7 +22,7 @@ fn main() {
         report.line(format!("\n== {} ==", preset.name));
 
         let sweep = run_method_over_seeds(&preset, &cfg, &seeds, || {
-            Box::new(Cassle::new()) as Box<dyn Method>
+            paper_method("CaSSLe", &preset, &cfg)
         });
         sweep.report_failures(&mut report, "CaSSLe");
         let cassle = sweep.aggregate();

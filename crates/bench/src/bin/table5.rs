@@ -5,8 +5,8 @@
 //! the best / most consistent selector; `L_rpl` generally improves Acc and
 //! Fgt over `L_dis` across selectors.
 
-use edsr_bench::{run_method_over_seeds, start, Report, IMAGE_SEEDS};
-use edsr_cl::{Cassle, Method, TrainConfig};
+use edsr_bench::{paper_method, run_method_over_seeds, start, Report, IMAGE_SEEDS};
+use edsr_cl::{Method, TrainConfig};
 use edsr_core::{table5_strategies, Edsr, EdsrConfig, ReplayLoss};
 use edsr_data::{cifar100_sim, cifar10_sim, tiny_imagenet_sim, Preset};
 
@@ -26,7 +26,7 @@ fn main() {
 
         // No-replay reference (CaSSLe).
         let sweep = run_method_over_seeds(preset, &cfg, &seeds, || {
-            Box::new(Cassle::new()) as Box<dyn Method>
+            paper_method("CaSSLe", preset, &cfg)
         });
         sweep.report_failures(&mut report, "No Replay (CaSSLe)");
         let agg = sweep.aggregate();

@@ -62,11 +62,6 @@ impl CheckpointConfig {
         }
     }
 
-    /// Path of the snapshot taken after `completed` increments.
-    pub fn snapshot_path(&self, completed: usize) -> PathBuf {
-        self.task_path(completed, RUN_STATE_EXT)
-    }
-
     /// `{dir}/{run_id}.task{completed:04}.{ext}`: every file a run writes
     /// per increment is named this way.
     fn task_path(&self, completed: usize, ext: &str) -> PathBuf {
@@ -412,21 +407,6 @@ impl ServeSnapshot {
             memory_reprs: reprs,
             memory_tasks: tasks,
         })
-    }
-
-    /// [`capture`](Self::capture) taking the representations straight
-    /// from an episodic [`MemoryBuffer`]: every item whose
-    /// `stored_features` match the model's `repr_dim` contributes one
-    /// row. Items without stored features (or with features of another
-    /// dimensionality, e.g. DER's backbone features) are skipped.
-    pub fn capture_from_memory(
-        model: &ContinualModel,
-        memory: &MemoryBuffer,
-        benchmark: impl Into<String>,
-        completed_tasks: usize,
-    ) -> Result<Self, CheckpointError> {
-        let (reprs, tasks) = memory_representations(memory, model.repr_dim());
-        Self::capture(model, reprs, tasks, benchmark, completed_tasks)
     }
 
     /// Rebuilds a structurally identical model and restores the

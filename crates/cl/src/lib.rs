@@ -3,8 +3,9 @@
 //! The continual-learning harness of the EDSR reproduction: the
 //! [`ContinualModel`] (encoder + SSL head + distillation head), episodic
 //! [`MemoryBuffer`], the kNN evaluation protocol and Acc/Fgt metrics
-//! (paper Eq. 17–18), the sequence [`trainer`], and all baseline methods
-//! of Table III (Finetune, SI, DER, LUMP, CaSSLe, Multitask).
+//! (paper Eq. 17–18), the sequence [`trainer`], and the baseline methods
+//! of Table III that are not EDSR configurations (Finetune, SI, DER, LUMP,
+//! Multitask; `edsr-core` builds CaSSLe).
 
 pub mod checkpoint;
 pub mod error;
@@ -29,7 +30,7 @@ pub use eval::{accuracy, knn_classify};
 pub use fault::{Fault, FaultInjector, FaultPlan};
 pub use guard::{GuardConfig, StepGuard};
 pub use memory::{MemoryBatch, MemoryBuffer, MemoryItem};
-pub use methods::{Cassle, Der, Finetune, LinReplay, Lump, Si};
+pub use methods::{Der, Finetune, Lump, Si};
 pub use metrics::{mean_std, AccuracyMatrix};
 pub use model::{ContinualModel, FrozenModel, ModelConfig};
 pub use trainer::{

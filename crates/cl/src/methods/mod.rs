@@ -1,18 +1,16 @@
 //! Baseline continual-learning methods from the paper's comparison
-//! (Table III): Finetune, SI, DER, LUMP, CaSSLe. The Multitask upper
-//! bound lives in [`crate::trainer::run_multitask`]; EDSR itself is the
-//! `edsr-core` crate.
+//! (Table III) that are not EDSR configurations: Finetune, SI, DER,
+//! LUMP. The Multitask upper bound lives in
+//! [`crate::trainer::run_multitask`]; EDSR itself, and the CaSSLe,
+//! CompEmb, R2R and Lin et al. baselines built as its configurations,
+//! are the `edsr-core` crate.
 
-pub mod cassle;
 pub mod der;
 pub mod finetune;
-pub mod lin_replay;
 pub mod lump;
 pub mod si;
 
-pub use cassle::Cassle;
 pub use der::Der;
 pub use finetune::Finetune;
-pub use lin_replay::LinReplay;
 pub use lump::Lump;
 pub use si::Si;

@@ -18,7 +18,7 @@ use edsr_wire::{put_u32, put_u64, DecodeError, Reader};
 use rand::rngs::StdRng;
 
 use crate::model::ContinualModel;
-use crate::trainer::Method;
+use crate::trainer::{guarded_backward, Method};
 
 /// Synaptic Intelligence state.
 pub struct Si {
@@ -112,22 +112,11 @@ impl Method for Si {
         ws.reset();
         let (_, _, loss) =
             model.css_on_batch(&mut ws.tape, &mut ws.binder, aug, batch, task_idx, rng);
-        let value = ws.tape.value(loss).get(0, 0);
+        let value = guarded_backward(model, &mut ws.tape, &ws.binder, loss);
         if !value.is_finite() {
             // Divergent step: leave weights, moments, and the path
             // integral untouched; the runner's divergence guard recovers.
             return value;
-        }
-        let grads = ws.tape.backward(loss);
-        model.params.zero_grads();
-        ws.binder.accumulate_into(&grads, &mut model.params);
-        ws.tape.recycle(grads);
-        let all_finite = model
-            .params
-            .ids()
-            .all(|id| model.params.grad(id).data().iter().all(|g| g.is_finite()));
-        if !all_finite {
-            return f32::NAN;
         }
 
         // Capture the unregularized gradient for the path integral.

@@ -235,9 +235,7 @@ pub trait Method {
 
 /// Shared step finisher: evaluates the loss node, backpropagates, routes
 /// gradients, and applies the optimizer — but only when both the loss
-/// and every routed gradient are finite. A non-finite loss skips the
-/// backward pass entirely; non-finite gradients are dropped before the
-/// optimizer step so moment buffers can never be poisoned. Either way
+/// and every routed gradient are finite (`guarded_backward`). Either way
 /// the caller sees a non-finite return value and can trigger recovery.
 ///
 /// When observability is on, records the global gradient L2 norm as the
@@ -249,20 +247,9 @@ pub fn apply_step(
     binder: &Binder,
     loss: Var,
 ) -> f32 {
-    let value = tape.value(loss).get(0, 0);
+    let value = guarded_backward(model, tape, binder, loss);
     if !value.is_finite() {
         return value;
-    }
-    let grads = tape.backward(loss);
-    model.params.zero_grads();
-    binder.accumulate_into(&grads, &mut model.params);
-    tape.recycle(grads);
-    let all_finite = model
-        .params
-        .ids()
-        .all(|id| model.params.grad(id).data().iter().all(|g| g.is_finite()));
-    if !all_finite {
-        return f32::NAN;
     }
     if edsr_obs::enabled() {
         let sq: f64 = model
@@ -282,6 +269,37 @@ pub fn apply_step(
     }
     opt.step(&mut model.params);
     value
+}
+
+/// The first half of [`apply_step`], for methods that edit the gradients
+/// before their optimizer step (SI): returns the loss value and leaves
+/// the routed gradients in `model.params`. A non-finite loss skips the
+/// backward pass; a non-finite gradient returns NaN. A caller must not
+/// step on a non-finite return, so weights and moment buffers are never
+/// touched by a divergent step.
+pub(crate) fn guarded_backward(
+    model: &mut ContinualModel,
+    tape: &mut Tape,
+    binder: &Binder,
+    loss: Var,
+) -> f32 {
+    let value = tape.value(loss).get(0, 0);
+    if !value.is_finite() {
+        return value;
+    }
+    let grads = tape.backward(loss);
+    model.params.zero_grads();
+    binder.accumulate_into(&grads, &mut model.params);
+    tape.recycle(grads);
+    let all_finite = model
+        .params
+        .ids()
+        .all(|id| model.params.grad(id).data().iter().all(|g| g.is_finite()));
+    if all_finite {
+        value
+    } else {
+        f32::NAN
+    }
 }
 
 /// Outcome of one continual run.

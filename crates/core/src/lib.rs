@@ -9,8 +9,8 @@
 //! - [`noise`]: the kNN-std replay-noise magnitude `r(x^m)` (§III-B).
 //! - [`method`]: the [`Edsr`] continual-learning method (Fig. 2) with all
 //!   ablation switches (replay loss, selection strategy, neighbour count,
-//!   similarity-weighted replay); CompEmb and R2R are two of its
-//!   configurations.
+//!   similarity-weighted replay); CaSSLe, CompEmb, R2R and Lin et al. are
+//!   four of its configurations.
 //! - [`config`]: one [`EnvConfig`] reader for every env-var/CLI knob
 //!   (`EDSR_THREADS`, `EDSR_OBS`, `--checkpoint`, …; CLI > env > default).
 //! - [`registry`]: [`method_by_name`], every method with its paper-default
@@ -40,9 +40,8 @@ pub mod prelude {
         Edsr, EdsrConfig, EnvConfig, Error, ReplayLoss, ReplaySampling, SelectionStrategy,
     };
     pub use edsr_cl::{
-        image_augmenters, run_multitask, tabular_augmenters, Cassle, CheckpointConfig,
-        ContinualModel, Der, Finetune, Lump, Method, ModelConfig, RunBuilder, RunResult, Si,
-        TrainConfig, TrainError,
+        image_augmenters, run_multitask, tabular_augmenters, CheckpointConfig, ContinualModel, Der,
+        Finetune, Lump, Method, ModelConfig, RunBuilder, RunResult, Si, TrainConfig, TrainError,
     };
     pub use edsr_data::{
         build_scenario, cifar100_sim, cifar10_sim, domainnet_sim, test_sim, tiny_imagenet_sim,

@@ -5,15 +5,18 @@
 //! stream's 1% memory and noise neighbour count), the scenario sweep and
 //! the examples all build their methods here.
 //!
-//! The two related-work replay baselines are EDSR configurations built
-//! here: CompEmb and R2R keep EDSR's memory and step, store by their own
-//! [`SelectionStrategy`] (farthest-point traversal; the largest spread
-//! over EDSR's 4 augmented views) and replay through `L_css` alone.
+//! Four baselines are EDSR configurations built here. CaSSLe stores
+//! nothing and keeps the teacher term on new data. CompEmb, R2R and Lin
+//! et al. store by their own [`SelectionStrategy`] (farthest-point
+//! traversal; the largest spread over EDSR's 4 augmented views; k-means
+//! centers) and replay through their own term (`L_css` alone; `L_css`
+//! alone; the frozen model's memory-to-batch distances), with no teacher
+//! term on new data and no replay noise.
 //!
 //! The seed convention of every run the CLI and the experiment sweeps make
 //! is written here once too, in [`seeded_run`].
 
-use edsr_cl::{Cassle, ContinualModel, Der, Finetune, Lump, Method, ModelConfig, Si};
+use edsr_cl::{ContinualModel, Der, Finetune, Lump, Method, ModelConfig, Si};
 use edsr_data::TaskSequence;
 use edsr_tensor::rng::seeded;
 use rand::rngs::StdRng;
@@ -32,25 +35,41 @@ pub fn method_by_name(
     replay_batch: usize,
     noise_k: usize,
 ) -> Option<Box<dyn Method>> {
-    // CompEmb and R2R: their storage rule, replayed through L_css alone
-    // (no teacher term on new data, no replay noise).
-    let css_baseline = |selection| {
-        Box::new(Edsr::new(EdsrConfig {
-            selection,
-            replay_loss: ReplayLoss::Css,
-            distill_new: false,
-            ..EdsrConfig::paper_default(budget, replay_batch, 0)
-        }))
-    };
     Some(match name {
         "finetune" => Box::new(Finetune::new()),
         "si" => Box::new(Si::new(0.1)),
         "der" => Box::new(Der::new(budget, replay_batch, 0.5)),
         "lump" => Box::new(Lump::new(budget)),
-        "cassle" => Box::new(Cassle::new()),
-        "edsr" => Box::new(Edsr::paper_default(budget, replay_batch, noise_k)),
-        "compemb" => css_baseline(SelectionStrategy::FarthestPoint),
-        "r2r" => css_baseline(SelectionStrategy::MaxVar),
+        _ => {
+            let cfg = edsr_config_by_name(name, budget, replay_batch, noise_k)?;
+            Box::new(Edsr::new(cfg))
+        }
+    })
+}
+
+/// The [`EdsrConfig`] of the [`method_by_name`] entries that are EDSR
+/// configurations: `edsr`, `cassle`, `compemb`, `r2r` and `lin`.
+pub(crate) fn edsr_config_by_name(
+    name: &str,
+    budget: usize,
+    replay_batch: usize,
+    noise_k: usize,
+) -> Option<EdsrConfig> {
+    let baseline = |selection, replay_loss| EdsrConfig {
+        selection,
+        replay_loss,
+        distill_new: false,
+        ..EdsrConfig::paper_default(budget, replay_batch, 0)
+    };
+    Some(match name {
+        "edsr" => EdsrConfig::paper_default(budget, replay_batch, noise_k),
+        "cassle" => EdsrConfig {
+            replay_loss: ReplayLoss::None,
+            ..EdsrConfig::paper_default(0, replay_batch, noise_k)
+        },
+        "compemb" => baseline(SelectionStrategy::FarthestPoint, ReplayLoss::Css),
+        "r2r" => baseline(SelectionStrategy::MaxVar, ReplayLoss::Css),
+        "lin" => baseline(SelectionStrategy::KMeans, ReplayLoss::Distance),
         _ => return None,
     })
 }
@@ -90,7 +109,7 @@ mod tests {
     #[test]
     fn every_method_resolves_under_its_lowercased_display_name() {
         for name in [
-            "Finetune", "SI", "DER", "LUMP", "CaSSLe", "EDSR", "CompEmb", "R2R",
+            "Finetune", "SI", "DER", "LUMP", "CaSSLe", "EDSR", "CompEmb", "R2R", "Lin",
         ] {
             let method = method_by_name(&name.to_ascii_lowercase(), 4, 8, 10).expect(name);
             assert_eq!(method.name(), name);

@@ -123,14 +123,6 @@ impl Pca {
         }
         centered.matmul(&self.components)
     }
-
-    /// Fraction of total variance captured by the retained components.
-    pub fn explained_variance_ratio(&self, total_variance: f32) -> f32 {
-        if total_variance <= 0.0 {
-            return 0.0;
-        }
-        self.explained_variance.iter().sum::<f32>() / total_variance
-    }
 }
 
 /// Lossy-coding-length entropy of a representation set `M̂` (paper Eq.

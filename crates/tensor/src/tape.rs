@@ -10,12 +10,13 @@
 //! Leaves come in two kinds. Gradient leaves ([`Tape::leaf`],
 //! [`Tape::leaf_copy`]: parameters, gradcheck inputs) carry a `needs_grad`
 //! bit; constants ([`Tape::constant_copy`], [`Tape::constant_filled`]:
-//! input batches, frozen-teacher targets, masks) do not. Every op's node
-//! sets the bit when any operand has it, and [`Tape::backward`] skips
-//! every node and every operand side without it, so no work is spent on a
-//! gradient nobody reads. Skipping a side never reorders the
-//! accumulations that remain, so the gradients it does compute keep
-//! their bits.
+//! input batches, frozen-teacher targets, masks) do not, and neither does
+//! a [`Tape::detach`] node, which records its operand's value as a
+//! constant. Every other op's node sets the bit when any operand has it,
+//! and [`Tape::backward`] skips every node and every operand side without
+//! it, so no work is spent on a gradient nobody reads. Skipping a side
+//! never reorders the accumulations that remain, so the gradients it does
+//! compute keep their bits.
 //!
 //! One tape corresponds to one training step. The tape owns a [`Scratch`]
 //! arena: every node value and every gradient matrix is served from the
@@ -60,9 +61,9 @@ enum Op {
     Mean(Var),
     RowNormalize(Var),
     ColStandardize(Var, f32),
-    /// Stop-gradient: the node takes its operand's `needs_grad` bit when
-    /// recorded, so a gradient still reaches the detached copy, but the
-    /// backward pass never passes it on to the operand.
+    /// Stop-gradient: the node records its operand's value as a constant,
+    /// without the `needs_grad` bit, so no gradient reaches it or passes
+    /// on to the operand.
     Detach(Var),
     Transpose(Var),
     MseLoss(Var, Var),
@@ -104,7 +105,7 @@ struct Node {
     op: Op,
     value: Matrix,
     /// A gradient leaf reaches this node: `backward` computes its
-    /// gradient (and, Detach aside, its operands' that have the bit).
+    /// gradient (and its operands' that have the bit).
     needs_grad: bool,
 }
 
@@ -199,6 +200,7 @@ impl Tape {
     fn push(&mut self, op: Op, value: Matrix) -> Var {
         let needs_grad = match op {
             Op::Leaf => true,
+            Op::Constant | Op::Detach(_) => false,
             _ => op
                 .operands()
                 .into_iter()
@@ -522,10 +524,10 @@ impl Tape {
             }
             let Some(g) = grads[idx].take() else { continue };
             // Only operand sides with the bit get a gradient. A unary op's
-            // node has the bit only through its operand (Detach aside).
+            // node has the bit only through its operand.
             let wants = |v: &Var| nodes[v.0].needs_grad;
             match &node.op {
-                Op::Leaf | Op::Constant => {}
+                Op::Leaf | Op::Constant | Op::Detach(_) => {}
                 Op::MatMul(a, b) => {
                     let (va, vb) = (&nodes[a.0].value, &nodes[b.0].value);
                     if wants(a) {
@@ -677,7 +679,6 @@ impl Tape {
                     }
                     accumulate(&mut grads, scratch, *a, ga);
                 }
-                Op::Detach(_) => {}
                 Op::Transpose(a) => {
                     let mut ga = scratch.take_matrix(g.cols(), g.rows());
                     g.transpose_into(&mut ga);
@@ -827,7 +828,7 @@ mod tests {
         let loss = t.sum(sq);
         let g = t.backward(loss);
         assert!(g.get(x).is_none(), "gradient leaked through detach");
-        assert!(g.get(d).is_some());
+        assert!(g.get(d).is_none(), "a detached node records a constant");
     }
 
     #[test]
@@ -1157,16 +1158,35 @@ mod tests {
         });
     }
 
+    /// A detached node is a constant whatever its operand: neither it nor
+    /// the operand gets a gradient, and the parameter's gradient keeps its
+    /// bits whether the operand is a gradient leaf or a constant.
     #[test]
     fn detach_of_a_constant_gets_no_gradient() {
         let mut rng = seeded(44);
         let w = Matrix::randn(2, 4, 1.0, &mut rng);
         let x = Matrix::randn(2, 4, 1.0, &mut rng);
-        check_constant_input(&w, &x, |t, w, x| {
-            let frozen = t.detach(x);
-            let c = t.cosine_rows_mean(w, frozen);
-            (t.scale(c, -1.0), frozen)
-        });
+        let run = |constant: bool| {
+            let mut t = Tape::new();
+            let p = t.leaf_copy(&w);
+            let v = if constant {
+                t.constant_copy(&x)
+            } else {
+                t.leaf_copy(&x)
+            };
+            let frozen = t.detach(v);
+            let c = t.cosine_rows_mean(p, frozen);
+            let loss = t.scale(c, -1.0);
+            let g = t.backward(loss);
+            assert!(g.get(frozen).is_none(), "the detached node got a gradient");
+            assert!(g.get(v).is_none(), "the detached operand got a gradient");
+            g.get(p).expect("parameter gradient").clone()
+        };
+        let (leaf_gp, const_gp) = (run(false), run(true));
+        assert_eq!(leaf_gp.shape(), const_gp.shape());
+        for (a, b) in leaf_gp.data().iter().zip(const_gp.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient changed");
+        }
     }
 
     #[test]

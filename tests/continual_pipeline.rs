@@ -3,10 +3,10 @@
 //! uses, on a tiny preset so they stay fast in debug builds.
 
 use edsr::cl::{
-    run_multitask, Cassle, ContinualModel, Der, Finetune, LinReplay, Lump, Method, ModelConfig,
-    RunBuilder, Si, TrainConfig,
+    run_multitask, ContinualModel, Der, Finetune, Lump, Method, ModelConfig, RunBuilder, Si,
+    TrainConfig,
 };
-use edsr::core::{Edsr, EdsrConfig, ReplayLoss, SelectionStrategy};
+use edsr::core::{method_by_name, Edsr, EdsrConfig, ReplayLoss, SelectionStrategy};
 use edsr::data::{tabular_sequence, test_sim, TabularConfig, TABULAR_SPECS};
 use edsr::tensor::rng::seeded;
 
@@ -70,8 +70,8 @@ fn every_baseline_runs_end_to_end() {
         Box::new(Si::new(0.1)),
         Box::new(Der::new(budget, 6, 0.5)),
         Box::new(Lump::new(budget)),
-        Box::new(Cassle::new()),
-        Box::new(LinReplay::new(budget, 6, 1.0)),
+        method_by_name("cassle", budget, 6, 3).expect("cassle"),
+        method_by_name("lin", budget, 6, 3).expect("lin"),
         Box::new(Edsr::paper_default(budget, 6, 3)),
     ];
     for mut m in methods {
@@ -125,6 +125,7 @@ fn replay_loss_variants_all_train() {
         ReplayLoss::Css,
         ReplayLoss::Dis,
         ReplayLoss::Rpl,
+        ReplayLoss::Distance,
     ] {
         let mut c = EdsrConfig::paper_default(preset.per_task_budget(), 6, 3);
         c.replay_loss = loss;
