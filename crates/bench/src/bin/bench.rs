@@ -3,9 +3,8 @@
 //!
 //! - the `edsr-par`-wired ops (matmul, conv forward, batched kNN, PCA fit);
 //! - the GEMM kernel layer: `a·b`, `aᵀ·b` and `a·bᵀ` by the naive
-//!   reference, by the tiled kernel at every SIMD level the host supports
-//!   and by the dispatched (`tiled-auto`) tiled kernel, which honours
-//!   `EDSR_ISA` (`matmul/naive`, `matmul/tiled-avx2`, …);
+//!   reference and by the tiled kernel (`matmul/naive`, `matmul/tiled`,
+//!   …);
 //! - the shapes the `edsr-par` cut-off was set from — the 64-row
 //!   train-step products, the 22-row product every cifar100-sim epoch ends
 //!   on, and one `boundary` eval cell (the 1,600 x 300 x 96 forward and a
@@ -27,11 +26,8 @@
 //!
 //! Exits non-zero when any max-thread op row runs more than 1.5x slower
 //! than its 1-thread row (work too small to pay for a pool hand-off must
-//! run inline, DESIGN.md §9), or when, with a SIMD ISA active, the
-//! dispatched tiled kernel runs more than 5% slower than the scalar tile
-//! at one thread and three fresh samplings confirm it (DESIGN.md §15). The
-//! kernel-layer rows are not thread-gated: the `matmul` op row already
-//! gates the dispatched product.
+//! run inline, DESIGN.md §9). The kernel-layer rows are not thread-gated:
+//! the `matmul` op row already gates the tiled product.
 //!
 //! `EDSR_BENCH_QUICK=1` shrinks the `edsr-par`-wired ops, the kernel
 //! products and the iteration count to a smoke run (used by `ci.sh`); the
@@ -110,14 +106,8 @@ impl Bench {
     }
 
     /// Times the variants of one row (`ops[i]` runs `variants[i]`) at
-    /// every thread count, round-robin, records one record each and
-    /// returns the timings (`[variant][thread count]`).
-    fn row(
-        &mut self,
-        size: &str,
-        ops: &[String],
-        variants: &mut [&mut dyn FnMut()],
-    ) -> Vec<Vec<Timing>> {
+    /// every thread count, round-robin, and records one record each.
+    fn row(&mut self, size: &str, ops: &[String], variants: &mut [&mut dyn FnMut()]) {
         let timings = sample(self.iters, &self.threads, variants);
         for (op, per_thread) in ops.iter().zip(&timings) {
             for (&threads, &timing) in self.threads.iter().zip(per_thread) {
@@ -130,7 +120,6 @@ impl Bench {
                 });
             }
         }
-        timings
     }
 }
 
@@ -139,7 +128,7 @@ impl Bench {
 type Product = (
     &'static str,
     fn(&[f32], &[f32], usize, Range<usize>, &mut [f32]),
-    fn(&'static simd::Kernel, &[f32], &[f32], &mut [f32], usize, usize, usize),
+    fn(&[f32], &[f32], &mut [f32], usize, usize, usize),
 );
 
 /// `a·b`, `aᵀ·b` and `a·bᵀ`.
@@ -147,28 +136,28 @@ const PRODUCTS: [Product; 3] = [
     (
         "matmul",
         |a, b, n, rows, out| kernel::naive::matmul_chunk(a, b, n, n, rows, out),
-        kernel::matmul_tiled_with,
+        kernel::matmul_tiled,
     ),
     (
         "transpose_matmul",
         |a, b, n, rows, out| kernel::naive::transpose_matmul_chunk(a, b, n, n, n, rows, out),
-        kernel::transpose_matmul_tiled_with,
+        kernel::transpose_matmul_tiled,
     ),
     (
         "matmul_transpose",
         |a, b, n, rows, out| kernel::naive::matmul_transpose_chunk(a, b, n, n, rows, out),
-        kernel::matmul_transpose_tiled_with,
+        kernel::matmul_transpose_tiled,
     ),
 ];
 
 /// A closure computing `product` of the n x n matrices `a` and `b` into
-/// its own output buffer: by the naive reference kernel when `kern` is
-/// `None`, else by the tiled kernel with micro-kernel `kern`. The naive
-/// kernel splits over the pool through `par_for_rows` as the tiled one
-/// does, so the two differ only in the kernel.
+/// its own output buffer: by the tiled kernel when `tiled` is set, else by
+/// the naive reference kernel. The naive kernel splits over the pool
+/// through `par_for_rows` as the tiled one does, so the two differ only in
+/// the kernel.
 fn gemm<'m>(
-    (_, naive, tiled): Product,
-    kern: Option<&'static simd::Kernel>,
+    (_, naive, tiled_kernel): Product,
+    tiled: bool,
     a: &'m Matrix,
     b: &'m Matrix,
 ) -> impl FnMut() + 'm {
@@ -177,11 +166,12 @@ fn gemm<'m>(
     let mut out = vec![0.0f32; n * n];
     move || {
         out.fill(0.0);
-        match kern {
-            None => edsr_par::par_for_rows(&mut out, n, n * n * n, |rows, chunk| {
+        if tiled {
+            tiled_kernel(a, b, &mut out, n, n, n);
+        } else {
+            edsr_par::par_for_rows(&mut out, n, n * n * n, |rows, chunk| {
                 naive(a, b, n, rows, chunk);
-            }),
-            Some(kern) => tiled(kern, a, b, &mut out, n, n, n),
+            });
         }
         black_box(&out);
     }
@@ -211,59 +201,16 @@ fn main() -> Result<(), edsr_core::Error> {
         black_box(a.matmul(&b));
     });
 
-    // The kernel layer at the same size: the naive reference, the tiled
-    // kernel at every supported ISA level, and the dispatched one.
-    let mut impls: Vec<(String, Option<&'static simd::Kernel>)> = vec![("naive".into(), None)];
-    for isa in simd::Isa::ALL {
-        match simd::Kernel::for_isa(isa) {
-            Some(kern) => impls.push((format!("tiled-{}", isa.name()), Some(kern))),
-            None => eprintln!("skipping tiled-{}: not supported on this host", isa.name()),
-        }
-    }
-    impls.push(("tiled-auto".into(), Some(simd::active())));
+    // The kernel layer at the same size: the naive reference and the
+    // tiled kernel.
     let mut kernel_rng = seeded(9100);
     let ka = Matrix::randn(n, n, 1.0, &mut kernel_rng);
     let kb = Matrix::randn(n, n, 1.0, &mut kernel_rng);
     for product in PRODUCTS {
-        let ops: Vec<String> = impls
-            .iter()
-            .map(|(imp, _)| format!("{}/{imp}", product.0))
-            .collect();
-        let mut closures: Vec<_> = impls
-            .iter()
-            .map(|&(_, kern)| gemm(product, kern, &ka, &kb))
-            .collect();
-        let mut variants: Vec<&mut dyn FnMut()> =
-            closures.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
-        let timings = bench.row(&size, &ops, &mut variants);
-
-        // Dispatch gate: with a non-scalar ISA active, the dispatched tiled
-        // kernel must beat (or at worst match, within 5%) the scalar tile
-        // at one thread — otherwise dispatch is mis-selecting or its
-        // overhead leaked into the hot loop. Fastest samples are compared:
-        // noise only adds time. Shared-host transients (scheduler bursts,
-        // AVX frequency licensing) can still slow one kernel for a whole
-        // sampling, so a failure counts only if three fresh 1-thread
-        // samplings repeat it; a real regression reproduces every time.
-        // Skipped when the active ISA *is* scalar: the two rows then time
-        // identical code.
-        if simd::active_isa() != simd::Isa::Scalar {
-            let s = impls.iter().position(|(imp, _)| imp == "tiled-scalar");
-            let s = s.expect("the scalar kernel always runs");
-            let d = impls.len() - 1; // tiled-auto, pushed last
-            let slow = |t: &[Vec<Timing>]| t[d][0].min > 1.05 * t[s][0].min;
-            if slow(&timings) && (0..3).all(|_| slow(&sample(bench.iters, &[1], &mut variants))) {
-                bench.failures.push(format!(
-                    "{} tiled-auto ({:.0} ns min) is >5% slower than tiled-scalar \
-                     ({:.0} ns min) at 1 thread with ISA {} active, and re-measurement \
-                     confirms it",
-                    product.0,
-                    timings[d][0].min,
-                    timings[s][0].min,
-                    simd::active_isa().name()
-                ));
-            }
-        }
+        let ops = ["naive", "tiled"].map(|imp| format!("{}/{imp}", product.0));
+        let mut naive = gemm(product, false, &ka, &kb);
+        let mut tiled = gemm(product, true, &ka, &kb);
+        bench.row(&size, &ops, &mut [&mut naive, &mut tiled]);
     }
 
     // Conv encoder forward (im2col maps + gather + matmul through the tape).

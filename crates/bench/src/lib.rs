@@ -14,8 +14,8 @@
 //! Run e.g. `cargo run --release -p edsr-bench --bin table3`. Results are
 //! written under `results/` as plain text as well. Every binary that does
 //! work starts with [`start`], so the process knobs
-//! (`--quick`/`EDSR_BENCH_QUICK`, `--threads`, `--isa`, `--obs`/`EDSR_OBS`,
-//! …) work the same in each; `exp_all`, which only launches the others,
+//! (`--quick`/`EDSR_BENCH_QUICK`, `--threads`, `--obs`/`EDSR_OBS`, …)
+//! work the same in each; `exp_all`, which only launches the others,
 //! checks them with [`resolve`] and passes them on. The experiments fan
 //! their seeds out only through [`sweep`]; the benchmarks time code only
 //! through [`sample`] and write JSON only through [`write_json`].
@@ -586,9 +586,8 @@ pub fn resolve() -> Setup {
 }
 
 /// Start-up shared by every bench binary: [`resolve`], then apply the
-/// knobs — thread count, SIMD ISA and metrics sink. A runtime that cannot
-/// take the config (an ISA the host lacks, an unwritable metrics file)
-/// prints `error: …` and exits 1.
+/// knobs — thread count and metrics sink. A runtime that cannot take the
+/// config (an unwritable metrics file) prints `error: …` and exits 1.
 pub fn start() -> Setup {
     let setup = resolve();
     if let Err(e) = setup.env.apply() {

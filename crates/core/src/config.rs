@@ -10,7 +10,6 @@
 //! | knob | CLI | env | default |
 //! |------|-----|-----|---------|
 //! | threads | `--threads N` | `EDSR_THREADS` | auto (pool picks) |
-//! | SIMD ISA | `--isa LEVEL` | `EDSR_ISA` | `auto` (detect) |
 //! | bench quick mode | `--quick` | `EDSR_BENCH_QUICK` | off |
 //! | checkpoint dir | `--checkpoint DIR` | `EDSR_CHECKPOINT` | none |
 //! | resume | `--resume` | `EDSR_RESUME` | off |
@@ -31,23 +30,18 @@
 //! that cannot race other tests through the process environment.
 //! [`EnvConfig::from_process`] binds the real `std::env`, and
 //! [`EnvConfig::apply`] pushes the resolved values into the runtime
-//! (`edsr_par::set_threads`, `edsr_tensor::simd::set_isa`,
-//! `edsr_obs::install_mode`).
+//! (`edsr_par::set_threads`, `edsr_obs::install_mode`).
 
 use std::path::PathBuf;
 
 use edsr_obs::ObsMode;
 use edsr_par::parse_threads;
-use edsr_tensor::simd::IsaRequest;
 
 /// Resolved process configuration; see the module docs for the knob table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvConfig {
     /// Compute thread count (`None` = let the pool auto-detect).
     pub threads: Option<usize>,
-    /// SIMD kernel ISA (`auto | scalar | avx2 | avx512`; `None` = let the
-    /// dispatch layer resolve `EDSR_ISA` / auto-detect on first use).
-    pub isa: Option<IsaRequest>,
     /// Shrink benchmark workloads to a smoke run.
     pub bench_quick: bool,
     /// Directory for run-state snapshots.
@@ -93,7 +87,6 @@ impl Default for EnvConfig {
     fn default() -> Self {
         Self {
             threads: None,
-            isa: None,
             bench_quick: false,
             checkpoint: None,
             resume: false,
@@ -133,9 +126,6 @@ impl EnvConfig {
         // Environment layer.
         if let Some(v) = env("EDSR_THREADS") {
             cfg.threads = Some(parse_threads("EDSR_THREADS", &v)?);
-        }
-        if let Some(v) = env("EDSR_ISA") {
-            cfg.isa = Some(parse_isa("EDSR_ISA", &v)?);
         }
         if let Some(v) = env("EDSR_BENCH_QUICK") {
             cfg.bench_quick = truthy(&v);
@@ -199,10 +189,6 @@ impl EnvConfig {
                     let v = value(&mut it)?;
                     cfg.threads = Some(parse_threads("--threads", &v)?);
                 }
-                "--isa" => {
-                    let v = value(&mut it)?;
-                    cfg.isa = Some(parse_isa("--isa", &v)?);
-                }
                 "--quick" => cfg.bench_quick = true,
                 "--checkpoint" => cfg.checkpoint = Some(PathBuf::from(value(&mut it)?)),
                 "--resume" => cfg.resume = true,
@@ -255,27 +241,15 @@ impl EnvConfig {
     }
 
     /// Pushes the resolved config into the runtime: sets the `edsr-par`
-    /// thread count (when requested), installs the SIMD kernel ISA
-    /// (`edsr_tensor::simd::set_isa` — a pinned ISA the host cannot
-    /// execute is reported as an error rather than silently downgraded),
-    /// and installs the observability sink. Returns the ring sink when
-    /// `obs = ring`, so the caller can drain it; `Err` also means the
-    /// JSONL metrics file could not be created.
+    /// thread count (when requested) and installs the observability sink.
+    /// Returns the ring sink when `obs = ring`, so the caller can drain it;
+    /// `Err` means the JSONL metrics file could not be created.
     pub fn apply(&self) -> std::io::Result<Option<edsr_obs::RingSink>> {
         if let Some(n) = self.threads {
             edsr_par::set_threads(n);
         }
-        if let Some(req) = self.isa {
-            edsr_tensor::simd::set_isa(req)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::Unsupported, e.to_string()))?;
-        }
         edsr_obs::install_mode(self.obs, &self.obs_path)
     }
-}
-
-fn parse_isa(source: &str, value: &str) -> Result<IsaRequest, String> {
-    IsaRequest::parse(value.trim())
-        .ok_or_else(|| format!("{source}: expected auto | scalar | avx2 | avx512, got {value:?}"))
 }
 
 fn parse_count(source: &str, value: &str) -> Result<usize, String> {
@@ -340,25 +314,6 @@ mod tests {
         assert_eq!(cfg.threads, Some(8));
         assert!(EnvConfig::resolve(env, &args(&["--threads", "zero"])).is_err());
         assert!(EnvConfig::resolve(no_env, &args(&["--threads", "0"])).is_err());
-    }
-
-    #[test]
-    fn isa_cli_beats_env_and_validates() {
-        use edsr_tensor::simd::{Isa, IsaRequest};
-        let env = |k: &str| (k == "EDSR_ISA").then(|| "scalar".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--isa", "avx2"])).unwrap();
-        assert_eq!(cfg.isa, Some(IsaRequest::Fixed(Isa::Avx2)));
-        let cfg = EnvConfig::resolve(env, &[]).unwrap();
-        assert_eq!(cfg.isa, Some(IsaRequest::Fixed(Isa::Scalar)));
-        assert_eq!(EnvConfig::resolve(no_env, &[]).unwrap().isa, None);
-        let cfg = EnvConfig::resolve(no_env, &args(&["--isa=auto"])).unwrap();
-        assert_eq!(cfg.isa, Some(IsaRequest::Auto));
-        let cfg = EnvConfig::resolve(no_env, &args(&["--isa", "avx512"])).unwrap();
-        assert_eq!(cfg.isa, Some(IsaRequest::Fixed(Isa::Avx512)));
-        assert!(EnvConfig::resolve(no_env, &args(&["--isa", "sse9"])).is_err());
-        let bad = |k: &str| (k == "EDSR_ISA").then(|| "neon".to_string());
-        assert!(EnvConfig::resolve(bad, &[]).is_err());
-        assert!(EnvConfig::resolve(no_env, &args(&["--isa"])).is_err());
     }
 
     #[test]

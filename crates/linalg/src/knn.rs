@@ -20,10 +20,10 @@
 //!
 //! # Scores
 //!
-//! Distance accumulation is SIMD-dispatched (`edsr_tensor::simd` via
-//! [`crate::stats`]): every ISA computes the same canonical 8-lane-tree
-//! reduction, so neighbor lists are bit-identical across `EDSR_ISA`
-//! levels and thread counts (DESIGN.md §15). Cosine norms are computed
+//! Distance accumulation runs through `edsr_tensor::simd` (via
+//! [`crate::stats`]): its portable and AVX2 bodies compute the same
+//! canonical 8-lane-tree reduction, so neighbor lists are bit-identical
+//! whatever the build targets and at any thread count (DESIGN.md §15). Cosine norms are computed
 //! once — the query's once per search, the reference rows' once per
 //! [`KnnQuery::search_batch_into`] call — with the same kernels and the
 //! same formula as [`crate::stats::cosine_similarity`], so every score

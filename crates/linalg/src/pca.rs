@@ -60,8 +60,8 @@ impl Pca {
         // argument). All chunk accumulators live in one pooled matrix
         // (row `ci` = chunk `ci`'s `d x d` partial) hoisted out of the
         // chunk loop, so repeated fits reuse a single buffer instead of
-        // allocating per chunk; the inner row update is the dispatched
-        // SIMD axpy (elementwise — order-preserving).
+        // allocating per chunk; the inner row update is `simd::axpy`
+        // (elementwise — order-preserving).
         let mut cov = scratch.take_matrix(d, d);
         if n > 0 && d > 0 {
             let n_chunks = n.div_ceil(COV_CHUNK_ROWS);

@@ -80,9 +80,9 @@ pub fn centered_covariance(x: &Matrix) -> Matrix {
 
 /// Squared Euclidean distance between two equal-length slices.
 ///
-/// SIMD-dispatched through [`edsr_tensor::simd`]: the accumulation order is
-/// the canonical 8-lane interleaved tree, bit-identical at every ISA level
-/// (DESIGN.md §15) — kNN neighbor lists therefore never depend on the host.
+/// Runs through [`edsr_tensor::simd`]: the accumulation order is the
+/// canonical 8-lane interleaved tree in every build (DESIGN.md §15) — kNN
+/// neighbor lists therefore never depend on the host.
 pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     edsr_tensor::simd::sq_euclidean(a, b)
@@ -91,7 +91,7 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
 /// Cosine similarity between two equal-length slices (0 when either is ~0).
 ///
 /// Built from three canonical 8-lane-tree dot products (see
-/// [`sq_euclidean`]), so it is likewise bit-identical across ISAs.
+/// [`sq_euclidean`]), so it is likewise bit-identical in every build.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     cosine_from_parts(edsr_tensor::simd::dot(a, b), norm(a), norm(b))

@@ -91,7 +91,7 @@ impl Optimizer for Sgd {
         let velocity = &mut self.velocity;
         params.for_each_mut(|i, value, grad| {
             let vel = &mut velocity[i];
-            // v <- mu·v + g + wd·w through the dispatched elementwise
+            // v <- mu·v + g + wd·w through the elementwise `simd`
             // kernels (DESIGN.md §15). Each element sees the same
             // mul/add/mul/add rounding chain as the fused scalar loop
             // this replaces, so checkpoints are bit-unchanged.

@@ -63,7 +63,7 @@ impl QuantMemory {
     /// row order, `out` truncated to `k.min(eligible rows)`. Scores are
     /// converted back to f32 units (`i32 distance x scale²`; cosine scales
     /// cancel), one exact `i32` reduction per candidate — bit-identical
-    /// across ISA levels and thread counts.
+    /// whichever int8 body the build compiled in, at any thread count.
     pub fn search_into(
         &self,
         query: &[f32],

@@ -26,8 +26,9 @@
 //! Every reduction accumulates in `i32`, which is exact for int8 operands
 //! at the dimensionalities this workspace uses (≤ 130 000 elements), and
 //! integer addition is associative — so the quantized path is bit-identical
-//! across ISA levels and thread counts *by construction*, not by lane-tree
-//! discipline. The remaining f32 arithmetic (scale products, bias adds,
+//! whichever int8 reduction body the build compiled in (portable or AVX2,
+//! DESIGN.md §15) and at any thread count *by construction*, not by
+//! lane-tree discipline. The remaining f32 arithmetic (scale products, bias adds,
 //! ReLU, per-candidate score conversion) is elementwise with no cross-lane
 //! interaction.
 //!

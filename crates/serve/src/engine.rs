@@ -12,8 +12,8 @@
 //! batched embed is bit-identical per row to single-input embeds at any
 //! `EDSR_THREADS`, the property the micro-batcher relies on. The int8
 //! path is stronger still: every reduction is an exact i32 chain, so
-//! results are bit-identical across ISA levels *and* thread counts
-//! (`tests/quant.rs`).
+//! results are bit-identical whichever int8 body the build compiled in
+//! *and* at any thread count (`tests/quant.rs`).
 
 use edsr_cl::checkpoint::{AnyServeSnapshot, ServeSnapshot};
 use edsr_cl::ContinualModel;

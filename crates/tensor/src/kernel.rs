@@ -30,16 +30,16 @@
 //! The [`naive`] module retains the original loop kernels verbatim as the
 //! bit-exact reference (property tests) and as the small-size fast path.
 //!
-//! ## ISA dispatch (DESIGN.md §15)
+//! ## The register tile (DESIGN.md §15)
 //!
-//! The full `MR x NR` register tile is fetched from the [`crate::simd`]
-//! dispatch table (scalar / AVX2 / AVX-512, selected at startup or pinned
-//! with `EDSR_ISA`). Every ISA's tile preserves the per-element ascending
+//! The full `MR x NR` register tile is [`crate::simd`]'s one compiled
+//! body: the hand-written AVX-512 tile when the build enables `avx512f`,
+//! the portable tile otherwise. Both preserve the per-element ascending
 //! `k` order with separate multiply and add, so the bit-identity contract
-//! above holds across ISAs too, not just per ISA level. Edge tiles (partial
-//! rows/columns) run the same dispatched tile on a stack copy and store
-//! only their live elements. They carry real work: every cifar100-sim
-//! epoch ends on a 22-row batch, whose last 6 rows are an edge.
+//! above holds for every build. Edge tiles (partial rows/columns) run the
+//! same tile on a stack copy and store only their live elements. They
+//! carry real work: every cifar100-sim epoch ends on a 22-row batch, whose
+//! last 6 rows are an edge.
 
 use crate::simd;
 use std::cell::Cell;
@@ -179,9 +179,7 @@ fn pack_lhs(
 /// Computes one contiguous out-row chunk (`rows`, writing into the
 /// chunk-local slice `chunk`) of the `R x C` product with reduction length
 /// `d_total`, reading the pre-packed right operand `bp`.
-#[allow(clippy::too_many_arguments)] // flat product coordinates, hot path
 fn tiled_chunk(
-    kern: &'static simd::Kernel,
     lhs: Lhs,
     bp: &[f32],
     chunk: &mut [f32],
@@ -218,10 +216,10 @@ fn tiled_chunk(
                 let nr_eff = NR.min(c_total - j0);
                 let bp_block = &bp[jp * d_total * NR + d0 * NR..][..dc * NR];
                 if mr_eff == MR && nr_eff == NR {
-                    (kern.tile8x16)(&ap[..ap_used], bp_block, chunk, row0, j0, c_total, first);
+                    simd::tile8x16(&ap[..ap_used], bp_block, chunk, row0, j0, c_total, first);
                     continue;
                 }
-                // Edge tile: the same dispatched tile on the stack copy.
+                // Edge tile: the same tile on the stack copy.
                 // Both panels are zero-padded, and each lane owns one
                 // element, so whatever the dead lanes hold never reaches
                 // a live one; only live partials go in and out.
@@ -231,7 +229,7 @@ fn tiled_chunk(
                         edge[ii * NR..][..nr_eff].copy_from_slice(&chunk[at(ii)..][..nr_eff]);
                     }
                 }
-                (kern.tile8x16)(&ap[..ap_used], bp_block, &mut edge, 0, 0, NR, first);
+                simd::tile8x16(&ap[..ap_used], bp_block, &mut edge, 0, 0, NR, first);
                 for ii in 0..mr_eff {
                     chunk[at(ii)..][..nr_eff].copy_from_slice(&edge[ii * NR..][..nr_eff]);
                 }
@@ -244,24 +242,15 @@ fn tiled_chunk(
 
 /// Packs the right operand, then runs the tiled chunk kernel over the
 /// output rows; `edsr-par` splits them by the product's multiply-adds.
-fn tiled_product(
-    kern: &'static simd::Kernel,
-    lhs: Lhs,
-    rhs: Rhs,
-    out: &mut [f32],
-    r: usize,
-    d: usize,
-    c: usize,
-) {
+fn tiled_product(lhs: Lhs, rhs: Rhs, out: &mut [f32], r: usize, d: usize, c: usize) {
     debug_assert_eq!(out.len(), r * c);
     let panels = c.div_ceil(NR);
     with_pack_buf(panels * d * NR, |bp| {
         pack_rhs(rhs, bp, d, c);
         let bp: &[f32] = bp;
-        let run = |rows: Range<usize>, chunk: &mut [f32]| {
-            tiled_chunk(kern, lhs, bp, chunk, rows, d, c, r)
-        };
-        edsr_par::par_for_rows(out, r, r * d * c, run);
+        edsr_par::par_for_rows(out, r, r * d * c, |rows, chunk| {
+            tiled_chunk(lhs, bp, chunk, rows, d, c, r)
+        });
     });
 }
 
@@ -279,21 +268,7 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usiz
 /// Tiled `a · b` without the small-size fallback (tests and benches force
 /// this path to compare it against the naive reference).
 pub fn matmul_tiled(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    matmul_tiled_with(simd::active(), a, b, out, n, k, m);
-}
-
-/// Tiled `a · b` through an explicit dispatch vtable (benches and the ISA
-/// bit-identity proptests compare kernels side by side in one process).
-pub fn matmul_tiled_with(
-    kern: &'static simd::Kernel,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    n: usize,
-    k: usize,
-    m: usize,
-) {
-    tiled_product(kern, Lhs::RowMajor(a), Rhs::RowMajor(b), out, n, k, m);
+    tiled_product(Lhs::RowMajor(a), Rhs::RowMajor(b), out, n, k, m);
 }
 
 /// `out += aᵀ (k x n)ᵀ… — i.e. `a` is `n x k`, `b` is `n x m`, and the
@@ -308,21 +283,7 @@ pub fn transpose_matmul(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usiz
 
 /// Tiled `aᵀ · b` without the small-size fallback.
 pub fn transpose_matmul_tiled(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    transpose_matmul_tiled_with(simd::active(), a, b, out, n, k, m);
-}
-
-/// Tiled `aᵀ · b` through an explicit dispatch vtable.
-#[allow(clippy::too_many_arguments)] // flat product coordinates
-pub fn transpose_matmul_tiled_with(
-    kern: &'static simd::Kernel,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    n: usize,
-    k: usize,
-    m: usize,
-) {
-    tiled_product(kern, Lhs::Transposed(a), Rhs::RowMajor(b), out, k, n, m);
+    tiled_product(Lhs::Transposed(a), Rhs::RowMajor(b), out, k, n, m);
 }
 
 /// `a` is `n x k`, `b` is `m x k`; the `n x m` product `a · bᵀ`
@@ -337,21 +298,7 @@ pub fn matmul_transpose(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usiz
 
 /// Tiled `a · bᵀ` without the small-size fallback.
 pub fn matmul_transpose_tiled(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    matmul_transpose_tiled_with(simd::active(), a, b, out, n, k, m);
-}
-
-/// Tiled `a · bᵀ` through an explicit dispatch vtable.
-#[allow(clippy::too_many_arguments)] // flat product coordinates
-pub fn matmul_transpose_tiled_with(
-    kern: &'static simd::Kernel,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    n: usize,
-    k: usize,
-    m: usize,
-) {
-    tiled_product(kern, Lhs::RowMajor(a), Rhs::Transposed(b), out, n, k, m);
+    tiled_product(Lhs::RowMajor(a), Rhs::Transposed(b), out, n, k, m);
 }
 
 /// Cache-blocked transpose: walks `TB x TB` tiles so both the row-major
@@ -496,6 +443,9 @@ mod tests {
             (MR + 1, KC + 3, NR + 1),
             (2 * MR - 1, 2 * KC + 5, 3 * NR - 2),
             (17, 300, 33),
+            // The product every cifar100-sim epoch ends on: its last 6
+            // rows are an edge tile.
+            (22, 192, 96),
         ] {
             let a = Matrix::randn(n, k, 1.0, &mut rng);
             let b = Matrix::randn(k, m, 1.0, &mut rng);
@@ -615,93 +565,6 @@ mod proptests {
         threads == 1 || edsr_par::pool_workers() == 0 || edsr_par::handoffs() > before
     }
 
-    /// Sizes for the per-ISA identity property: one-below / exact /
-    /// one-above each tile edge (MR = 8, NR = 16) plus a multi-tile size.
-    const ISA_DIMS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 48];
-
-    fn isa_dim() -> impl Strategy<Value = usize> {
-        (0usize..ISA_DIMS.len()).prop_map(|i| ISA_DIMS[i])
-    }
-
-    /// Inner sizes for the per-ISA property: [`ISA_DIMS`] plus one KC
-    /// block past the first, so edge tiles resume from a stored partial
-    /// (`first = false`).
-    fn isa_kdim() -> impl Strategy<Value = usize> {
-        (0usize..=ISA_DIMS.len()).prop_map(|i| ISA_DIMS.get(i).copied().unwrap_or(KC + 3))
-    }
-
-    /// Every supported SIMD ISA level produces bit-identical products
-    /// to the scalar micro-kernel (DESIGN.md §15) for the n x k x m shape
-    /// drawn from `seed`, in all three product forms, at 1, 2 and 7
-    /// threads: the output-stationary tile gives each lane one output
-    /// element with the same ascending-k mul+add chain at every width.
-    fn every_isa_matches_scalar(n: usize, k: usize, m: usize, seed: u64) -> TestCaseResult {
-        let scalar =
-            simd::Kernel::for_isa(simd::Isa::Scalar).expect("scalar kernel is always supported");
-        let mut rng = seeded(seed);
-        let a = Matrix::randn(n, k, 1.0, &mut rng);
-        let b = Matrix::randn(k, m, 1.0, &mut rng);
-        let bt = {
-            let mut t = vec![0.0f32; k * m];
-            transpose(b.data(), &mut t, k, m);
-            t // `b` as an m x k matrix, so a·btᵀ == a·b
-        };
-        let mut want_ab = vec![0.0f32; n * m];
-        matmul_tiled_with(scalar, a.data(), b.data(), &mut want_ab, n, k, m);
-        let mut want_atb = vec![0.0f32; k * k];
-        transpose_matmul_tiled_with(scalar, a.data(), a.data(), &mut want_atb, n, k, k);
-        let mut want_abt = vec![0.0f32; n * m];
-        matmul_transpose_tiled_with(scalar, a.data(), &bt, &mut want_abt, n, k, m);
-        for isa in [simd::Isa::Avx2, simd::Isa::Avx512] {
-            let Some(kern) = simd::Kernel::for_isa(isa) else {
-                eprintln!(
-                    "SKIPPING ISA bit-identity case for {}: not supported on this host",
-                    isa.name()
-                );
-                continue;
-            };
-            for threads in [1usize, 2, 7] {
-                let mut got = vec![0.0f32; n * m];
-                edsr_par::with_threads(threads, || {
-                    matmul_tiled_with(kern, a.data(), b.data(), &mut got, n, k, m);
-                });
-                prop_assert!(
-                    bits_eq(&want_ab, &got),
-                    "matmul {n}x{k}x{m} diverged from scalar on {} at {threads} threads",
-                    isa.name(),
-                );
-                let mut got = vec![0.0f32; k * k];
-                edsr_par::with_threads(threads, || {
-                    transpose_matmul_tiled_with(kern, a.data(), a.data(), &mut got, n, k, k);
-                });
-                prop_assert!(
-                    bits_eq(&want_atb, &got),
-                    "transpose_matmul {n}x{k}x{k} diverged from scalar on {} at {threads} threads",
-                    isa.name(),
-                );
-                let mut got = vec![0.0f32; n * m];
-                edsr_par::with_threads(threads, || {
-                    matmul_transpose_tiled_with(kern, a.data(), &bt, &mut got, n, k, m);
-                });
-                prop_assert!(
-                    bits_eq(&want_abt, &got),
-                    "matmul_transpose {n}x{k}x{m} diverged from scalar on {} at {threads} threads",
-                    isa.name(),
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// The 22 x 192 x 96 product every cifar100-sim epoch ends on: its
-    /// last 6 rows are an edge tile on every ISA.
-    #[test]
-    fn every_isa_bit_identical_on_the_epoch_tail() {
-        if let Err(e) = every_isa_matches_scalar(22, 192, 96, 0x7a11) {
-            panic!("{e:?}");
-        }
-    }
-
     proptest! {
         // Each case also runs a product grown past three cuts (~0.8 s in a
         // debug build), so fewer cases than the block below.
@@ -793,19 +656,33 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// [`every_isa_matches_scalar`] over the tile-edge grid, with a
-        /// second KC block among the inner sizes.
+        /// The compiled `dot` and `sq_euclidean` (the AVX2 bodies when the
+        /// build enables `avx2`) equal the portable 8-lane tree to the bit
+        /// at every length from 0 to 64: 0 to 8 full chunks, each with every
+        /// tail of 0 to 7 elements.
         #[test]
-        fn every_isa_bit_identical_to_scalar_kernel(
-            n in isa_dim(), k in isa_kdim(), m in isa_dim(), seed in 0u64..=u64::MAX,
-        ) {
-            every_isa_matches_scalar(n, k, m, seed)?;
+        fn f32_reductions_bit_identical_to_portable(seed in 0u64..=u64::MAX) {
+            let mut rng = seeded(seed);
+            for len in 0usize..=64 {
+                let a = Matrix::randn(1, len, 1.0, &mut rng);
+                let b = Matrix::randn(1, len, 1.0, &mut rng);
+                let (a, b) = (a.data(), b.data());
+                prop_assert_eq!(
+                    simd::dot(a, b).to_bits(), simd::scalar::dot(a, b).to_bits(),
+                    "dot len {} diverged from the portable body", len,
+                );
+                prop_assert_eq!(
+                    simd::sq_euclidean(a, b).to_bits(),
+                    simd::scalar::sq_euclidean(a, b).to_bits(),
+                    "sq_euclidean len {} diverged from the portable body", len,
+                );
+            }
         }
 
-        /// The int8 reductions are exact i32 accumulations, so every ISA
-        /// (and any thread count) must agree with a plain sequential
+        /// The int8 reductions are exact i32 accumulations, so the compiled
+        /// bodies (at any thread count) must agree with a plain sequential
         /// reference sum to the bit (DESIGN.md §17). Lengths straddle the
-        /// AVX2 16-element step boundary to exercise the scalar tail.
+        /// AVX2 16-element step boundary to exercise its scalar tail.
         #[test]
         fn i8_reductions_exact_on_every_isa(
             len in 0usize..=200,
@@ -821,31 +698,21 @@ mod proptests {
                 let t = x as i64 - y as i64;
                 want_sq += t * t;
             }
-            for isa in [simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512] {
-                let Some(kern) = simd::Kernel::for_isa(isa) else {
-                    eprintln!(
-                        "SKIPPING i8 bit-identity case for {}: not supported on this host",
-                        isa.name()
-                    );
-                    continue;
-                };
-                for threads in [1usize, 2, 7] {
-                    let mut got_dot = 0i32;
-                    let mut got_sq = 0i32;
-                    edsr_par::with_threads(threads, || {
-                        got_dot = (kern.i8_dot)(&a, &b);
-                        got_sq = (kern.i8_sq_euclidean)(&a, &b);
-                    });
-                    prop_assert_eq!(
-                        got_dot as i64, want_dot,
-                        "i8_dot len {} diverged on {} at {} threads", len, isa.name(), threads,
-                    );
-                    prop_assert_eq!(
-                        got_sq as i64, want_sq,
-                        "i8_sq_euclidean len {} diverged on {} at {} threads",
-                        len, isa.name(), threads,
-                    );
-                }
+            for threads in [1usize, 2, 7] {
+                let mut got_dot = 0i32;
+                let mut got_sq = 0i32;
+                edsr_par::with_threads(threads, || {
+                    got_dot = simd::i8_dot(&a, &b);
+                    got_sq = simd::i8_sq_euclidean(&a, &b);
+                });
+                prop_assert_eq!(
+                    got_dot as i64, want_dot,
+                    "i8_dot len {} diverged at {} threads", len, threads,
+                );
+                prop_assert_eq!(
+                    got_sq as i64, want_sq,
+                    "i8_sq_euclidean len {} diverged at {} threads", len, threads,
+                );
             }
         }
 

@@ -346,25 +346,25 @@ impl Matrix {
         self.map(|v| v * c)
     }
 
-    /// In-place `self += other` (SIMD-dispatched, [`crate::simd`]).
+    /// In-place `self += other` ([`crate::simd`]).
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
         crate::simd::add_assign(&mut self.data, &other.data);
     }
 
-    /// In-place `self += c * other` (axpy, SIMD-dispatched).
+    /// In-place `self += c * other` (axpy, [`crate::simd`]).
     pub fn add_scaled(&mut self, other: &Matrix, c: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled: shape mismatch");
         crate::simd::axpy(&mut self.data, &other.data, c);
     }
 
-    /// In-place `self *= c` (SIMD-dispatched).
+    /// In-place `self *= c` ([`crate::simd`]).
     pub fn scale_inplace(&mut self, c: f32) {
         crate::simd::scale(&mut self.data, c);
     }
 
     /// Writes `self * c` into same-shape `out` without allocating
-    /// (SIMD-dispatched).
+    /// ([`crate::simd`]).
     ///
     /// # Panics
     /// Panics on shape mismatch.

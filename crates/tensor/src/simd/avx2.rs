@@ -1,73 +1,23 @@
-//! AVX2 + FMA kernels, 8 x f32 per vector.
+//! AVX2 reductions, 8 x f32 per vector: the f32 `dot` and `sq_euclidean`
+//! and the exact int8 `i8_dot` and `i8_sq_euclidean`.
 //!
-//! Every function is bit-identical to [`super::scalar`] (ordering rules in
-//! the [`super`] module docs). Two deliberate non-uses of wider machinery:
-//! the GEMM tile issues separate `vmulps`/`vaddps` instead of fused FMA
-//! (the scalar kernel rounds twice per step), and the reductions keep one
-//! 256-bit accumulator per call so each lane remains an independent
-//! ascending chain — the canonical 8-lane tree.
+//! Every function is bit-identical to its [`super::scalar`] twin (ordering
+//! rules in the [`super`] module docs). The f32 reductions keep one
+//! 256-bit accumulator per call, so each lane remains an independent
+//! ascending chain — the canonical 8-lane tree — and they multiply and add
+//! in separate instructions, never FMA.
 //!
-//! All functions are `unsafe` because they require the `avx2` and `fma`
-//! CPU features; the dispatch layer only reaches them through vtables
-//! gated on [`super::Isa::supported`].
+//! All functions are `unsafe` because they require the `avx2` CPU
+//! feature; this module is compiled only when the build enables it, and
+//! the safe entries in [`super`] are the only callers.
 
 use core::arch::x86_64::*;
-
-use crate::kernel::{MR, NR};
-
-/// Full `MR x NR` register tile, output-stationary: each of the 16 output
-/// columns lives in a fixed vector lane (two 8-wide halves), accumulated
-/// in ascending `k` with separate multiply and add.
-///
-/// # Safety
-/// Requires `avx2` and `fma`. Caller guarantees the [`super::Kernel`]
-/// tile contract: `ap.len() == kc * MR`, `bp.len() == kc * NR`, and `c`
-/// covers rows `row0..row0 + MR` with `NR` columns at `j0` under stride
-/// `ldc`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn tile8x16(
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    row0: usize,
-    j0: usize,
-    ldc: usize,
-    first: bool,
-) {
-    debug_assert_eq!(ap.len() % MR, 0);
-    let kc = ap.len() / MR;
-    debug_assert_eq!(bp.len(), kc * NR);
-    debug_assert!((row0 + MR - 1) * ldc + j0 + NR <= c.len());
-    // Two 8-column halves: 8 accumulators + a B row + an A broadcast fit
-    // the 16 ymm registers; one half at a time keeps the B load shared
-    // across all 8 rows.
-    for half in 0..2 {
-        let jo = j0 + half * 8;
-        let mut acc = [_mm256_setzero_ps(); MR];
-        if !first {
-            for (ii, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_loadu_ps(c.as_ptr().add((row0 + ii) * ldc + jo));
-            }
-        }
-        for p in 0..kc {
-            let b = _mm256_loadu_ps(bp.as_ptr().add(p * NR + half * 8));
-            for (ii, a) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap.get_unchecked(p * MR + ii));
-                // mul + add, never FMA: two roundings, like the scalar tile.
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(av, b));
-            }
-        }
-        for (ii, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c.as_mut_ptr().add((row0 + ii) * ldc + jo), *a);
-        }
-    }
-}
 
 /// Canonical 8-lane-tree dot product (one ymm accumulator = the tree).
 ///
 /// # Safety
-/// Requires `avx2` and `fma`; `a.len() == b.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
+/// Requires `avx2`; `a.len() == b.len()`.
+#[target_feature(enable = "avx2")]
 pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let chunks = a.len() / 8;
@@ -88,8 +38,8 @@ pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Canonical 8-lane-tree squared Euclidean distance.
 ///
 /// # Safety
-/// Requires `avx2` and `fma`; `a.len() == b.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
+/// Requires `avx2`; `a.len() == b.len()`.
+#[target_feature(enable = "avx2")]
 pub unsafe fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let chunks = a.len() / 8;
@@ -113,7 +63,7 @@ pub unsafe fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// # Safety
 /// Requires `avx2`.
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 unsafe fn hsum_epi32(v: __m256i) -> i32 {
     let lo = _mm256_castsi256_si128(v);
     let hi = _mm256_extracti128_si256(v, 1);
@@ -130,8 +80,8 @@ unsafe fn hsum_epi32(v: __m256i) -> i32 {
 /// by construction (see the scalar kernel's determinism note).
 ///
 /// # Safety
-/// Requires `avx2` and `fma`; `a.len() == b.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
+/// Requires `avx2`; `a.len() == b.len()`.
+#[target_feature(enable = "avx2")]
 pub unsafe fn i8_dot(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
@@ -156,8 +106,8 @@ pub unsafe fn i8_dot(a: &[i8], b: &[i8]) -> i32 {
 /// exact in i32. Bit-identical to [`super::scalar`] by construction.
 ///
 /// # Safety
-/// Requires `avx2` and `fma`; `a.len() == b.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
+/// Requires `avx2`; `a.len() == b.len()`.
+#[target_feature(enable = "avx2")]
 pub unsafe fn i8_sq_euclidean(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
@@ -177,111 +127,4 @@ pub unsafe fn i8_sq_euclidean(a: &[i8], b: &[i8]) -> i32 {
         i += 1;
     }
     sum
-}
-
-/// `y[i] += a * x[i]` — elementwise, mul + add per element.
-///
-/// # Safety
-/// Requires `avx2` and `fma`; `y.len() == x.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn axpy(y: &mut [f32], x: &[f32], a: f32) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let av = _mm256_set1_ps(a);
-    let mut i = 0;
-    while i + 8 <= n {
-        let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-        let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(
-            y.as_mut_ptr().add(i),
-            _mm256_add_ps(yv, _mm256_mul_ps(av, xv)),
-        );
-        i += 8;
-    }
-    while i < n {
-        *y.get_unchecked_mut(i) += a * *x.get_unchecked(i);
-        i += 1;
-    }
-}
-
-/// `y[i] += x[i]`.
-///
-/// # Safety
-/// Requires `avx2` and `fma`; `y.len() == x.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-        let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(yv, xv));
-        i += 8;
-    }
-    while i < n {
-        *y.get_unchecked_mut(i) += *x.get_unchecked(i);
-        i += 1;
-    }
-}
-
-/// `x[i] *= c`.
-///
-/// # Safety
-/// Requires `avx2` and `fma`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn scale(x: &mut [f32], c: f32) {
-    let n = x.len();
-    let cv = _mm256_set1_ps(c);
-    let mut i = 0;
-    while i + 8 <= n {
-        let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_mul_ps(xv, cv));
-        i += 8;
-    }
-    while i < n {
-        *x.get_unchecked_mut(i) *= c;
-        i += 1;
-    }
-}
-
-/// `dst[i] = src[i] * c`.
-///
-/// # Safety
-/// Requires `avx2` and `fma`; `dst.len() == src.len()`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn scale_into(dst: &mut [f32], src: &[f32], c: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len();
-    let cv = _mm256_set1_ps(c);
-    let mut i = 0;
-    while i + 8 <= n {
-        let sv = _mm256_loadu_ps(src.as_ptr().add(i));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(sv, cv));
-        i += 8;
-    }
-    while i < n {
-        *dst.get_unchecked_mut(i) = *src.get_unchecked(i) * c;
-        i += 1;
-    }
-}
-
-/// `x[i] /= d` — IEEE division rounds identically at any vector width.
-///
-/// # Safety
-/// Requires `avx2` and `fma`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn div_scalar(x: &mut [f32], d: f32) {
-    let n = x.len();
-    let dv = _mm256_set1_ps(d);
-    let mut i = 0;
-    while i + 8 <= n {
-        let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_div_ps(xv, dv));
-        i += 8;
-    }
-    while i < n {
-        *x.get_unchecked_mut(i) /= d;
-        i += 1;
-    }
 }

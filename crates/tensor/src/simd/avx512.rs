@@ -1,17 +1,13 @@
-//! AVX-512F kernels, 16 x f32 per vector.
+//! The AVX-512F GEMM tile, 16 x f32 per vector.
 //!
-//! The GEMM tile holds each full 16-column output row in one zmm register
+//! The tile holds each full 16-column output row in one zmm register
 //! (8 accumulators for the whole `MR x NR` tile), accumulated in ascending
-//! `k` with separate multiply and add — bit-identical to the scalar tile.
-//! Elementwise ops run 16 wide (elementwise results do not depend on
-//! vector width). Reductions are *not* defined here: the canonical
-//! reduction tree is 8 lanes, so the [`super::Kernel`] vtable for AVX-512
-//! reuses the [`super::avx2`] reduction entries (support for AVX-512
-//! implies AVX2+FMA in [`super::Isa::supported`]).
+//! `k` with separate multiply and add — bit-identical to the portable
+//! [`super::scalar::tile8x16`].
 //!
-//! All functions are `unsafe` because they require the `avx512f` CPU
-//! feature; the dispatch layer only reaches them through vtables gated on
-//! [`super::Isa::supported`].
+//! The function is `unsafe` because it requires the `avx512f` CPU feature;
+//! this module is compiled only when the build enables it, and the safe
+//! entry in [`super`] is the only caller.
 
 use core::arch::x86_64::*;
 
@@ -20,9 +16,9 @@ use crate::kernel::{MR, NR};
 /// Full `MR x NR` register tile, output-stationary with one zmm per row.
 ///
 /// # Safety
-/// Requires `avx512f`. Caller guarantees the [`super::Kernel`] tile
-/// contract: `ap.len() == kc * MR`, `bp.len() == kc * NR`, and `c` covers
-/// rows `row0..row0 + MR` with `NR` columns at `j0` under stride `ldc`.
+/// Requires `avx512f`. Caller guarantees the tile contract:
+/// `ap.len() == kc * MR`, `bp.len() == kc * NR`, and `c` covers rows
+/// `row0..row0 + MR` with `NR` columns at `j0` under stride `ldc`.
 #[target_feature(enable = "avx512f")]
 pub unsafe fn tile8x16(
     ap: &[f32],
@@ -47,118 +43,11 @@ pub unsafe fn tile8x16(
         let b = _mm512_loadu_ps(bp.as_ptr().add(p * NR));
         for (ii, a) in acc.iter_mut().enumerate() {
             let av = _mm512_set1_ps(*ap.get_unchecked(p * MR + ii));
-            // mul + add, never FMA: two roundings, like the scalar tile.
+            // mul + add, never FMA: two roundings, like the portable tile.
             *a = _mm512_add_ps(*a, _mm512_mul_ps(av, b));
         }
     }
     for (ii, a) in acc.iter().enumerate() {
         _mm512_storeu_ps(c.as_mut_ptr().add((row0 + ii) * ldc + j0), *a);
-    }
-}
-
-/// `y[i] += a * x[i]`, 16 wide.
-///
-/// # Safety
-/// Requires `avx512f`; `y.len() == x.len()`.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn axpy(y: &mut [f32], x: &[f32], a: f32) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let av = _mm512_set1_ps(a);
-    let mut i = 0;
-    while i + 16 <= n {
-        let yv = _mm512_loadu_ps(y.as_ptr().add(i));
-        let xv = _mm512_loadu_ps(x.as_ptr().add(i));
-        _mm512_storeu_ps(
-            y.as_mut_ptr().add(i),
-            _mm512_add_ps(yv, _mm512_mul_ps(av, xv)),
-        );
-        i += 16;
-    }
-    while i < n {
-        *y.get_unchecked_mut(i) += a * *x.get_unchecked(i);
-        i += 1;
-    }
-}
-
-/// `y[i] += x[i]`, 16 wide.
-///
-/// # Safety
-/// Requires `avx512f`; `y.len() == x.len()`.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let mut i = 0;
-    while i + 16 <= n {
-        let yv = _mm512_loadu_ps(y.as_ptr().add(i));
-        let xv = _mm512_loadu_ps(x.as_ptr().add(i));
-        _mm512_storeu_ps(y.as_mut_ptr().add(i), _mm512_add_ps(yv, xv));
-        i += 16;
-    }
-    while i < n {
-        *y.get_unchecked_mut(i) += *x.get_unchecked(i);
-        i += 1;
-    }
-}
-
-/// `x[i] *= c`, 16 wide.
-///
-/// # Safety
-/// Requires `avx512f`.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn scale(x: &mut [f32], c: f32) {
-    let n = x.len();
-    let cv = _mm512_set1_ps(c);
-    let mut i = 0;
-    while i + 16 <= n {
-        let xv = _mm512_loadu_ps(x.as_ptr().add(i));
-        _mm512_storeu_ps(x.as_mut_ptr().add(i), _mm512_mul_ps(xv, cv));
-        i += 16;
-    }
-    while i < n {
-        *x.get_unchecked_mut(i) *= c;
-        i += 1;
-    }
-}
-
-/// `dst[i] = src[i] * c`, 16 wide.
-///
-/// # Safety
-/// Requires `avx512f`; `dst.len() == src.len()`.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn scale_into(dst: &mut [f32], src: &[f32], c: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len();
-    let cv = _mm512_set1_ps(c);
-    let mut i = 0;
-    while i + 16 <= n {
-        let sv = _mm512_loadu_ps(src.as_ptr().add(i));
-        _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_mul_ps(sv, cv));
-        i += 16;
-    }
-    while i < n {
-        *dst.get_unchecked_mut(i) = *src.get_unchecked(i) * c;
-        i += 1;
-    }
-}
-
-/// `x[i] /= d`, 16 wide — IEEE division rounds identically at any width.
-///
-/// # Safety
-/// Requires `avx512f`.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn div_scalar(x: &mut [f32], d: f32) {
-    let n = x.len();
-    let dv = _mm512_set1_ps(d);
-    let mut i = 0;
-    while i + 16 <= n {
-        let xv = _mm512_loadu_ps(x.as_ptr().add(i));
-        _mm512_storeu_ps(x.as_mut_ptr().add(i), _mm512_div_ps(xv, dv));
-        i += 16;
-    }
-    while i < n {
-        *x.get_unchecked_mut(i) /= d;
-        i += 1;
     }
 }

@@ -1,91 +1,84 @@
-//! Runtime ISA dispatch for the SIMD micro-kernels.
+//! SIMD micro-kernels: one body per op, chosen at compile time.
 //!
 //! The hot loops of the workspace — the 8x16 GEMM register tile in
-//! [`crate::kernel`], the kNN squared-distance/dot reductions, the PCA
-//! covariance row accumulation, and the elementwise tape ops (axpy, scale,
-//! row-normalize division) — are implemented three ways, frostburn-style:
+//! [`crate::kernel`], the kNN squared-distance/dot reductions, the exact
+//! int8 reductions of quantized serving, the PCA covariance row
+//! accumulation, and the elementwise tape ops (axpy, scale, row-normalize
+//! division) — each have exactly one body in a given build, picked by
+//! `#[cfg(target_feature = …)]` (DESIGN.md §15):
 //!
-//! - [`scalar`]: portable reference, compiles everywhere. This *defines*
-//!   the canonical result: every other ISA must reproduce its bits.
-//! - [`avx2`]: 8-lane f32 (256-bit) with `avx2`+`fma` enabled at compile
-//!   time for the module and verified at runtime before dispatch.
-//! - [`avx512`]: 16-lane f32 (512-bit) GEMM tile and elementwise ops;
-//!   reductions deliberately reuse the 8-lane tree (see below).
+//! - [`scalar`]: the portable bodies. They *define* the canonical result:
+//!   a hand-written body must reproduce their bits. The workspace builds
+//!   with `-C target-cpu=native` (`.cargo/config.toml`), so LLVM
+//!   vectorizes them at the host's vector width.
+//! - `avx512`: the 8x16 tile with one zmm register per output row,
+//!   compiled in when the build enables `avx512f`.
+//! - `avx2`: the f32 and int8 reductions, compiled in when the build
+//!   enables `avx2`.
 //!
-//! One implementation is selected at startup via `is_x86_feature_detected!`
-//! and installed in a process-global [`Kernel`] vtable. The choice is
-//! overridable with the `EDSR_ISA` knob (`auto|scalar|avx2|avx512`;
-//! CLI > env > default through `edsr_core::EnvConfig`, which calls
-//! [`set_isa`]) so tests can pin any path on any host.
+//! Every other op, and every op of a build without those features, runs
+//! the portable body. Only the hand-written bodies that beat their
+//! portable twin on an end-to-end workload are kept.
 //!
-//! ## Bit-identity rules (DESIGN.md §15)
+//! ## Bit-identity rules
 //!
-//! Every dispatched op produces bits identical to the scalar reference on
-//! every supported ISA, which keeps the workspace contract — results
-//! byte-identical at any thread count *and* any `EDSR_ISA` — in one piece:
+//! Every hand-written body produces bits identical to its portable twin,
+//! and rustc never reassociates float operations or contracts them into
+//! FMA, so the portable bodies give the same bits at any vector width.
+//! Results therefore do not depend on the build's target features:
 //!
 //! - **GEMM tile**: output-stationary. Each SIMD lane owns one output
 //!   element and accumulates in ascending `k` order inside the same KC=256
-//!   k-blocks as the scalar kernel, using separate multiply and add
-//!   instructions (never fused FMA — the scalar kernel rounds twice per
+//!   k-blocks as the portable tile, using separate multiply and add
+//!   instructions (never fused FMA — the portable tile rounds twice per
 //!   step, and a fused contraction would diverge from it).
 //! - **Reductions** (`dot`, `sq_euclidean`): a strict sequential sum cannot
 //!   be vectorized without reordering, so the canonical order is defined
 //!   *once* as an 8-lane interleaved tree — lane `j` accumulates elements
 //!   `i ≡ j (mod 8)` in ascending order, tail elements fold into lanes
-//!   `0..rem`, and the eight partials collapse left-to-right. All ISAs
-//!   including scalar implement exactly this tree (AVX-512 included: a
-//!   16-lane tree would change the bits, so its reductions stay 256-bit).
+//!   `0..rem`, and the eight partials collapse left-to-right. The portable
+//!   body writes this tree out; the AVX2 body holds it in one ymm register.
 //! - **Elementwise** (`axpy`, `add_assign`, `scale`, `scale_into`,
 //!   `div_scalar`): one output per element, no cross-lane interaction;
 //!   any vector width is bit-identical by construction.
 //! - **Int8 reductions** (`i8_dot`, `i8_sq_euclidean`): exact `i32`
-//!   accumulator chains (DESIGN.md §17). Integer addition is associative,
-//!   so unlike the f32 reductions no canonical lane tree is needed — any
-//!   accumulation order yields identical bits, which makes the quantized
-//!   inference path structurally deterministic across ISA levels and
-//!   thread counts. Callers keep lengths ≤ 130 000 so `len * 127²` (and
-//!   `len * 254²` for distances) stays below `i32::MAX`.
+//!   accumulation (DESIGN.md §17). Integer addition is associative, so
+//!   unlike the f32 reductions no canonical lane tree is needed — any
+//!   accumulation order yields identical bits. Callers keep lengths
+//!   ≤ 130 000 so `len * 127²` (and `len * 254²` for distances) stays
+//!   below `i32::MAX`.
 //!
-//! ## Adding a new ISA
-//!
-//! 1. Add a module implementing every [`Kernel`] entry with the ordering
-//!    rules above (reductions must keep the 8-lane tree).
-//! 2. Add an [`Isa`] variant, its `supported()` detection arm, a static
-//!    vtable wired through private safe wrappers, and a `detect()` arm
-//!    (fastest first).
-//! 3. The bit-identity proptests in this module run automatically against
-//!    every `Isa::ALL` entry; unsupported ISAs are skipped with a loud
-//!    `eprintln` so CI logs show exactly which paths were exercised.
+//! The hand-written bodies are `unsafe` `#[target_feature]` functions.
+//! They are compiled only when the build enables their feature for the
+//! whole binary, which then cannot run on a CPU without it, so the safe
+//! entries below may call them.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-#[cfg(target_arch = "x86_64")]
-pub mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub mod avx512;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+mod avx2;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512;
 pub mod scalar;
 
-/// Canonical reduction lane count. Reductions on every ISA accumulate an
-/// 8-lane interleaved partial-sum tree regardless of register width.
+pub use scalar::{add_assign, axpy, div_scalar, scale, scale_into};
+
+/// Canonical reduction lane count. Reductions accumulate an 8-lane
+/// interleaved partial-sum tree regardless of register width.
 pub const LANES: usize = 8;
 
-/// An instruction-set level the dispatcher can select.
+/// An x86 instruction-set level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Isa {
-    /// Portable scalar reference (the canonical bit pattern).
+    /// No x86 SIMD level: portable bodies only.
     Scalar,
-    /// AVX2 + FMA, 8 x f32 per vector.
+    /// AVX2, 8 x f32 per vector (the hand-written reductions).
     Avx2,
-    /// AVX-512F, 16 x f32 per vector (reductions stay 8-lane).
+    /// AVX-512F, 16 x f32 per vector (the hand-written tile; `avx512f`
+    /// implies `avx2`, so the AVX2 reductions too).
     Avx512,
 }
 
 impl Isa {
-    /// Every ISA the dispatcher knows, slowest first.
-    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Avx2, Isa::Avx512];
-
-    /// Stable lowercase name (used by `EDSR_ISA` and bench JSON records).
+    /// Stable lowercase name (used in bench JSON headers).
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -93,410 +86,122 @@ impl Isa {
             Isa::Avx512 => "avx512",
         }
     }
-
-    /// Whether the running host can execute this ISA's kernels.
-    pub fn supported(self) -> bool {
-        match self {
-            Isa::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            // The AVX-512 reductions delegate to the AVX2 8-lane tree, so
-            // both feature sets must be present (true on every avx512f part).
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && Isa::Avx2.supported(),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
 }
 
-/// A parsed `EDSR_ISA` value: auto-detect or a pinned level.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IsaRequest {
-    /// Pick the fastest supported ISA at startup (the default).
-    Auto,
-    /// Pin one ISA; [`set_isa`] rejects it if the host lacks support.
-    Fixed(Isa),
-}
-
-impl IsaRequest {
-    /// Parses `auto|scalar|avx2|avx512` (the `EDSR_ISA` grammar).
-    pub fn parse(s: &str) -> Option<IsaRequest> {
-        match s {
-            "auto" => Some(IsaRequest::Auto),
-            "scalar" => Some(IsaRequest::Fixed(Isa::Scalar)),
-            "avx2" => Some(IsaRequest::Fixed(Isa::Avx2)),
-            "avx512" => Some(IsaRequest::Fixed(Isa::Avx512)),
-            _ => None,
-        }
-    }
-
-    /// Stable name, round-tripping [`parse`](Self::parse).
-    pub fn name(self) -> &'static str {
-        match self {
-            IsaRequest::Auto => "auto",
-            IsaRequest::Fixed(isa) => isa.name(),
-        }
-    }
-}
-
-/// Signature of the full GEMM register-tile entry ([`Kernel::tile8x16`]):
-/// packed panels in, accumulation into a strided slab of `c`.
-pub type TileFn =
-    fn(ap: &[f32], bp: &[f32], c: &mut [f32], row0: usize, j0: usize, ldc: usize, first: bool);
-
-/// The dispatch vtable: one function pointer per hot loop, all implemented
-/// by every ISA module under the ordering rules in the module docs.
-///
-/// Obtain one from [`active`] (the process-global selection) or
-/// [`Kernel::for_isa`] (a specific supported level, e.g. in tests that
-/// compare ISAs side by side). All entries are safe to call: the vtables
-/// for SIMD levels are only reachable after a successful support check.
-pub struct Kernel {
-    /// Which ISA this vtable executes.
-    pub isa: Isa,
-    /// Full `MR x NR` GEMM register tile over packed panels
-    /// (`ap`: k-major MR-wide, `bp`: k-major NR-wide); accumulates into
-    /// `c[(row0 + i) * ldc + j0 + j]`, starting from zero when `first`.
-    pub tile8x16: TileFn,
-    /// 8-lane-tree dot product (`a.len() == b.len()`).
-    pub dot: fn(a: &[f32], b: &[f32]) -> f32,
-    /// 8-lane-tree squared Euclidean distance (`a.len() == b.len()`).
-    pub sq_euclidean: fn(a: &[f32], b: &[f32]) -> f32,
-    /// `y[i] += a * x[i]` (`y.len() == x.len()`).
-    pub axpy: fn(y: &mut [f32], x: &[f32], a: f32),
-    /// `y[i] += x[i]` (`y.len() == x.len()`).
-    pub add_assign: fn(y: &mut [f32], x: &[f32]),
-    /// `x[i] *= c`.
-    pub scale: fn(x: &mut [f32], c: f32),
-    /// `dst[i] = src[i] * c` (`dst.len() == src.len()`).
-    pub scale_into: fn(dst: &mut [f32], src: &[f32], c: f32),
-    /// `x[i] /= d` (IEEE division, bit-identical at any vector width).
-    pub div_scalar: fn(x: &mut [f32], d: f32),
-    /// Exact int8 dot product with an `i32` accumulator
-    /// (`a.len() == b.len()`, length ≤ 130 000).
-    pub i8_dot: fn(a: &[i8], b: &[i8]) -> i32,
-    /// Exact int8 squared Euclidean distance with an `i32` accumulator
-    /// (`a.len() == b.len()`, length ≤ 130 000).
-    pub i8_sq_euclidean: fn(a: &[i8], b: &[i8]) -> i32,
-}
-
-impl Kernel {
-    /// The vtable for a specific ISA, or `None` if this host cannot run it.
-    pub fn for_isa(isa: Isa) -> Option<&'static Kernel> {
-        if isa.supported() {
-            Some(table(isa))
-        } else {
-            None
-        }
-    }
-}
-
-static SCALAR: Kernel = Kernel {
-    isa: Isa::Scalar,
-    tile8x16: scalar::tile8x16,
-    dot: scalar::dot,
-    sq_euclidean: scalar::sq_euclidean,
-    axpy: scalar::axpy,
-    add_assign: scalar::add_assign,
-    scale: scalar::scale,
-    scale_into: scalar::scale_into,
-    div_scalar: scalar::div_scalar,
-    i8_dot: scalar::i8_dot,
-    i8_sq_euclidean: scalar::i8_sq_euclidean,
-};
-
-// Safe entry shims for the `#[target_feature]` implementations. They are
-// private and only reachable through the support-gated vtable accessors,
-// which is what makes the `unsafe` calls sound.
-#[cfg(target_arch = "x86_64")]
-mod entry {
-    use super::{avx2, avx512};
-
-    pub fn avx2_tile8x16(
-        ap: &[f32],
-        bp: &[f32],
-        c: &mut [f32],
-        row0: usize,
-        j0: usize,
-        ldc: usize,
-        first: bool,
-    ) {
-        // SAFETY: reachable only via a vtable gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::tile8x16(ap, bp, c, row0, j0, ldc, first) }
-    }
-    pub fn avx2_dot(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::dot(a, b) }
-    }
-    pub fn avx2_sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::sq_euclidean(a, b) }
-    }
-    pub fn avx2_axpy(y: &mut [f32], x: &[f32], a: f32) {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::axpy(y, x, a) }
-    }
-    pub fn avx2_add_assign(y: &mut [f32], x: &[f32]) {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::add_assign(y, x) }
-    }
-    pub fn avx2_scale(x: &mut [f32], c: f32) {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::scale(x, c) }
-    }
-    pub fn avx2_scale_into(dst: &mut [f32], src: &[f32], c: f32) {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::scale_into(dst, src, c) }
-    }
-    pub fn avx2_div_scalar(x: &mut [f32], d: f32) {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::div_scalar(x, d) }
-    }
-    pub fn avx2_i8_dot(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::i8_dot(a, b) }
-    }
-    pub fn avx2_i8_sq_euclidean(a: &[i8], b: &[i8]) -> i32 {
-        // SAFETY: gated on `Isa::Avx2.supported()`.
-        unsafe { avx2::i8_sq_euclidean(a, b) }
-    }
-
-    pub fn avx512_tile8x16(
-        ap: &[f32],
-        bp: &[f32],
-        c: &mut [f32],
-        row0: usize,
-        j0: usize,
-        ldc: usize,
-        first: bool,
-    ) {
-        // SAFETY: reachable only via a vtable gated on `Isa::Avx512.supported()`.
-        unsafe { avx512::tile8x16(ap, bp, c, row0, j0, ldc, first) }
-    }
-    pub fn avx512_axpy(y: &mut [f32], x: &[f32], a: f32) {
-        // SAFETY: gated on `Isa::Avx512.supported()`.
-        unsafe { avx512::axpy(y, x, a) }
-    }
-    pub fn avx512_add_assign(y: &mut [f32], x: &[f32]) {
-        // SAFETY: gated on `Isa::Avx512.supported()`.
-        unsafe { avx512::add_assign(y, x) }
-    }
-    pub fn avx512_scale(x: &mut [f32], c: f32) {
-        // SAFETY: gated on `Isa::Avx512.supported()`.
-        unsafe { avx512::scale(x, c) }
-    }
-    pub fn avx512_scale_into(dst: &mut [f32], src: &[f32], c: f32) {
-        // SAFETY: gated on `Isa::Avx512.supported()`.
-        unsafe { avx512::scale_into(dst, src, c) }
-    }
-    pub fn avx512_div_scalar(x: &mut [f32], d: f32) {
-        // SAFETY: gated on `Isa::Avx512.supported()`.
-        unsafe { avx512::div_scalar(x, d) }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-static AVX2: Kernel = Kernel {
-    isa: Isa::Avx2,
-    tile8x16: entry::avx2_tile8x16,
-    dot: entry::avx2_dot,
-    sq_euclidean: entry::avx2_sq_euclidean,
-    axpy: entry::avx2_axpy,
-    add_assign: entry::avx2_add_assign,
-    scale: entry::avx2_scale,
-    scale_into: entry::avx2_scale_into,
-    div_scalar: entry::avx2_div_scalar,
-    i8_dot: entry::avx2_i8_dot,
-    i8_sq_euclidean: entry::avx2_i8_sq_euclidean,
-};
-
-// AVX-512 reductions reuse the AVX2 entries on purpose: the canonical
-// reduction tree is 8 lanes wide, and `Isa::Avx512.supported()` implies
-// AVX2+FMA support. The int8 reductions reuse them too — integer
-// accumulation is exact at any width, so a wider kernel would buy little.
-#[cfg(target_arch = "x86_64")]
-static AVX512: Kernel = Kernel {
-    isa: Isa::Avx512,
-    tile8x16: entry::avx512_tile8x16,
-    dot: entry::avx2_dot,
-    sq_euclidean: entry::avx2_sq_euclidean,
-    axpy: entry::avx512_axpy,
-    add_assign: entry::avx512_add_assign,
-    scale: entry::avx512_scale,
-    scale_into: entry::avx512_scale_into,
-    div_scalar: entry::avx512_div_scalar,
-    i8_dot: entry::avx2_i8_dot,
-    i8_sq_euclidean: entry::avx2_i8_sq_euclidean,
-};
-
-fn table(isa: Isa) -> &'static Kernel {
-    match isa {
-        Isa::Scalar => &SCALAR,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => &AVX2,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => &AVX512,
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => &SCALAR,
-    }
-}
-
-/// Fastest ISA the host supports (checked best-first).
+/// The fastest level the running CPU supports, whatever the build
+/// compiled in (compare [`active_isa`]).
 pub fn detect() -> Isa {
-    if Isa::Avx512.supported() {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Isa::Avx512;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+    }
+    Isa::Scalar
+}
+
+/// The level whose hand-written bodies this build compiled in: `avx512`
+/// when it enables `avx512f`, `avx2` when it enables `avx2`, else
+/// `scalar`. A build that drops `.cargo/config.toml`'s rustflags reads
+/// `scalar` here on any CPU.
+pub fn active_isa() -> Isa {
+    if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
         Isa::Avx512
-    } else if Isa::Avx2.supported() {
+    } else if cfg!(all(target_arch = "x86_64", target_feature = "avx2")) {
         Isa::Avx2
     } else {
         Isa::Scalar
     }
 }
 
-// 0 = unresolved, 1 = scalar, 2 = avx2, 3 = avx512.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn isa_code(isa: Isa) -> u8 {
-    match isa {
-        Isa::Scalar => 1,
-        Isa::Avx2 => 2,
-        Isa::Avx512 => 3,
-    }
-}
-
-fn code_isa(code: u8) -> Isa {
-    match code {
-        1 => Isa::Scalar,
-        2 => Isa::Avx2,
-        _ => Isa::Avx512,
-    }
-}
-
-/// A pinned ISA the host cannot execute, reported by [`set_isa`].
-#[derive(Debug, PartialEq, Eq)]
-pub struct UnsupportedIsa(pub Isa);
-
-impl std::fmt::Display for UnsupportedIsa {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "isa {:?} requested but this host does not support it (supported: {})",
-            self.0.name(),
-            Isa::ALL
-                .iter()
-                .filter(|i| i.supported())
-                .map(|i| i.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    }
-}
-
-/// Installs the process-global kernel selection. `Auto` resolves detection
-/// immediately; a pinned level is rejected with [`UnsupportedIsa`] if the
-/// host lacks it (never installed — the previous selection stays live).
-/// Returns the ISA now active. Intended for startup (`EnvConfig::apply`
-/// routes the CLI > env > default `isa` knob here); hot paths read the
-/// selection with one relaxed atomic load.
-pub fn set_isa(req: IsaRequest) -> Result<Isa, UnsupportedIsa> {
-    let isa = match req {
-        IsaRequest::Auto => detect(),
-        IsaRequest::Fixed(isa) => {
-            if !isa.supported() {
-                return Err(UnsupportedIsa(isa));
-            }
-            isa
-        }
-    };
-    ACTIVE.store(isa_code(isa), Ordering::Relaxed);
-    Ok(isa)
-}
-
-/// The process-global kernel vtable. First use resolves `EDSR_ISA` from
-/// the environment (binaries that parse CLI flags call [`set_isa`] earlier
-/// via `EnvConfig::apply`, which takes precedence); an unparseable or
-/// unsupported `EDSR_ISA` value panics with the accepted grammar, loudly —
-/// a silent scalar fallback would invalidate pinned-ISA test runs.
+/// Full `MR x NR` GEMM register tile over packed panels (`ap`: k-major
+/// MR-wide, `bp`: k-major NR-wide, `kc` steps each); accumulates into
+/// `c[(row0 + i) * ldc + j0 + j]`, starting from zero when `first`.
 #[inline]
-pub fn active() -> &'static Kernel {
-    let code = ACTIVE.load(Ordering::Relaxed);
-    if code == 0 {
-        resolve_from_env()
-    } else {
-        table(code_isa(code))
+pub(crate) fn tile8x16(
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    row0: usize,
+    j0: usize,
+    ldc: usize,
+    first: bool,
+) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    {
+        use crate::kernel::{MR, NR};
+        assert!(bp.len() >= ap.len() / MR * NR && (row0 + MR - 1) * ldc + j0 + NR <= c.len());
+        // SAFETY: compiled only when the build enables avx512f; the assert
+        // covers every `bp` load and every `c` load and store.
+        unsafe { avx512::tile8x16(ap, bp, c, row0, j0, ldc, first) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    {
+        scalar::tile8x16(ap, bp, c, row0, j0, ldc, first)
     }
 }
 
-/// The ISA the process-global vtable currently executes.
-pub fn active_isa() -> Isa {
-    active().isa
-}
-
-#[cold]
-fn resolve_from_env() -> &'static Kernel {
-    let req = match std::env::var("EDSR_ISA") {
-        Ok(raw) => IsaRequest::parse(&raw).unwrap_or_else(|| {
-            panic!("EDSR_ISA: unknown value {raw:?} (expected auto|scalar|avx2|avx512)")
-        }),
-        Err(_) => IsaRequest::Auto,
-    };
-    let isa = set_isa(req).unwrap_or_else(|e| panic!("EDSR_ISA: {e}"));
-    table(isa)
-}
-
-/// Dispatched 8-lane-tree dot product.
+/// 8-lane-tree dot product (`a.len() == b.len()`).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    (active().dot)(a, b)
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    {
+        assert_eq!(a.len(), b.len());
+        // SAFETY: compiled only when the build enables avx2; equal lengths.
+        unsafe { avx2::dot(a, b) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    {
+        scalar::dot(a, b)
+    }
 }
 
-/// Dispatched 8-lane-tree squared Euclidean distance.
+/// 8-lane-tree squared Euclidean distance (`a.len() == b.len()`).
 #[inline]
 pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
-    (active().sq_euclidean)(a, b)
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    {
+        assert_eq!(a.len(), b.len());
+        // SAFETY: compiled only when the build enables avx2; equal lengths.
+        unsafe { avx2::sq_euclidean(a, b) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    {
+        scalar::sq_euclidean(a, b)
+    }
 }
 
-/// Dispatched `y[i] += a * x[i]`.
-#[inline]
-pub fn axpy(y: &mut [f32], x: &[f32], a: f32) {
-    (active().axpy)(y, x, a)
-}
-
-/// Dispatched `y[i] += x[i]`.
-#[inline]
-pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    (active().add_assign)(y, x)
-}
-
-/// Dispatched `x[i] *= c`.
-#[inline]
-pub fn scale(x: &mut [f32], c: f32) {
-    (active().scale)(x, c)
-}
-
-/// Dispatched `dst[i] = src[i] * c`.
-#[inline]
-pub fn scale_into(dst: &mut [f32], src: &[f32], c: f32) {
-    (active().scale_into)(dst, src, c)
-}
-
-/// Dispatched `x[i] /= d`.
-#[inline]
-pub fn div_scalar(x: &mut [f32], d: f32) {
-    (active().div_scalar)(x, d)
-}
-
-/// Dispatched exact int8 dot product (`i32` accumulation).
+/// Exact int8 dot product with an `i32` accumulator (`a.len() ==
+/// b.len()`, length ≤ 130 000).
 #[inline]
 pub fn i8_dot(a: &[i8], b: &[i8]) -> i32 {
-    (active().i8_dot)(a, b)
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    {
+        assert_eq!(a.len(), b.len());
+        // SAFETY: compiled only when the build enables avx2; equal lengths.
+        unsafe { avx2::i8_dot(a, b) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    {
+        scalar::i8_dot(a, b)
+    }
 }
 
-/// Dispatched exact int8 squared Euclidean distance (`i32` accumulation).
+/// Exact int8 squared Euclidean distance with an `i32` accumulator
+/// (`a.len() == b.len()`, length ≤ 130 000).
 #[inline]
 pub fn i8_sq_euclidean(a: &[i8], b: &[i8]) -> i32 {
-    (active().i8_sq_euclidean)(a, b)
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    {
+        assert_eq!(a.len(), b.len());
+        // SAFETY: compiled only when the build enables avx2; equal lengths.
+        unsafe { avx2::i8_sq_euclidean(a, b) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    {
+        scalar::i8_sq_euclidean(a, b)
+    }
 }

@@ -1,12 +1,13 @@
-//! Portable scalar kernels — the canonical bit patterns every SIMD ISA
-//! must reproduce (ordering rules in the [`super`] module docs).
+//! Portable kernels — the canonical bit patterns a hand-written body must
+//! reproduce (ordering rules in the [`super`] module docs), and the only
+//! body of every op without one.
 //!
-//! The GEMM tile is the exact register-tile loop the workspace shipped
-//! before dispatch existed (LLVM autovectorizes it to the baseline
-//! vector width), so `EDSR_ISA=scalar` reproduces the historical `tiled`
-//! numbers and bits. The reductions are written as the 8-lane interleaved
-//! tree directly: the lanes are independent accumulator chains, which both
-//! defines the canonical order and lets the autovectorizer keep pace.
+//! LLVM vectorizes every function here at the width the build targets:
+//! the host's under the workspace's `-C target-cpu=native`, the x86-64
+//! baseline without those rustflags, with the same bits either way. The
+//! reductions are written as the 8-lane interleaved tree directly: the
+//! lanes are independent accumulator chains, which both defines the
+//! canonical order and lets the autovectorizer keep pace.
 
 use super::LANES;
 use crate::kernel::{MR, NR};
@@ -98,7 +99,7 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
 /// Integer addition is associative, so — unlike the f32 reductions above —
 /// no lane tree is needed: *any* accumulation order produces the same
 /// bits, which is what makes the quantized inference path structurally
-/// bit-identical across ISA levels and thread counts. Callers keep
+/// bit-identical across builds and thread counts. Callers keep
 /// `a.len() <= 130_000` so `len * 127²` cannot overflow `i32`.
 pub fn i8_dot(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());

@@ -373,9 +373,9 @@ impl Tape {
         let (rows, cols) = x.shape();
         let mut out = scratch.take_copy(x);
         let kernel = |range: std::ops::Range<usize>, out_chunk: &mut [f32]| {
-            // SIMD-dispatched: the norm is the canonical 8-lane-tree
-            // self-dot (crate::simd), the division elementwise — both
-            // bit-identical at every ISA level and thread count.
+            // The norm is the canonical 8-lane-tree self-dot
+            // (crate::simd), the division elementwise — both
+            // bit-identical in every build and at any thread count.
             for (local, r) in range.enumerate() {
                 let row = x.row(r);
                 let norm = crate::simd::dot(row, row).sqrt().max(NORM_EPS);

@@ -19,9 +19,6 @@
 //!          --memory N       total memory budget        (preset default)
 //!          --threads N      compute threads (default: all cores; results
 //!                           are bit-identical at any value — DESIGN.md §9)
-//!          --isa LEVEL      SIMD level: auto | scalar | avx2 | avx512
-//!                           (default auto; bit-identical at any level —
-//!                           DESIGN.md §15)
 //!          --save PATH      write the final model checkpoint
 //!          --checkpoint DIR snapshot run state after each increment
 //!          --resume         continue from the latest valid snapshot
@@ -48,11 +45,11 @@
 //!                        (one stats round-trip) before sending the op
 //! ```
 //!
-//! `--threads`, `--isa`, `--checkpoint`, `--resume`, `--obs`,
-//! `--obs-path`, `--serve-batch` and `--serve-window-us` also read
-//! `EDSR_THREADS` / `EDSR_ISA` / `EDSR_CHECKPOINT` / `EDSR_RESUME` /
-//! `EDSR_OBS` / `EDSR_OBS_PATH` / `EDSR_SERVE_BATCH` /
-//! `EDSR_SERVE_WINDOW_US`; the CLI flag wins ([`EnvConfig`] precedence).
+//! `--threads`, `--checkpoint`, `--resume`, `--obs`, `--obs-path`,
+//! `--serve-batch` and `--serve-window-us` also read `EDSR_THREADS` /
+//! `EDSR_CHECKPOINT` / `EDSR_RESUME` / `EDSR_OBS` / `EDSR_OBS_PATH` /
+//! `EDSR_SERVE_BATCH` / `EDSR_SERVE_WINDOW_US`; the CLI flag wins
+//! ([`EnvConfig`] precedence).
 //!
 //! Every failure (bad flag, divergence after retries, checkpoint
 //! corruption) surfaces as a structured error with a non-zero exit, not
@@ -75,7 +72,7 @@ use edsr::tensor::rng::seeded;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--isa L] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | lin | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--isa (or EDSR_ISA) pins the SIMD kernel level: auto | scalar | avx2 |\navx512; results are bit-identical at any level (DESIGN.md \u{a7}15).\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12)."
+        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | lin | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12)."
     );
     std::process::exit(2);
 }

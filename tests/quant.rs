@@ -4,17 +4,14 @@
 //!
 //! 1. **Determinism**: the int8 inference path — quantized encoder
 //!    forward and quantized kNN through a serve [`Engine`] — returns
-//!    bit-identical embeddings and neighbor lists whatever the pinned
-//!    ISA (`EDSR_ISA`) or worker-pool width (`EDSR_THREADS`). The i32
-//!    accumulator chains are exact, so this is equality, not tolerance.
+//!    bit-identical embeddings and neighbor lists whatever the worker-pool
+//!    width (`EDSR_THREADS`). The i32 accumulator chains are exact, so
+//!    this is equality, not tolerance, and it holds for whichever int8
+//!    reduction body the build compiled in (DESIGN.md §15).
 //! 2. **Accuracy**: exporting v2 snapshots from a real 2-task EDSR run
 //!    (`RunBuilder::quantize_serve_snapshots`) keeps the leave-one-out
 //!    kNN task accuracy of the int8 memory within 1.0 point of f32 —
 //!    the same gate `ci.sh` greps out of `edsr run --quantize`.
-//!
-//! Test 1 mutates the process-global ISA selection, so these tests live
-//! in their own integration binary (the same isolation rule as
-//! `tests/simd_dispatch.rs`). Unsupported ISA levels are skipped loudly.
 
 use edsr::cl::{
     latest_valid_serve_snapshot, quantize_serve_snapshot, AnyServeSnapshot, CheckpointConfig,
@@ -25,7 +22,6 @@ use edsr::data::test_sim;
 use edsr::linalg::Metric;
 use edsr::serve::Engine;
 use edsr::tensor::rng::seeded;
-use edsr::tensor::simd::{self, Isa, IsaRequest};
 use edsr::tensor::Matrix;
 
 const DIM: usize = 16;
@@ -33,8 +29,7 @@ const MEMORY_ROWS: usize = 24;
 const QUERIES: usize = 10;
 const K: usize = 5;
 
-/// Deterministic v1 snapshot: seeded model + replay representations
-/// (same fixture shape as tests/simd_dispatch.rs).
+/// Deterministic v1 snapshot: seeded model + replay representations.
 fn snapshot() -> ServeSnapshot {
     let mut rng = seeded(410);
     let model = ContinualModel::new(&ModelConfig::image(DIM), &mut rng);
@@ -45,8 +40,8 @@ fn snapshot() -> ServeSnapshot {
 }
 
 /// Embedding bits and neighbor lists (index + score bits, both metrics)
-/// for every query row, served by a fresh quantized engine under the
-/// currently pinned ISA and the current pool width.
+/// for every query row, served by a fresh quantized engine at the current
+/// pool width.
 type Trace = (Vec<Vec<u32>>, Vec<Vec<(usize, u32)>>);
 
 fn serve_trace(inputs: &Matrix) -> Trace {
@@ -80,30 +75,14 @@ fn serve_trace(inputs: &Matrix) -> Trace {
 #[test]
 fn quant_engine_bit_identical_across_isa_and_threads() {
     let inputs = Matrix::randn(QUERIES, DIM, 1.0, &mut seeded(97));
-    simd::set_isa(IsaRequest::Fixed(Isa::Scalar)).expect("scalar is always supported");
     let want = edsr::par::with_threads(1, || serve_trace(&inputs));
-    for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
-        if !isa.supported() {
-            eprintln!(
-                "SKIPPING quantized-engine identity for {}: not supported on this host",
-                isa.name()
-            );
-            continue;
-        }
-        simd::set_isa(IsaRequest::Fixed(isa)).expect("support checked above");
-        for threads in [1usize, 2, 7] {
-            let got = edsr::par::with_threads(threads, || serve_trace(&inputs));
-            assert_eq!(
-                want,
-                got,
-                "quantized serve path diverged on {} with {threads} threads",
-                isa.name()
-            );
-        }
+    for threads in [1usize, 2, 7] {
+        let got = edsr::par::with_threads(threads, || serve_trace(&inputs));
+        assert_eq!(
+            want, got,
+            "quantized serve path diverged with {threads} threads"
+        );
     }
-    // Leave the process on runtime detection for any later test in this
-    // binary.
-    simd::set_isa(IsaRequest::Auto).expect("auto is always supported");
 }
 
 #[test]
