@@ -120,7 +120,7 @@ EDSR=./target/release/edsr
 rm -rf ci_chaos_snaps ci_chaos.log ci_rotate.log
 "$EDSR" run test edsr --epochs 1 --serve-snapshot ci_chaos_snaps
 SNAP=$(ls ci_chaos_snaps/*.snapshot | sort | head -n 1)
-EDSR_SERVE_STALL_MS=300 "$EDSR" serve "$SNAP" --port 0 --chaos-seed 5 \
+"$EDSR" serve "$SNAP" --port 0 --chaos-seed 5 --serve-stall-ms 300 \
     > ci_chaos.log &
 CHAOS_PID=$!
 ADDR=$(wait_listening ci_chaos.log "chaos smoke") || exit 1
@@ -150,7 +150,7 @@ fi
 rm -rf ci_rotate_snaps
 mkdir -p ci_rotate_snaps
 cp "$SNAP" ci_rotate_snaps/
-EDSR_SERVE_ROTATE_MS=50 "$EDSR" serve ci_rotate_snaps --port 0 \
+"$EDSR" serve ci_rotate_snaps --port 0 --serve-rotate-ms 50 \
     > ci_rotate.log &
 ROTATE_PID=$!
 ADDR=$(wait_listening ci_rotate.log "chaos smoke: rotation") || exit 1
@@ -213,7 +213,7 @@ V1SNAP=$(ls ci_mixrot_v1/*.snapshot | sort | head -n 1)
 V2SNAP=$(ls ci_quant_snaps/*.snapshot | sort | tail -n 1)
 mkdir -p ci_mixrot_snaps
 cp "$V1SNAP" ci_mixrot_snaps/
-EDSR_SERVE_ROTATE_MS=50 "$EDSR" serve ci_mixrot_snaps --port 0 \
+"$EDSR" serve ci_mixrot_snaps --port 0 --serve-rotate-ms 50 \
     > ci_mixrot.log &
 MIXROT_PID=$!
 ADDR=$(wait_listening ci_mixrot.log "mixrot smoke") || exit 1
@@ -298,12 +298,14 @@ echo "registry smoke: $LIN_OUT"
 echo "== observability smoke (EDSR_OBS=jsonl) =="
 # A short EDSR training run streaming metrics: the file must be non-empty,
 # every line valid JSON in the stable field order, and the paper-level
-# metrics (per-term losses, selection entropy) must be present.
-rm -f ci_metrics.jsonl
+# metrics (per-term losses, selection entropy) must be present. `edsr
+# metrics`, run under the same knobs, must count the same events and leave
+# the file as it was: it only reads.
+rm -f ci_metrics.jsonl ci_metrics.before
 EDSR_OBS=jsonl EDSR_OBS_PATH=ci_metrics.jsonl \
     cargo run -q --release --bin edsr -- run test edsr --epochs 2
 test -s ci_metrics.jsonl
-python3 - <<'EOF'
+OBS_SUMMARY=$(python3 - <<'EOF'
 import json
 
 names = set()
@@ -319,8 +321,36 @@ for required in ("loss/css", "loss/dis", "loss/rpl", "select/entropy"):
     assert required in names, f"missing {required}, saw {sorted(names)}"
 print(f"obs smoke: {n} events, {len(names)} distinct metrics")
 EOF
-cargo run -q --release --bin edsr -- metrics ci_metrics.jsonl > /dev/null
-rm -f ci_metrics.jsonl
+)
+echo "$OBS_SUMMARY"
+EVENTS=$(sed -n 's/^obs smoke: \([0-9]*\) events.*/\1/p' <<< "$OBS_SUMMARY")
+cp ci_metrics.jsonl ci_metrics.before
+METRICS_OUT=$(EDSR_OBS=jsonl EDSR_OBS_PATH=ci_metrics.jsonl \
+    cargo run -q --release --bin edsr -- metrics ci_metrics.jsonl)
+grep -qx "$EVENTS events in ci_metrics.jsonl" <<< "$METRICS_OUT" \
+    || { echo "obs smoke: edsr metrics did not count $EVENTS events"; echo "$METRICS_OUT" | tail -n 3; exit 1; }
+cmp ci_metrics.jsonl ci_metrics.before \
+    || { echo "obs smoke: edsr metrics changed the file it read"; exit 1; }
+rm -f ci_metrics.jsonl ci_metrics.before
+
+echo "== flag grammar smoke (an undeclared flag exits 2) =="
+# Every binary declares the flags it reads: any other flag is an `error:`
+# line naming it and exit 2, before any work. The bench binary runs from
+# an empty directory and must leave no results/ there.
+grammar_probe() {
+    local label=$1 status=0 err
+    shift
+    err=$("$@" 2>&1 > /dev/null) || status=$?
+    { [ "$status" -eq 2 ] && grep -q "^error: .*--bogus" <<< "$err"; } \
+        || { echo "flag grammar smoke: $label exited $status: $err"; exit 1; }
+    echo "flag grammar smoke: $label -> $err"
+}
+grammar_probe "edsr run" "$EDSR" run test edsr --epochs 1 --bogus 1
+GRAMMAR_DIR=$(mktemp -d)
+(cd "$GRAMMAR_DIR" && grammar_probe table5 env EDSR_BENCH_QUICK=1 "$RELEASE/table5" --bogus)
+[ ! -e "$GRAMMAR_DIR/results" ] \
+    || { echo "flag grammar smoke: table5 wrote results/"; exit 1; }
+rm -rf "$GRAMMAR_DIR"
 
 echo "== experiment binary obs smoke (table7, EDSR_OBS=jsonl) =="
 # Experiment binaries take the same process knobs as the CLI

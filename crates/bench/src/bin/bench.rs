@@ -178,7 +178,7 @@ fn gemm<'m>(
 }
 
 fn main() -> Result<(), edsr_core::Error> {
-    let quick = edsr_bench::start().env.bench_quick;
+    let quick = edsr_bench::start().quick;
     let max_threads = edsr_par::configured_threads();
     let mut bench = Bench {
         iters: if quick { 7 } else { 15 },

@@ -23,7 +23,7 @@ use edsr_data::{build_scenario, ShardStream, SCENARIO_NAMES};
 
 fn main() -> Result<(), edsr_core::Error> {
     let setup = edsr_bench::start();
-    let quick = setup.env.bench_quick;
+    let quick = setup.quick;
     let seeds = setup.seeds(&[11, 12]);
 
     let mut cfg = edsr_cl::TrainConfig::image();

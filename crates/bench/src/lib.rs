@@ -21,6 +21,7 @@
 //! through [`sample`] and write JSON only through [`write_json`].
 
 use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 use edsr_cl::metrics::mean_std;
@@ -29,7 +30,7 @@ use edsr_cl::{
     TrainError,
 };
 use edsr_core::prelude::seeded;
-use edsr_core::{method_by_name, seeded_run, EnvConfig};
+use edsr_core::{method_by_name, seeded_run, EnvConfig, Grammar};
 use edsr_data::Preset;
 
 /// Seeds used for image experiments (paper: 4 runs).
@@ -558,6 +559,8 @@ pub fn write_json(path: &str, fields: &[(&'static str, Json)]) -> std::io::Resul
 pub struct Setup {
     /// The process knobs, already applied to the runtime.
     pub env: EnvConfig,
+    /// Shrink the workload to a smoke run (`--quick`/`EDSR_BENCH_QUICK`).
+    pub quick: bool,
     /// Most seeds a sweep may use.
     seed_cap: usize,
 }
@@ -570,18 +573,46 @@ impl Setup {
     }
 }
 
-/// Resolves the process knobs ([`EnvConfig`], CLI > env > default) and
-/// the `EDSR_SEEDS` seed count without applying them. A knob that does not
-/// parse prints `error: …` and exits 2.
+/// Resolves the process knobs ([`EnvConfig`], CLI > env > default), quick
+/// mode and the `EDSR_SEEDS` seed count without applying them. Bench
+/// binaries take no positionals and no flag but `--quick` and the process
+/// flags. An argument or knob that does not parse prints `error: …` and
+/// exits 2.
 pub fn resolve() -> Setup {
-    let resolved = EnvConfig::from_process().and_then(|env| {
-        let seeds = std::env::var("EDSR_SEEDS").ok();
-        let seed_cap = seed_cap(env.bench_quick, seeds.as_deref())?;
-        Ok(Setup { env, seed_cap })
-    });
-    resolved.unwrap_or_else(|e| {
+    let argv: Vec<String> = std::env::args().collect();
+    let program = argv.first().map_or("", String::as_str);
+    let name = Path::new(program).file_name().and_then(|n| n.to_str());
+    let args = argv.get(1..).unwrap_or_default();
+    resolve_from(|k| std::env::var(k).ok(), name.unwrap_or(program), args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
+    })
+}
+
+/// [`resolve`] over an environment lookup and the arguments of the binary
+/// `name` (program name excluded).
+fn resolve_from(
+    env: impl Fn(&str) -> Option<String>,
+    name: &str,
+    args: &[String],
+) -> Result<Setup, String> {
+    let grammar = Grammar {
+        name,
+        values: &[],
+        switches: &["--quick"],
+    };
+    let env_cfg = EnvConfig::resolve(&env, &grammar, args)?;
+    if let Some(p) = env_cfg.rest.positionals.first() {
+        return Err(format!("{name}: unexpected argument {p:?}"));
+    }
+    let quick =
+        env_cfg.rest.switch("--quick") || env("EDSR_BENCH_QUICK").is_some_and(|v| truthy(&v));
+    let seed_cap =
+        seed_cap(quick, env("EDSR_SEEDS").as_deref()).map_err(|e| format!("{name}: {e}"))?;
+    Ok(Setup {
+        env: env_cfg,
+        quick,
+        seed_cap,
     })
 }
 
@@ -595,6 +626,15 @@ pub fn start() -> Setup {
         std::process::exit(1);
     }
     setup
+}
+
+/// Is an environment value truthy? Empty, `0`, `false` and `off`
+/// (case-insensitive) are not.
+fn truthy(value: &str) -> bool {
+    !matches!(
+        value.trim().to_ascii_lowercase().as_str(),
+        "" | "0" | "false" | "off"
+    )
 }
 
 /// The seed cap for quick mode and an `EDSR_SEEDS` value: one seed in
@@ -864,8 +904,40 @@ mod tests {
     fn setup(quick: bool, seeds: Option<&str>) -> Result<Setup, String> {
         Ok(Setup {
             env: EnvConfig::default(),
+            quick,
             seed_cap: seed_cap(quick, seeds)?,
         })
+    }
+
+    /// [`resolve_from`] for the binary `table5`.
+    fn table5(env: impl Fn(&str) -> Option<String>, list: &[&str]) -> Result<Setup, String> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        resolve_from(env, "table5", &args)
+    }
+
+    #[test]
+    fn bench_quick_cli_beats_env() {
+        let env = |k: &str| (k == "EDSR_BENCH_QUICK").then(|| "0".to_string());
+        // env says off...
+        assert!(!table5(env, &[]).unwrap().quick);
+        // ...but the flag forces it on.
+        assert!(table5(env, &["--quick"]).unwrap().quick);
+        let env_on = |k: &str| (k == "EDSR_BENCH_QUICK").then(|| "1".to_string());
+        assert!(table5(env_on, &[]).unwrap().quick);
+    }
+
+    #[test]
+    fn bench_binaries_reject_other_arguments() {
+        let no_env = |_: &str| None;
+        let err = |list: &[&str]| table5(no_env, list).unwrap_err();
+        assert_eq!(err(&["--bogus"]), "table5: unknown flag --bogus");
+        assert_eq!(err(&["--quick=1"]), "table5: --quick takes no value");
+        assert_eq!(err(&["extra"]), "table5: unexpected argument \"extra\"");
+        let setup = table5(no_env, &["--quick", "--threads", "1"]).unwrap();
+        assert_eq!(setup.env.threads, Some(1));
+        let seeds = |k: &str| (k == "EDSR_SEEDS").then(|| "two".to_string());
+        let err = table5(seeds, &[]).unwrap_err();
+        assert!(err.starts_with("table5: EDSR_SEEDS:"), "{err}");
     }
 
     #[test]

@@ -1,250 +1,190 @@
-//! One reader for every process-level knob.
+//! One argument grammar for every binary, and the process knobs every
+//! binary honours.
 //!
-//! Before this module, configuration was scattered: `EDSR_THREADS` read in
-//! `edsr-par`, `EDSR_BENCH_QUICK` read ad-hoc in each bench binary, and the
-//! CLI parsed `--threads`/`--checkpoint`/`--resume` by hand. [`EnvConfig`]
-//! resolves all of them in one place with documented precedence:
+//! Each binary, and each `edsr` subcommand, declares the flags it reads
+//! once, as a [`Grammar`], and [`Grammar::parse`] reads its arguments:
 //!
-//! **CLI flag > environment variable > default.**
+//! - a flag that takes a value is `--name value` or `--name=value`; the
+//!   value may start with `-` (`--input -0.5,0.1`), and one that starts
+//!   with `--` must use the `=` form;
+//! - a switch is a bare `--name`;
+//! - the last occurrence of a flag wins;
+//! - every argument that does not start with `--` is a positional, kept
+//!   in order.
+//!
+//! A flag the grammar does not declare, a valued flag with no value and a
+//! switch given `=value` are errors that name the grammar and the flag.
+//! Binaries print them as `error: …` and exit 2 before they build data or
+//! write a file.
+//!
+//! [`EnvConfig`] resolves the three knobs every binary honours, with
+//! precedence **CLI flag > environment variable > default**:
 //!
 //! | knob | CLI | env | default |
 //! |------|-----|-----|---------|
 //! | threads | `--threads N` | `EDSR_THREADS` | auto (pool picks) |
-//! | bench quick mode | `--quick` | `EDSR_BENCH_QUICK` | off |
-//! | checkpoint dir | `--checkpoint DIR` | `EDSR_CHECKPOINT` | none |
-//! | resume | `--resume` | `EDSR_RESUME` | off |
-//! | observability mode | `--obs MODE` | `EDSR_OBS` | `off` |
+//! | observability mode | `--obs off\|jsonl` | `EDSR_OBS` | `off` |
 //! | metrics path | `--obs-path PATH` | `EDSR_OBS_PATH` | `metrics.jsonl` |
-//! | serve batch cap | `--serve-batch N` | `EDSR_SERVE_BATCH` | server default |
-//! | serve window (µs) | `--serve-window-us N` | `EDSR_SERVE_WINDOW_US` | server default |
-//! | serve rotation poll (ms) | `--serve-rotate-ms N` | `EDSR_SERVE_ROTATE_MS` | server default |
-//! | serve deadline (ms, 0 = off) | `--serve-deadline-ms N` | `EDSR_SERVE_DEADLINE_MS` | off |
-//! | serve queue cap | `--serve-queue N` | `EDSR_SERVE_QUEUE` | server default |
-//! | serve read timeout (ms) | `--serve-read-timeout-ms N` | `EDSR_SERVE_READ_TIMEOUT_MS` | server default |
-//! | serve stall cap (ms) | `--serve-stall-ms N` | `EDSR_SERVE_STALL_MS` | server default |
-//! | serve int8 quantized | `--quantized` | `EDSR_SERVE_QUANT` | off |
 //!
-//! Boolean env vars are truthy unless empty, `0`, `false`, or `off`
-//! (case-insensitive). [`EnvConfig::resolve`] is pure — the environment is
-//! passed in as a lookup function — so each knob has an isolated unit test
-//! that cannot race other tests through the process environment.
-//! [`EnvConfig::from_process`] binds the real `std::env`, and
-//! [`EnvConfig::apply`] pushes the resolved values into the runtime
-//! (`edsr_par::set_threads`, `edsr_obs::install_mode`).
+//! Every other flag is read from argv only, where it is used: the `edsr`
+//! subcommands read their own, and `edsr_bench::resolve` reads `--quick`
+//! (with `EDSR_BENCH_QUICK`) and `EDSR_SEEDS`. [`EnvConfig::resolve`] is
+//! pure — the environment is passed in as a lookup function — so each
+//! knob has an isolated unit test that cannot race other tests through the
+//! process environment. [`EnvConfig::apply`] pushes the resolved values
+//! into the runtime (`edsr_par::set_threads`, `edsr_obs::install_mode`).
 
 use std::path::PathBuf;
 
 use edsr_obs::ObsMode;
 use edsr_par::parse_threads;
 
-/// Resolved process configuration; see the module docs for the knob table.
+/// The flags one binary or subcommand reads; see the module docs.
+#[derive(Debug, Clone, Copy)]
+pub struct Grammar<'a> {
+    /// What errors name: the binary, or `edsr <subcommand>`.
+    pub name: &'a str,
+    /// Flags that take a value.
+    pub values: &'a [&'static str],
+    /// Flags that take none.
+    pub switches: &'a [&'static str],
+}
+
+/// Arguments read by [`Grammar::parse`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Args {
+    /// Each flag given, with its value (`None` for a switch), in order.
+    flags: Vec<(&'static str, Option<String>)>,
+    /// The arguments that do not start with `--`, in order.
+    pub positionals: Vec<String>,
+}
+
+impl Args {
+    /// The value of the last `flag` given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().rev().find(|(f, _)| *f == flag)?;
+        value.as_deref()
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+}
+
+impl Grammar<'_> {
+    /// Reads `args` (program name excluded) under this grammar.
+    pub fn parse(&self, args: &[String]) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                out.positionals.push(arg.clone());
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let declared = |list: &[&'static str]| list.iter().copied().find(|&f| f == name);
+            if let Some(flag) = declared(self.values) {
+                let value = inline.or_else(|| it.next_if(|v| !v.starts_with("--")).cloned());
+                let Some(value) = value else {
+                    return Err(format!("{}: {name} requires a value", self.name));
+                };
+                out.flags.push((flag, Some(value)));
+            } else if let Some(flag) = declared(self.switches) {
+                if inline.is_some() {
+                    return Err(format!("{}: {name} takes no value", self.name));
+                }
+                out.flags.push((flag, None));
+            } else {
+                return Err(format!("{}: unknown flag {name}", self.name));
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The flags of [`EnvConfig`]'s knobs, which every grammar accepts.
+const PROCESS_FLAGS: [&str; 3] = ["--threads", "--obs", "--obs-path"];
+
+/// The resolved process knobs; see the module docs for the table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvConfig {
     /// Compute thread count (`None` = let the pool auto-detect).
     pub threads: Option<usize>,
-    /// Shrink benchmark workloads to a smoke run.
-    pub bench_quick: bool,
-    /// Directory for run-state snapshots.
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from the latest valid snapshot in `checkpoint`.
-    pub resume: bool,
     /// Observability sink mode.
     pub obs: ObsMode,
     /// Metrics file path for [`ObsMode::Jsonl`].
     pub obs_path: PathBuf,
-    /// Micro-batcher flush size for `edsr serve` (`None` = server default).
-    pub serve_batch: Option<usize>,
-    /// Micro-batcher coalescing window in microseconds for `edsr serve`
-    /// (`None` = server default).
-    pub serve_window_us: Option<u64>,
-    /// Snapshot-rotation poll interval in milliseconds for `edsr serve`
-    /// (`None` = server default; rotation itself is enabled by serving a
-    /// snapshot *directory* rather than a single file).
-    pub serve_rotate_ms: Option<u64>,
-    /// Per-request deadline in milliseconds for `edsr serve`
-    /// (`None` = unset, `Some(0)` = explicitly disabled).
-    pub serve_deadline_ms: Option<u64>,
-    /// Bounded submit-queue capacity for `edsr serve` (`None` = server
-    /// default). Requests beyond it are shed with `ERR_OVERLOADED`.
-    pub serve_queue: Option<usize>,
-    /// Per-connection socket read timeout in milliseconds for
-    /// `edsr serve` (`None` = server default).
-    pub serve_read_timeout_ms: Option<u64>,
-    /// Slow-peer stall cap in milliseconds for `edsr serve`: a
-    /// connection idle mid-frame longer than this is dropped
-    /// (`None` = server default).
-    pub serve_stall_ms: Option<u64>,
-    /// Serve on the int8 quantized backend: `edsr serve` quantizes v1
-    /// snapshots in-process (v2 snapshots always serve quantized) and
-    /// `edsr query` asserts the server is quantized before sending.
-    pub serve_quant: bool,
-    /// Arguments `resolve` did not consume (positionals and unknown
-    /// flags), in their original order, for the caller's own parser.
-    pub rest: Vec<String>,
+    /// The binary's own arguments: its positionals and the flags of its
+    /// grammar, without the process flags.
+    pub rest: Args,
 }
 
 impl Default for EnvConfig {
     fn default() -> Self {
         Self {
             threads: None,
-            bench_quick: false,
-            checkpoint: None,
-            resume: false,
             obs: ObsMode::Off,
             obs_path: PathBuf::from("metrics.jsonl"),
-            serve_batch: None,
-            serve_window_us: None,
-            serve_rotate_ms: None,
-            serve_deadline_ms: None,
-            serve_queue: None,
-            serve_read_timeout_ms: None,
-            serve_stall_ms: None,
-            serve_quant: false,
-            rest: Vec::new(),
+            rest: Args::default(),
         }
     }
 }
 
-/// Is an env-var value truthy? Empty, `0`, `false`, and `off` are not.
-fn truthy(value: &str) -> bool {
-    !matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "" | "0" | "false" | "off"
-    )
-}
-
 impl EnvConfig {
-    /// Resolves configuration from an environment lookup and CLI args,
-    /// with precedence CLI > env > default. `args` excludes the program
-    /// name. Unrecognised arguments are preserved in [`rest`](Self::rest).
+    /// Reads `args` (program name excluded) under `grammar` plus the
+    /// process flags, and resolves the process knobs from them and the
+    /// environment lookup `env`, with precedence CLI > env > default.
     ///
-    /// Errors are human-readable strings naming the offending knob
-    /// (unparseable `--threads`, unknown `--obs` mode, missing flag value).
-    pub fn resolve(env: impl Fn(&str) -> Option<String>, args: &[String]) -> Result<Self, String> {
+    /// Errors are human-readable strings naming the grammar and the
+    /// offending flag or variable.
+    pub fn resolve(
+        env: impl Fn(&str) -> Option<String>,
+        grammar: &Grammar,
+        args: &[String],
+    ) -> Result<Self, String> {
+        let values = [grammar.values, &PROCESS_FLAGS[..]].concat();
+        let mut rest = Grammar {
+            values: &values,
+            ..*grammar
+        }
+        .parse(args)?;
+        let knob = |e: String| format!("{}: {e}", grammar.name);
         let mut cfg = Self::default();
 
         // Environment layer.
         if let Some(v) = env("EDSR_THREADS") {
-            cfg.threads = Some(parse_threads("EDSR_THREADS", &v)?);
-        }
-        if let Some(v) = env("EDSR_BENCH_QUICK") {
-            cfg.bench_quick = truthy(&v);
-        }
-        if let Some(v) = env("EDSR_CHECKPOINT") {
-            if !v.is_empty() {
-                cfg.checkpoint = Some(PathBuf::from(v));
-            }
-        }
-        if let Some(v) = env("EDSR_RESUME") {
-            cfg.resume = truthy(&v);
+            cfg.threads = Some(parse_threads("EDSR_THREADS", &v).map_err(knob)?);
         }
         if let Some(v) = env("EDSR_OBS") {
-            cfg.obs = ObsMode::parse(&v).ok_or_else(|| bad_obs("EDSR_OBS", &v))?;
+            cfg.obs = parse_obs("EDSR_OBS", &v).map_err(knob)?;
         }
-        if let Some(v) = env("EDSR_OBS_PATH") {
-            if !v.is_empty() {
-                cfg.obs_path = PathBuf::from(v);
-            }
-        }
-        if let Some(v) = env("EDSR_SERVE_BATCH") {
-            cfg.serve_batch = Some(parse_count("EDSR_SERVE_BATCH", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_WINDOW_US") {
-            cfg.serve_window_us = Some(parse_window("EDSR_SERVE_WINDOW_US", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_ROTATE_MS") {
-            cfg.serve_rotate_ms = Some(parse_ms_nonzero("EDSR_SERVE_ROTATE_MS", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_DEADLINE_MS") {
-            cfg.serve_deadline_ms = Some(parse_ms("EDSR_SERVE_DEADLINE_MS", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_QUEUE") {
-            cfg.serve_queue = Some(parse_count("EDSR_SERVE_QUEUE", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_READ_TIMEOUT_MS") {
-            cfg.serve_read_timeout_ms = Some(parse_ms_nonzero("EDSR_SERVE_READ_TIMEOUT_MS", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_STALL_MS") {
-            cfg.serve_stall_ms = Some(parse_ms_nonzero("EDSR_SERVE_STALL_MS", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_QUANT") {
-            cfg.serve_quant = truthy(&v);
+        if let Some(v) = env("EDSR_OBS_PATH").filter(|v| !v.is_empty()) {
+            cfg.obs_path = PathBuf::from(v);
         }
 
-        // CLI layer (wins). Both `--flag value` and `--flag=value` work.
-        let mut it = args.iter().peekable();
-        while let Some(arg) = it.next() {
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) if f.starts_with("--") => (f, Some(v.to_string())),
-                _ => (arg.as_str(), None),
-            };
-            let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-                inline
-                    .clone()
-                    .or_else(|| it.next().cloned())
-                    .ok_or_else(|| format!("{flag} requires a value"))
-            };
-            match flag {
-                "--threads" => {
-                    let v = value(&mut it)?;
-                    cfg.threads = Some(parse_threads("--threads", &v)?);
-                }
-                "--quick" => cfg.bench_quick = true,
-                "--checkpoint" => cfg.checkpoint = Some(PathBuf::from(value(&mut it)?)),
-                "--resume" => cfg.resume = true,
-                "--obs" => {
-                    let v = value(&mut it)?;
-                    cfg.obs = ObsMode::parse(&v).ok_or_else(|| bad_obs("--obs", &v))?;
-                }
-                "--obs-path" => cfg.obs_path = PathBuf::from(value(&mut it)?),
-                "--serve-batch" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_batch = Some(parse_count("--serve-batch", &v)?);
-                }
-                "--serve-window-us" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_window_us = Some(parse_window("--serve-window-us", &v)?);
-                }
-                "--serve-rotate-ms" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_rotate_ms = Some(parse_ms_nonzero("--serve-rotate-ms", &v)?);
-                }
-                "--serve-deadline-ms" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_deadline_ms = Some(parse_ms("--serve-deadline-ms", &v)?);
-                }
-                "--serve-queue" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_queue = Some(parse_count("--serve-queue", &v)?);
-                }
-                "--serve-read-timeout-ms" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_read_timeout_ms =
-                        Some(parse_ms_nonzero("--serve-read-timeout-ms", &v)?);
-                }
-                "--serve-stall-ms" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_stall_ms = Some(parse_ms_nonzero("--serve-stall-ms", &v)?);
-                }
-                "--quantized" => cfg.serve_quant = true,
-                _ => cfg.rest.push(arg.clone()),
-            }
+        // CLI layer (wins).
+        if let Some(v) = rest.value("--threads") {
+            cfg.threads = Some(parse_threads("--threads", v).map_err(knob)?);
         }
+        if let Some(v) = rest.value("--obs") {
+            cfg.obs = parse_obs("--obs", v).map_err(knob)?;
+        }
+        if let Some(v) = rest.value("--obs-path") {
+            cfg.obs_path = PathBuf::from(v);
+        }
+        rest.flags.retain(|(f, _)| !PROCESS_FLAGS.contains(f));
+        cfg.rest = rest;
         Ok(cfg)
-    }
-
-    /// [`resolve`](Self::resolve) against the real process environment
-    /// and `std::env::args` (program name skipped).
-    pub fn from_process() -> Result<Self, String> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::resolve(|k| std::env::var(k).ok(), &args)
     }
 
     /// Pushes the resolved config into the runtime: sets the `edsr-par`
     /// thread count (when requested) and installs the observability sink.
-    /// Returns the ring sink when `obs = ring`, so the caller can drain it;
     /// `Err` means the JSONL metrics file could not be created.
-    pub fn apply(&self) -> std::io::Result<Option<edsr_obs::RingSink>> {
+    pub fn apply(&self) -> std::io::Result<()> {
         if let Some(n) = self.threads {
             edsr_par::set_threads(n);
         }
@@ -252,43 +192,19 @@ impl EnvConfig {
     }
 }
 
-fn parse_count(source: &str, value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("{source}: expected a count >= 1, got {value:?}")),
-    }
-}
-
-fn parse_window(source: &str, value: &str) -> Result<u64, String> {
-    value
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{source}: expected microseconds (u64), got {value:?}"))
-}
-
-fn parse_ms(source: &str, value: &str) -> Result<u64, String> {
-    value
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{source}: expected milliseconds (u64), got {value:?}"))
-}
-
-fn parse_ms_nonzero(source: &str, value: &str) -> Result<u64, String> {
-    match value.trim().parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "{source}: expected milliseconds >= 1, got {value:?}"
-        )),
-    }
-}
-
-fn bad_obs(source: &str, value: &str) -> String {
-    format!("{source}: expected off | ring | jsonl, got {value:?}")
+fn parse_obs(source: &str, value: &str) -> Result<ObsMode, String> {
+    ObsMode::parse(value).ok_or_else(|| format!("{source}: expected off | jsonl, got {value:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const RUN: Grammar = Grammar {
+        name: "edsr run",
+        values: &["--seed", "--input", "--save"],
+        switches: &["--resume"],
+    };
 
     fn no_env(_: &str) -> Option<String> {
         None
@@ -298,9 +214,74 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    fn resolve(env: impl Fn(&str) -> Option<String>, list: &[&str]) -> Result<EnvConfig, String> {
+        EnvConfig::resolve(env, &RUN, &args(list))
+    }
+
+    #[test]
+    fn both_value_forms_and_switches_parse() {
+        let parsed = RUN
+            .parse(&args(&["--seed", "3", "--save=out.bin", "--resume"]))
+            .unwrap();
+        assert_eq!(parsed.value("--seed"), Some("3"));
+        assert_eq!(parsed.value("--save"), Some("out.bin"));
+        assert!(parsed.switch("--resume"));
+        assert_eq!(parsed.value("--input"), None);
+        assert!(!RUN.parse(&[]).unwrap().switch("--resume"));
+        // `=` splits once: the value keeps any later `=`.
+        let parsed = RUN.parse(&args(&["--save=a=b"])).unwrap();
+        assert_eq!(parsed.value("--save"), Some("a=b"));
+    }
+
+    #[test]
+    fn last_occurrence_wins() {
+        let parsed = RUN
+            .parse(&args(&["--seed", "3", "--seed=5", "--seed", "7"]))
+            .unwrap();
+        assert_eq!(parsed.value("--seed"), Some("7"));
+    }
+
+    #[test]
+    fn values_may_start_with_a_dash() {
+        let parsed = RUN
+            .parse(&args(&["--input", "-0.5,0.1", "--seed", "-1"]))
+            .unwrap();
+        assert_eq!(parsed.value("--input"), Some("-0.5,0.1"));
+        assert_eq!(parsed.value("--seed"), Some("-1"));
+        // A value that starts with `--` takes the `=` form.
+        let parsed = RUN.parse(&args(&["--save=--odd-name"])).unwrap();
+        assert_eq!(parsed.value("--save"), Some("--odd-name"));
+    }
+
+    #[test]
+    fn positionals_keep_their_order() {
+        let parsed = RUN
+            .parse(&args(&[
+                "test", "--seed", "3", "edsr", "-x", "--resume", "last",
+            ]))
+            .unwrap();
+        assert_eq!(parsed.positionals, args(&["test", "edsr", "-x", "last"]));
+    }
+
+    #[test]
+    fn errors_name_the_grammar_and_the_flag() {
+        let err = |list: &[&str]| RUN.parse(&args(list)).unwrap_err();
+        assert_eq!(err(&["--sed", "5"]), "edsr run: unknown flag --sed");
+        assert_eq!(err(&["--bogus=1"]), "edsr run: unknown flag --bogus");
+        assert_eq!(err(&["--seed"]), "edsr run: --seed requires a value");
+        // The next flag is not taken as the value.
+        assert_eq!(
+            err(&["--seed", "--resume"]),
+            "edsr run: --seed requires a value"
+        );
+        assert_eq!(err(&["--resume=yes"]), "edsr run: --resume takes no value");
+        // A process flag is a flag of the grammar only through `EnvConfig`.
+        assert_eq!(err(&["--threads", "2"]), "edsr run: unknown flag --threads");
+    }
+
     #[test]
     fn defaults_when_nothing_set() {
-        let cfg = EnvConfig::resolve(no_env, &[]).unwrap();
+        let cfg = resolve(no_env, &[]).unwrap();
         assert_eq!(cfg, EnvConfig::default());
         assert_eq!(cfg.obs_path, PathBuf::from("metrics.jsonl"));
     }
@@ -308,195 +289,69 @@ mod tests {
     #[test]
     fn threads_cli_beats_env() {
         let env = |k: &str| (k == "EDSR_THREADS").then(|| "8".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--threads", "2"])).unwrap();
+        let cfg = resolve(env, &["--threads", "2"]).unwrap();
         assert_eq!(cfg.threads, Some(2));
-        let cfg = EnvConfig::resolve(env, &[]).unwrap();
+        let cfg = resolve(env, &[]).unwrap();
         assert_eq!(cfg.threads, Some(8));
-        assert!(EnvConfig::resolve(env, &args(&["--threads", "zero"])).is_err());
-        assert!(EnvConfig::resolve(no_env, &args(&["--threads", "0"])).is_err());
-    }
-
-    #[test]
-    fn bench_quick_cli_beats_env() {
-        let env = |k: &str| (k == "EDSR_BENCH_QUICK").then(|| "0".to_string());
-        // env says off...
-        assert!(!EnvConfig::resolve(env, &[]).unwrap().bench_quick);
-        // ...but the flag forces it on.
-        assert!(
-            EnvConfig::resolve(env, &args(&["--quick"]))
-                .unwrap()
-                .bench_quick
-        );
-        let env_on = |k: &str| (k == "EDSR_BENCH_QUICK").then(|| "1".to_string());
-        assert!(EnvConfig::resolve(env_on, &[]).unwrap().bench_quick);
-    }
-
-    #[test]
-    fn checkpoint_cli_beats_env() {
-        let env = |k: &str| (k == "EDSR_CHECKPOINT").then(|| "/tmp/env-ckpt".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--checkpoint", "/tmp/cli-ckpt"])).unwrap();
-        assert_eq!(cfg.checkpoint, Some(PathBuf::from("/tmp/cli-ckpt")));
-        let cfg = EnvConfig::resolve(env, &[]).unwrap();
-        assert_eq!(cfg.checkpoint, Some(PathBuf::from("/tmp/env-ckpt")));
-        assert!(EnvConfig::resolve(no_env, &args(&["--checkpoint"])).is_err());
-    }
-
-    #[test]
-    fn resume_env_and_flag() {
-        let env = |k: &str| (k == "EDSR_RESUME").then(|| "false".to_string());
-        assert!(!EnvConfig::resolve(env, &[]).unwrap().resume);
-        assert!(
-            EnvConfig::resolve(env, &args(&["--resume"]))
-                .unwrap()
-                .resume
-        );
-        let env_on = |k: &str| (k == "EDSR_RESUME").then(|| "yes".to_string());
-        assert!(EnvConfig::resolve(env_on, &[]).unwrap().resume);
+        assert!(resolve(env, &["--threads", "zero"]).is_err());
+        assert!(resolve(no_env, &["--threads", "0"]).is_err());
     }
 
     #[test]
     fn obs_mode_cli_beats_env() {
-        let env = |k: &str| (k == "EDSR_OBS").then(|| "ring".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--obs", "jsonl"])).unwrap();
-        assert_eq!(cfg.obs, ObsMode::Jsonl);
-        assert_eq!(EnvConfig::resolve(env, &[]).unwrap().obs, ObsMode::Ring);
-        assert!(EnvConfig::resolve(no_env, &args(&["--obs", "tracing"])).is_err());
+        let env = |k: &str| (k == "EDSR_OBS").then(|| "jsonl".to_string());
+        let cfg = resolve(env, &["--obs", "off"]).unwrap();
+        assert_eq!(cfg.obs, ObsMode::Off);
+        assert_eq!(resolve(env, &[]).unwrap().obs, ObsMode::Jsonl);
+        assert!(resolve(no_env, &["--obs", "tracing"]).is_err());
+        // The in-memory ring is for tests and examples, not a process mode.
+        let err = resolve(no_env, &["--obs", "ring"]).unwrap_err();
+        assert!(err.starts_with("edsr run: --obs:"), "{err}");
+        let ring = |k: &str| (k == "EDSR_OBS").then(|| "ring".to_string());
+        let err = resolve(ring, &[]).unwrap_err();
+        assert!(err.starts_with("edsr run: EDSR_OBS:"), "{err}");
     }
 
     #[test]
     fn obs_path_cli_beats_env() {
         let env = |k: &str| (k == "EDSR_OBS_PATH").then(|| "env.jsonl".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--obs-path=cli.jsonl"])).unwrap();
+        let cfg = resolve(env, &["--obs-path=cli.jsonl"]).unwrap();
         assert_eq!(cfg.obs_path, PathBuf::from("cli.jsonl"));
         assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().obs_path,
+            resolve(env, &[]).unwrap().obs_path,
             PathBuf::from("env.jsonl")
         );
     }
 
     #[test]
-    fn serve_batch_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_BATCH").then(|| "16".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-batch", "4"])).unwrap();
-        assert_eq!(cfg.serve_batch, Some(4));
-        assert_eq!(EnvConfig::resolve(env, &[]).unwrap().serve_batch, Some(16));
-        assert_eq!(EnvConfig::resolve(no_env, &[]).unwrap().serve_batch, None);
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-batch", "0"])).is_err());
-        let bad = |k: &str| (k == "EDSR_SERVE_BATCH").then(|| "lots".to_string());
-        assert!(EnvConfig::resolve(bad, &[]).is_err());
-    }
-
-    #[test]
-    fn serve_window_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_WINDOW_US").then(|| "250".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-window-us=1000"])).unwrap();
-        assert_eq!(cfg.serve_window_us, Some(1000));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().serve_window_us,
-            Some(250)
-        );
-        // Zero is a valid window: flush immediately once a request lands.
-        let cfg = EnvConfig::resolve(no_env, &args(&["--serve-window-us", "0"])).unwrap();
-        assert_eq!(cfg.serve_window_us, Some(0));
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-window-us", "-5"])).is_err());
-    }
-
-    #[test]
-    fn serve_rotate_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_ROTATE_MS").then(|| "500".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-rotate-ms", "50"])).unwrap();
-        assert_eq!(cfg.serve_rotate_ms, Some(50));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().serve_rotate_ms,
-            Some(500)
-        );
-        assert_eq!(
-            EnvConfig::resolve(no_env, &[]).unwrap().serve_rotate_ms,
-            None
-        );
-        // A zero poll interval would spin; reject it.
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-rotate-ms", "0"])).is_err());
-    }
-
-    #[test]
-    fn serve_deadline_cli_beats_env_and_zero_means_disabled() {
-        let env = |k: &str| (k == "EDSR_SERVE_DEADLINE_MS").then(|| "250".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-deadline-ms=40"])).unwrap();
-        assert_eq!(cfg.serve_deadline_ms, Some(40));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().serve_deadline_ms,
-            Some(250)
-        );
-        // Zero is a valid setting: it explicitly disables the deadline.
-        let cfg = EnvConfig::resolve(no_env, &args(&["--serve-deadline-ms", "0"])).unwrap();
-        assert_eq!(cfg.serve_deadline_ms, Some(0));
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-deadline-ms", "soon"])).is_err());
-    }
-
-    #[test]
-    fn serve_queue_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_QUEUE").then(|| "64".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-queue", "8"])).unwrap();
-        assert_eq!(cfg.serve_queue, Some(8));
-        assert_eq!(EnvConfig::resolve(env, &[]).unwrap().serve_queue, Some(64));
-        assert_eq!(EnvConfig::resolve(no_env, &[]).unwrap().serve_queue, None);
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-queue", "0"])).is_err());
-    }
-
-    #[test]
-    fn serve_read_timeout_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_READ_TIMEOUT_MS").then(|| "100".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-read-timeout-ms", "5"])).unwrap();
-        assert_eq!(cfg.serve_read_timeout_ms, Some(5));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().serve_read_timeout_ms,
-            Some(100)
-        );
-        // A zero read timeout means "block forever" to the socket layer,
-        // which would defeat the poll loop; reject it.
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-read-timeout-ms", "0"])).is_err());
-    }
-
-    #[test]
-    fn serve_stall_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_STALL_MS").then(|| "2000".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-stall-ms=300"])).unwrap();
-        assert_eq!(cfg.serve_stall_ms, Some(300));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().serve_stall_ms,
-            Some(2000)
-        );
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-stall-ms", "0"])).is_err());
-    }
-
-    #[test]
-    fn serve_quant_env_and_flag() {
-        let env = |k: &str| (k == "EDSR_SERVE_QUANT").then(|| "off".to_string());
-        assert!(!EnvConfig::resolve(env, &[]).unwrap().serve_quant);
-        assert!(
-            EnvConfig::resolve(env, &args(&["--quantized"]))
-                .unwrap()
-                .serve_quant
-        );
-        let env_on = |k: &str| (k == "EDSR_SERVE_QUANT").then(|| "1".to_string());
-        assert!(EnvConfig::resolve(env_on, &[]).unwrap().serve_quant);
-        assert!(!EnvConfig::resolve(no_env, &[]).unwrap().serve_quant);
-    }
-
-    #[test]
-    fn unknown_args_preserved_in_order() {
-        let cfg = EnvConfig::resolve(
+    fn leftover_arguments_keep_their_order() {
+        let cfg = resolve(
             no_env,
-            &args(&["run", "cifar10", "--threads", "3", "edsr", "--seed", "7"]),
+            &[
+                "cifar10",
+                "--threads",
+                "3",
+                "edsr",
+                "--seed",
+                "7",
+                "--resume",
+            ],
         )
         .unwrap();
         assert_eq!(cfg.threads, Some(3));
-        assert_eq!(cfg.rest, args(&["run", "cifar10", "edsr", "--seed", "7"]));
+        let want = RUN
+            .parse(&args(&["cifar10", "edsr", "--seed", "7", "--resume"]))
+            .unwrap();
+        assert_eq!(cfg.rest, want);
+        assert_eq!(
+            resolve(no_env, &["--bogus"]).unwrap_err(),
+            "edsr run: unknown flag --bogus"
+        );
     }
 
     #[test]
     fn inline_equals_form_accepted() {
-        let cfg = EnvConfig::resolve(no_env, &args(&["--threads=4", "--obs=jsonl"])).unwrap();
+        let cfg = resolve(no_env, &["--threads=4", "--obs=jsonl"]).unwrap();
         assert_eq!(cfg.threads, Some(4));
         assert_eq!(cfg.obs, ObsMode::Jsonl);
     }

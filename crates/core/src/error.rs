@@ -19,9 +19,6 @@ pub enum Error {
     Checkpoint(CheckpointError),
     /// Data loading / parsing failed.
     Data(String),
-    /// Invalid process configuration (env var or CLI flag; see
-    /// [`crate::EnvConfig`]).
-    Config(String),
     /// Plain I/O (result files, directories).
     Io(std::io::Error),
     /// A parallel worker panicked (payload text from
@@ -35,7 +32,6 @@ impl fmt::Display for Error {
             Error::Train(e) => write!(f, "training: {e}"),
             Error::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             Error::Data(msg) => write!(f, "data: {msg}"),
-            Error::Config(msg) => write!(f, "config: {msg}"),
             Error::Io(e) => write!(f, "io: {e}"),
             Error::Worker(msg) => write!(f, "parallel worker panicked: {msg}"),
         }
@@ -48,7 +44,7 @@ impl std::error::Error for Error {
             Error::Train(e) => Some(e),
             Error::Checkpoint(e) => Some(e),
             Error::Io(e) => Some(e),
-            Error::Data(_) | Error::Config(_) | Error::Worker(_) => None,
+            Error::Data(_) | Error::Worker(_) => None,
         }
     }
 }

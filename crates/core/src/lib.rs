@@ -11,8 +11,10 @@
 //!   ablation switches (replay loss, selection strategy, neighbour count,
 //!   similarity-weighted replay); CaSSLe, CompEmb, R2R and Lin et al. are
 //!   four of its configurations.
-//! - [`config`]: one [`EnvConfig`] reader for every env-var/CLI knob
-//!   (`EDSR_THREADS`, `EDSR_OBS`, `--checkpoint`, …; CLI > env > default).
+//! - [`config`]: the one argument [`Grammar`] in which every binary
+//!   declares its flags, and [`EnvConfig`], the three process knobs every
+//!   binary honours (`--threads`, `--obs`, `--obs-path`, each with an
+//!   `EDSR_*` variable; CLI > env > default).
 //! - [`registry`]: [`method_by_name`], every method with its paper-default
 //!   hyperparameters, and [`seeded_run`], the seed convention of every
 //!   run.
@@ -27,7 +29,7 @@ pub mod noise;
 pub mod registry;
 pub mod select;
 
-pub use config::EnvConfig;
+pub use config::{Args, EnvConfig, Grammar};
 pub use error::Error;
 pub use method::{Edsr, EdsrConfig, ReplayLoss, ReplaySampling};
 pub use noise::noise_magnitudes;

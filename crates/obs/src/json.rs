@@ -77,6 +77,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -147,13 +148,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| ParseError {
-                        message: "invalid UTF-8".into(),
-                        at: self.pos,
-                    })?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Every other step moves over ASCII bytes, so `pos`
+                    // sits on a character boundary of the input.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -208,8 +205,10 @@ impl<'a> Parser<'a> {
 /// [`Event::write_json`]; unknown keys are rejected, missing keys are an
 /// error, key order is not enforced on input.
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
+    let line = line.trim();
     let mut p = Parser {
-        bytes: line.trim().as_bytes(),
+        text: line,
+        bytes: line.as_bytes(),
         pos: 0,
     };
     p.expect(b'{')?;

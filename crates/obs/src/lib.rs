@@ -257,57 +257,34 @@ pub enum ObsMode {
     /// No sink; every emit point is a single atomic load.
     #[default]
     Off,
-    /// Bounded in-memory ring buffer ([`RingSink`]).
-    Ring,
     /// JSON-lines file ([`JsonlSink`]) at `EDSR_OBS_PATH`.
     Jsonl,
 }
 
 impl ObsMode {
-    /// Parses the `EDSR_OBS` / `--obs` value (`off`, `ring`, `jsonl`).
+    /// Parses the `EDSR_OBS` / `--obs` value (`off`, `jsonl`).
     pub fn parse(s: &str) -> Option<Self> {
         Some(match s.trim().to_ascii_lowercase().as_str() {
             "" | "off" | "0" | "none" => ObsMode::Off,
-            "ring" => ObsMode::Ring,
             "jsonl" | "json" => ObsMode::Jsonl,
             _ => return None,
         })
     }
-
-    /// Canonical spelling (the value [`parse`](Self::parse) accepts).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ObsMode::Off => "off",
-            ObsMode::Ring => "ring",
-            ObsMode::Jsonl => "jsonl",
-        }
-    }
 }
 
-/// Capacity of the ring installed by [`install_mode`] for
-/// [`ObsMode::Ring`].
+/// A [`RingSink`] capacity that holds every event of a short run (tests
+/// and the observability example install one directly).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// Installs the sink selected by `mode`. For [`ObsMode::Jsonl`] the file
-/// at `path` is created (truncated); for [`ObsMode::Ring`] a handle to
-/// the installed ring is returned so callers can read the events back.
-/// [`ObsMode::Off`] uninstalls any existing sink.
-pub fn install_mode(mode: ObsMode, path: &std::path::Path) -> std::io::Result<Option<RingSink>> {
+/// at `path` is created (truncated); [`ObsMode::Off`] uninstalls any
+/// existing sink.
+pub fn install_mode(mode: ObsMode, path: &std::path::Path) -> std::io::Result<()> {
     match mode {
-        ObsMode::Off => {
-            uninstall();
-            Ok(None)
-        }
-        ObsMode::Ring => {
-            let ring = RingSink::with_capacity(DEFAULT_RING_CAPACITY);
-            install(Box::new(ring.clone()));
-            Ok(Some(ring))
-        }
-        ObsMode::Jsonl => {
-            install(Box::new(JsonlSink::create(path)?));
-            Ok(None)
-        }
+        ObsMode::Off => drop(uninstall()),
+        ObsMode::Jsonl => install(Box::new(JsonlSink::create(path)?)),
     }
+    Ok(())
 }
 
 /// Five-number summary of the events named `name` (gauges, histograms,
@@ -446,8 +423,8 @@ mod tests {
     #[test]
     fn obs_mode_parses() {
         assert_eq!(ObsMode::parse("off"), Some(ObsMode::Off));
-        assert_eq!(ObsMode::parse("RING"), Some(ObsMode::Ring));
-        assert_eq!(ObsMode::parse("jsonl"), Some(ObsMode::Jsonl));
+        assert_eq!(ObsMode::parse("JSONL"), Some(ObsMode::Jsonl));
+        assert_eq!(ObsMode::parse("ring"), None);
         assert_eq!(ObsMode::parse("bogus"), None);
     }
 }

@@ -63,7 +63,7 @@ pub const ERR_SHUTTING_DOWN: u16 = 2;
 /// Internal failure while answering (details in the message).
 pub const ERR_INTERNAL: u16 = 3;
 /// The request sat in the batch queue past its deadline and was dropped
-/// unanswered by the engine (`EDSR_SERVE_DEADLINE_MS`).
+/// unanswered by the engine (`edsr serve --serve-deadline-ms`).
 pub const ERR_DEADLINE: u16 = 4;
 /// The bounded submit queue was full; the response carries a
 /// `retry_after_ms` hint and the request was shed without blocking.

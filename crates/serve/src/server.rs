@@ -72,6 +72,10 @@ pub const REJECT_DEADLINE: u64 = 0;
 /// Obs index for `serve/rejected` counters shed by the bounded queue.
 pub const REJECT_OVERLOAD: u64 = 1;
 
+/// Socket read timeout of a connection handler: how often an idle
+/// connection re-checks the shutdown flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(20);
+
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -81,7 +85,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub struct RotateConfig {
     /// Directory to watch for `.snapshot` files.
     pub dir: PathBuf,
-    /// Poll interval (`EDSR_SERVE_ROTATE_MS`).
+    /// Poll interval (`edsr serve --serve-rotate-ms`).
     pub poll: Duration,
     /// Embedding-cache capacity for freshly built engines (a rotation
     /// replaces the whole engine, cache included — coherence by
@@ -91,7 +95,7 @@ pub struct RotateConfig {
     /// strictly newer paths are rotation candidates. `None` rotates to
     /// the newest valid snapshot on the first poll.
     pub current: Option<PathBuf>,
-    /// Serve candidates on the int8 backend (`EDSR_SERVE_QUANT`): v2
+    /// Serve candidates on the int8 backend (`edsr serve --quantized`): v2
     /// snapshots load natively, v1 candidates are quantized in-process
     /// before the swap. When `false`, v2 candidates still serve
     /// quantized (they carry no f32 weights to fall back to).
@@ -111,15 +115,12 @@ pub struct ServerConfig {
     /// in-flight cap (exactly one request in flight per connection).
     pub max_connections: usize,
     /// Per-request deadline enforced in the batcher
-    /// (`EDSR_SERVE_DEADLINE_MS`); `None` disables.
+    /// (`--serve-deadline-ms`); `None` disables.
     pub deadline: Option<Duration>,
-    /// Bound on the submit queue (`EDSR_SERVE_QUEUE`); a full queue
+    /// Bound on the submit queue (`--serve-queue`); a full queue
     /// sheds with [`SubmitError::Overloaded`].
     pub queue_cap: usize,
-    /// Socket read poll granularity (`EDSR_SERVE_READ_TIMEOUT_MS`):
-    /// how often an idle handler re-checks the shutdown flag.
-    pub read_timeout: Duration,
-    /// Slow-loris cap (`EDSR_SERVE_STALL_MS`): a peer that stalls
+    /// Slow-loris cap (`--serve-stall-ms`): a peer that stalls
     /// mid-frame longer than this gets a structured truncation error
     /// and its connection closed.
     pub stall_cap: Duration,
@@ -139,7 +140,6 @@ impl Default for ServerConfig {
             max_connections: 8,
             deadline: None,
             queue_cap: 1024,
-            read_timeout: Duration::from_millis(20),
             stall_cap: Duration::from_secs(5),
             rotate: None,
             fault_seed: None,
@@ -777,7 +777,6 @@ struct ServerShared {
     conns: Mutex<usize>,
     conns_cv: Condvar,
     max_connections: usize,
-    read_timeout: Duration,
     stall_cap: Duration,
 }
 
@@ -823,11 +822,6 @@ pub fn serve(
     if let Some(rotate) = cfg.rotate.clone() {
         batcher.start_rotation(rotate);
     }
-    let read_timeout = if cfg.read_timeout.is_zero() {
-        ServerConfig::default().read_timeout
-    } else {
-        cfg.read_timeout
-    };
     let shared = Arc::new(ServerShared {
         batch: Arc::clone(&batcher.shared),
         shutdown: AtomicBool::new(false),
@@ -835,7 +829,6 @@ pub fn serve(
         conns: Mutex::new(0),
         conns_cv: Condvar::new(),
         max_connections: cfg.max_connections.max(1),
-        read_timeout,
         stall_cap: cfg.stall_cap.max(Duration::from_millis(1)),
     });
     let accept_shared = Arc::clone(&shared);
@@ -882,7 +875,7 @@ fn accept_loop(
                     .name("edsr-serve-conn".into())
                     .spawn(move || {
                         let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(conn_shared.read_timeout));
+                        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                         match fault_seed {
                             Some(seed) => {
                                 // A per-connection plan so reconnects see

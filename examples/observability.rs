@@ -23,7 +23,7 @@ use edsr::tensor::rng::seeded;
 
 fn main() -> Result<(), Error> {
     // Capture the global metric stream into a ring buffer for this demo.
-    // (`EnvConfig::apply` does the same from `EDSR_OBS=ring|jsonl`.)
+    // (`EnvConfig::apply` installs a JSONL file sink from `EDSR_OBS=jsonl`.)
     let ring = RingSink::with_capacity(obs::DEFAULT_RING_CAPACITY);
     obs::install(Box::new(ring.clone()));
 

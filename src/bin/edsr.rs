@@ -25,7 +25,7 @@
 //!          --serve-snapshot DIR  export a serve snapshot after each task
 //!          --quantize       export int8 v2 serve snapshots (with
 //!                           --serve-snapshot; prints the accuracy gate)
-//!          --obs MODE       observability sink: off | ring | jsonl
+//!          --obs MODE       observability sink: off | jsonl
 //!          --obs-path PATH  metrics file for --obs jsonl (metrics.jsonl)
 //!
 //! serve:   <SNAPSHOT> is a `.snapshot` file (v1 or v2) or a directory
@@ -35,7 +35,7 @@
 //!          --serve-batch N     micro-batch flush size
 //!          --serve-window-us N micro-batch coalescing window
 //!          --quantized         serve on the int8 backend (quantizes v1
-//!                              snapshots in-process; EDSR_SERVE_QUANT)
+//!                              snapshots in-process)
 //!
 //! query:   edsr query ADDR embed --input 0.1,0.2,...  [--task N]
 //!          edsr query ADDR knn   --input ...  [--k N] [--metric M]
@@ -45,21 +45,31 @@
 //!                        (one stats round-trip) before sending the op
 //! ```
 //!
-//! `--threads`, `--checkpoint`, `--resume`, `--obs`, `--obs-path`,
-//! `--serve-batch` and `--serve-window-us` also read `EDSR_THREADS` /
-//! `EDSR_CHECKPOINT` / `EDSR_RESUME` / `EDSR_OBS` / `EDSR_OBS_PATH` /
-//! `EDSR_SERVE_BATCH` / `EDSR_SERVE_WINDOW_US`; the CLI flag wins
-//! ([`EnvConfig`] precedence).
+//! Each subcommand declares the flags it reads ([`grammar`]); any other
+//! flag, a valued flag without its value, or a switch given `=value`
+//! prints `error: edsr <subcommand>: …` and exits 2 before any data is
+//! built or file written. Every subcommand also takes `--threads`,
+//! `--obs` and `--obs-path`, which fall back to `EDSR_THREADS` /
+//! `EDSR_OBS` / `EDSR_OBS_PATH` ([`EnvConfig`]). `presets` and `metrics`
+//! install no metrics sink, so `metrics` never truncates what it reads.
 //!
-//! Every failure (bad flag, divergence after retries, checkpoint
-//! corruption) surfaces as a structured error with a non-zero exit, not
+//! Every other failure (a bad flag value, divergence after retries,
+//! checkpoint corruption) surfaces as a structured error with exit 1, not
 //! a panic.
+
+use std::fmt::Display;
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::path::Path;
+use std::str::FromStr;
+use std::time::Duration;
 
 use edsr::cl::{
     latest_valid_serve_snapshot, load_any_serve_snapshot, quantize_serve_snapshot, run_multitask,
     tabular_augmenters, AnyServeSnapshot, CheckpointConfig, ModelConfig, RunBuilder, TrainConfig,
 };
-use edsr::core::{method_by_name, seeded_run, tabular_method_by_name, EnvConfig, Error};
+use edsr::core::{
+    method_by_name, seeded_run, tabular_method_by_name, Args, EnvConfig, Error, Grammar,
+};
 use edsr::data::{
     build_scenario, cifar100_sim, cifar10_sim, domainnet_sim, tabular_sequence, test_sim,
     tiny_imagenet_sim, write_scenario, Preset, ShardStream, TabularConfig, SCENARIO_NAMES,
@@ -72,31 +82,48 @@ use edsr::tensor::rng::seeded;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | lin | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12)."
+        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs off|jsonl] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | lin | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12)."
     );
     std::process::exit(2);
 }
 
-/// Finds `--flag value` or `--flag=value` (matching `EnvConfig`'s CLI
-/// grammar, so neither form is silently ignored).
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter().enumerate().find_map(|(i, a)| {
-        if a == flag {
-            args.get(i + 1).cloned()
-        } else {
-            a.strip_prefix(flag)
-                .and_then(|rest| rest.strip_prefix('='))
-                .map(str::to_owned)
-        }
-    })
+/// The flags `edsr <cmd>` reads, for `scenario` by its first argument
+/// `sub`; `None` for an unknown subcommand. One subcommand per line.
+#[rustfmt::skip]
+fn grammar(cmd: &str, sub: Option<&str>) -> Option<Grammar<'static>> {
+    let (name, values, switches): (_, &[_], &[_]) = match (cmd, sub) {
+        ("presets", _) => ("edsr presets", &[], &[]),
+        ("run", _) => ("edsr run",
+            &["--seed", "--epochs", "--memory", "--save", "--checkpoint", "--serve-snapshot"],
+            &["--resume", "--quantize"]),
+        ("tabular", _) => ("edsr tabular", &["--seed", "--epochs"], &[]),
+        ("metrics", _) => ("edsr metrics", &[], &[]),
+        ("serve", _) => ("edsr serve",
+            &["--port", "--cache", "--serve-batch", "--serve-window-us", "--serve-rotate-ms",
+              "--serve-deadline-ms", "--serve-queue", "--serve-stall-ms", "--chaos-seed"],
+            &["--quantized"]),
+        ("query", _) => ("edsr query",
+            &["--input", "--task", "--k", "--metric", "--retries"],
+            &["--retry-rejections", "--quantized"]),
+        ("scenario", Some("list")) => ("edsr scenario list", &["--seed"], &[]),
+        ("scenario", Some("write")) => ("edsr scenario write", &["--seed"], &[]),
+        ("scenario", Some("run")) => ("edsr scenario run",
+            &["--seed", "--epochs", "--stream", "--save"], &[]),
+        _ => return None,
+    };
+    Some(Grammar { name, values, switches })
 }
 
-/// Parses a numeric flag value, turning bad input into a structured
-/// error naming the flag instead of a panic.
-fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, Error> {
-    value
-        .parse()
-        .map_err(|_| Error::Data(format!("{flag} expects a number, got {value:?}")))
+/// The value of `flag` as a `T`, `None` when the flag is absent. A value
+/// that does not parse is a structured error naming the flag; a count
+/// that must be at least 1 is read as a `NonZero` type.
+fn num<T: FromStr<Err: Display>>(args: &Args, flag: &str) -> Result<Option<T>, Error> {
+    let parse = |v: &str| {
+        v.trim()
+            .parse()
+            .map_err(|e| Error::Data(format!("{flag}: {e}, got {v:?}")))
+    };
+    args.value(flag).map(parse).transpose()
 }
 
 fn preset_by_name(name: &str) -> Option<Preset> {
@@ -134,33 +161,30 @@ fn cmd_presets() {
     }
 }
 
-fn cmd_run(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
-    let (Some(preset_name), Some(method_name)) = (args.first(), args.get(1)) else {
+fn cmd_run(args: &Args) -> Result<(), Error> {
+    let [preset_name, method_name, ..] = args.positionals.as_slice() else {
         usage()
     };
     let Some(mut preset) = preset_by_name(preset_name) else {
         eprintln!("unknown preset {preset_name:?}");
         usage()
     };
-    let seed: u64 = match parse_flag(args, "--seed") {
-        Some(v) => parse_num(&v, "--seed")?,
-        None => 11,
-    };
-    if let Some(m) = parse_flag(args, "--memory") {
-        preset = preset.with_memory_total(parse_num(&m, "--memory")?);
+    let seed: u64 = num(args, "--seed")?.unwrap_or(11);
+    if let Some(m) = num(args, "--memory")? {
+        preset = preset.with_memory_total(m);
     }
     let mut cfg = TrainConfig::image();
-    if let Some(e) = parse_flag(args, "--epochs") {
-        cfg.epochs_per_task = parse_num(&e, "--epochs")?;
+    if let Some(e) = num(args, "--epochs")? {
+        cfg.epochs_per_task = e;
     }
     let run_id = format!("{}-{}-s{}", preset.name, method_name, seed);
-    let checkpoint = env_cfg
-        .checkpoint
-        .as_ref()
-        .map(|dir| CheckpointConfig::new(dir.display().to_string(), run_id.clone()));
-    let serve_snapshot =
-        parse_flag(args, "--serve-snapshot").map(|dir| CheckpointConfig::new(dir, run_id.clone()));
-    let quantize = args.iter().any(|a| a == "--quantize");
+    let checkpoint = args
+        .value("--checkpoint")
+        .map(|dir| CheckpointConfig::new(dir, run_id.clone()));
+    let serve_snapshot = args
+        .value("--serve-snapshot")
+        .map(|dir| CheckpointConfig::new(dir, run_id.clone()));
+    let quantize = args.switch("--quantize");
     if quantize && serve_snapshot.is_none() {
         return Err(Error::Data(
             "--quantize requires --serve-snapshot DIR (it selects the v2 export format)".into(),
@@ -198,7 +222,7 @@ fn cmd_run(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
                 builder = builder.quantize_serve_snapshots();
             }
         }
-        if env_cfg.resume {
+        if args.switch("--resume") {
             // Without --checkpoint this fails fast with InvalidConfig.
             builder = builder.resume();
         }
@@ -227,24 +251,21 @@ fn cmd_run(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
             );
         }
     }
-    if let Some(path) = parse_flag(args, "--save") {
-        model.save(&path)?;
+    if let Some(path) = args.value("--save") {
+        model.save(path)?;
         println!("checkpoint written to {path}");
     }
     Ok(())
 }
 
-fn cmd_tabular(args: &[String]) -> Result<(), Error> {
-    let Some(method_name) = args.first() else {
+fn cmd_tabular(args: &Args) -> Result<(), Error> {
+    let Some(method_name) = args.positionals.first() else {
         usage()
     };
-    let seed: u64 = match parse_flag(args, "--seed") {
-        Some(v) => parse_num(&v, "--seed")?,
-        None => 1,
-    };
+    let seed: u64 = num(args, "--seed")?.unwrap_or(1);
     let mut cfg = TrainConfig::tabular();
-    if let Some(e) = parse_flag(args, "--epochs") {
-        cfg.epochs_per_task = parse_num(&e, "--epochs")?;
+    if let Some(e) = num(args, "--epochs")? {
+        cfg.epochs_per_task = e;
     }
     let mut sequence = tabular_sequence(&TabularConfig::default(), &mut seeded(seed));
     let augmenters = tabular_augmenters(&mut sequence, 0.4)?;
@@ -281,14 +302,12 @@ fn cmd_tabular(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-/// `edsr metrics [PATH]` — parse a JSONL metrics file and print a
-/// five-number summary per metric name (span enters excluded).
-fn cmd_metrics(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
-    let path = args
-        .first()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| env_cfg.obs_path.clone());
-    let text = std::fs::read_to_string(&path)?;
+/// `edsr metrics [PATH]` — parse a JSONL metrics file (by default the
+/// metrics path, `default`) and print a five-number summary per metric
+/// name (span enters excluded).
+fn cmd_metrics(args: &Args, default: &Path) -> Result<(), Error> {
+    let path = args.positionals.first().map_or(default, Path::new);
+    let text = std::fs::read_to_string(path)?;
     let events = edsr::obs::parse_jsonl(&text)
         .map_err(|e| Error::Data(format!("{}: {e}", path.display())))?;
     let mut names: Vec<&str> = events.iter().map(|e| e.name.as_ref()).collect();
@@ -314,12 +333,43 @@ fn serve_err(e: ServeError) -> Error {
     Error::Data(e.to_string())
 }
 
+/// `edsr serve`'s tuning flags over [`ServerConfig::default`], and the
+/// rotation poll interval for a served directory (default 1 s).
+fn server_config(args: &Args) -> Result<(ServerConfig, Duration), Error> {
+    let mut cfg = ServerConfig::default();
+    if let Some(n) = num::<NonZeroUsize>(args, "--serve-batch")? {
+        cfg.max_batch = n.get();
+    }
+    if let Some(us) = num(args, "--serve-window-us")? {
+        cfg.window = Duration::from_micros(us);
+    }
+    if let Some(ms) = num(args, "--serve-deadline-ms")? {
+        // 0 explicitly disables the deadline (the default).
+        cfg.deadline = (ms > 0).then(|| Duration::from_millis(ms));
+    }
+    if let Some(n) = num::<NonZeroUsize>(args, "--serve-queue")? {
+        cfg.queue_cap = n.get();
+    }
+    if let Some(ms) = num::<NonZeroU64>(args, "--serve-stall-ms")? {
+        cfg.stall_cap = Duration::from_millis(ms.get());
+    }
+    cfg.fault_seed = num(args, "--chaos-seed")?;
+    let poll = num(args, "--serve-rotate-ms")?.map_or(1000, NonZeroU64::get);
+    Ok((cfg, Duration::from_millis(poll)))
+}
+
 /// `edsr serve <SNAPSHOT>` — load a serve snapshot (a file, or the latest
 /// valid one in a directory) and answer embed/kNN requests over TCP
 /// until a wire shutdown arrives.
-fn cmd_serve(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
-    let Some(target) = args.first() else { usage() };
-    let path = std::path::Path::new(target);
+fn cmd_serve(args: &Args) -> Result<(), Error> {
+    let Some(target) = args.positionals.first() else {
+        usage()
+    };
+    let port: u16 = num(args, "--port")?.unwrap_or(7878);
+    let cache: usize = num(args, "--cache")?.unwrap_or(1024);
+    let quantized = args.switch("--quantized");
+    let (mut cfg, poll) = server_config(args)?;
+    let path = Path::new(target);
     let (snap_path, snapshot) = if path.is_dir() {
         // An unreadable candidate (not merely corrupt) aborts with the
         // offending file's path rather than being silently skipped.
@@ -329,56 +379,24 @@ fn cmd_serve(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
     } else {
         (path.to_path_buf(), load_any_serve_snapshot(path)?)
     };
-    // --quantized / EDSR_SERVE_QUANT: serve on the int8 backend. A v1
-    // snapshot is quantized in-process; v2 snapshots are already int8.
+    // --quantized: serve on the int8 backend. A v1 snapshot is quantized
+    // in-process; v2 snapshots are already int8.
     let snapshot = match snapshot {
-        AnyServeSnapshot::V1(snap) if env_cfg.serve_quant => {
+        AnyServeSnapshot::V1(snap) if quantized => {
             AnyServeSnapshot::V2(Box::new(quantize_serve_snapshot(&snap)?))
         }
         other => other,
     };
-    let port: u16 = match parse_flag(args, "--port") {
-        Some(v) => parse_num(&v, "--port")?,
-        None => 7878,
-    };
-    let cache: usize = match parse_flag(args, "--cache") {
-        Some(v) => parse_num(&v, "--cache")?,
-        None => 1024,
-    };
-    let mut cfg = ServerConfig::default();
-    if let Some(n) = env_cfg.serve_batch {
-        cfg.max_batch = n;
-    }
-    if let Some(us) = env_cfg.serve_window_us {
-        cfg.window = std::time::Duration::from_micros(us);
-    }
-    if let Some(ms) = env_cfg.serve_deadline_ms {
-        // 0 explicitly disables the deadline (the default).
-        cfg.deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = env_cfg.serve_queue {
-        cfg.queue_cap = n;
-    }
-    if let Some(ms) = env_cfg.serve_read_timeout_ms {
-        cfg.read_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(ms) = env_cfg.serve_stall_ms {
-        cfg.stall_cap = std::time::Duration::from_millis(ms);
-    }
-    if let Some(v) = parse_flag(args, "--chaos-seed") {
-        cfg.fault_seed = Some(parse_num(&v, "--chaos-seed")?);
-    }
     // Serving a directory enables live rotation: the watcher polls for
     // newer valid snapshots (e.g. from a concurrent `edsr run
     // --serve-snapshot`) and swaps them in between micro-batch flushes.
     if path.is_dir() {
-        let poll_ms = env_cfg.serve_rotate_ms.unwrap_or(1000);
         cfg.rotate = Some(RotateConfig {
             dir: path.to_path_buf(),
-            poll: std::time::Duration::from_millis(poll_ms),
+            poll,
             cache_capacity: cache,
             current: Some(snap_path.clone()),
-            quantize: env_cfg.serve_quant,
+            quantize: quantized,
         });
     }
 
@@ -415,8 +433,8 @@ fn cmd_serve(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
 }
 
 /// Parses `--input 0.1,0.2,...` (commas and/or whitespace).
-fn parse_input(args: &[String]) -> Result<Vec<f32>, Error> {
-    let Some(raw) = parse_flag(args, "--input") else {
+fn parse_input(args: &Args) -> Result<Vec<f32>, Error> {
+    let Some(raw) = args.value("--input") else {
         return Err(Error::Data("--input F,F,... is required".into()));
     };
     raw.split([',', ' '])
@@ -430,21 +448,21 @@ fn parse_input(args: &[String]) -> Result<Vec<f32>, Error> {
 }
 
 /// `edsr query <ADDR> <op>` — one-shot client for a running server.
-fn cmd_query(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
-    let (Some(addr), Some(op)) = (args.first(), args.get(1)) else {
+fn cmd_query(args: &Args) -> Result<(), Error> {
+    let [addr, op, ..] = args.positionals.as_slice() else {
         usage()
     };
     let mut policy = RetryPolicy::none();
-    if let Some(v) = parse_flag(args, "--retries") {
-        policy = RetryPolicy::retries(parse_num(&v, "--retries")?);
+    if let Some(n) = num(args, "--retries")? {
+        policy = RetryPolicy::retries(n);
     }
-    if args.iter().any(|a| a == "--retry-rejections") {
+    if args.switch("--retry-rejections") {
         // Under chaos, a corrupted request frame surfaces as a server-side
         // rejection; idempotent ops may simply resend it.
         policy.retry_rejections = true;
     }
     let mut client = Client::connect_with(addr.as_str(), policy).map_err(serve_err)?;
-    if env_cfg.serve_quant {
+    if args.switch("--quantized") {
         // --quantized: the caller demands int8 answers — assert the
         // server's backend before sending the real request.
         let s = client.stats().map_err(serve_err)?;
@@ -458,21 +476,15 @@ fn cmd_query(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
     match op.as_str() {
         "embed" => {
             let input = parse_input(args)?;
-            let task: u32 = match parse_flag(args, "--task") {
-                Some(v) => parse_num(&v, "--task")?,
-                None => 0,
-            };
+            let task: u32 = num(args, "--task")?.unwrap_or(0);
             let emb = client.embed(task, &input).map_err(serve_err)?;
             let rendered: Vec<String> = emb.iter().map(|v| format!("{v:.6}")).collect();
             println!("[{}]", rendered.join(", "));
         }
         "knn" => {
             let query = parse_input(args)?;
-            let k: u32 = match parse_flag(args, "--k") {
-                Some(v) => parse_num(&v, "--k")?,
-                None => 5,
-            };
-            let metric = match parse_flag(args, "--metric").as_deref() {
+            let k: u32 = num(args, "--k")?.unwrap_or(5);
+            let metric = match args.value("--metric") {
                 None | Some("euclidean") => WireMetric::Euclidean,
                 Some("cosine") => WireMetric::Cosine,
                 Some(m) => {
@@ -520,13 +532,11 @@ fn cmd_query(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
 /// out-of-core from a shard directory (`--stream DIR`). Both paths are
 /// bit-identical by construction (DESIGN.md §16) — `--save` makes that
 /// checkable with a plain `cmp` of the two checkpoints.
-fn cmd_scenario(args: &[String]) -> Result<(), Error> {
-    let seed: u64 = match parse_flag(args, "--seed") {
-        Some(v) => parse_num(&v, "--seed")?,
-        None => 11,
-    };
-    match args.first().map(String::as_str) {
-        Some("list") => {
+fn cmd_scenario(args: &Args) -> Result<(), Error> {
+    let seed: u64 = num(args, "--seed")?.unwrap_or(11);
+    let positionals: Vec<&str> = args.positionals.iter().map(String::as_str).collect();
+    match positionals[..] {
+        ["list", ..] => {
             for name in SCENARIO_NAMES {
                 let data = build_scenario(name, seed).expect("listed scenario builds");
                 println!(
@@ -538,25 +548,16 @@ fn cmd_scenario(args: &[String]) -> Result<(), Error> {
             }
             Ok(())
         }
-        Some("write") => {
-            let (Some(name), Some(dir)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
+        ["write", name, dir, ..] => {
             let n = write_scenario(name, seed, dir)?;
             println!("wrote {n} shards to {dir} (scenario {name}, seed {seed})");
             Ok(())
         }
-        Some("run") => {
-            let (Some(name), Some(method_name)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
+        ["run", name, method_name, ..] => {
             let data = build_scenario(name, seed)
                 .ok_or_else(|| Error::Data(format!("unknown scenario {name:?}")))?;
             let mut cfg = TrainConfig::image();
-            cfg.epochs_per_task = match parse_flag(args, "--epochs") {
-                Some(e) => parse_num(&e, "--epochs")?,
-                None => 8,
-            };
+            cfg.epochs_per_task = num(args, "--epochs")?.unwrap_or(8);
             let Some(mut method) = method_by_name(
                 method_name,
                 data.preset.per_task_budget(),
@@ -571,9 +572,9 @@ fn cmd_scenario(args: &[String]) -> Result<(), Error> {
             // The augmenters come from the in-RAM generator either way:
             // they are part of the scenario definition (deterministic in
             // the seed), not of the storage backend.
-            let result = match parse_flag(args, "--stream") {
+            let result = match args.value("--stream") {
                 Some(dir) => {
-                    let mut stream = ShardStream::open(&dir).map_err(edsr::cl::TrainError::from)?;
+                    let mut stream = ShardStream::open(dir).map_err(edsr::cl::TrainError::from)?;
                     let r = RunBuilder::new(&cfg).run(
                         method.as_mut(),
                         &mut model,
@@ -605,8 +606,8 @@ fn cmd_scenario(args: &[String]) -> Result<(), Error> {
                 result.final_fgt_pct(),
                 result.total_seconds(),
             );
-            if let Some(path) = parse_flag(args, "--save") {
-                model.save(&path)?;
+            if let Some(path) = args.value("--save") {
+                model.save(path)?;
                 println!("checkpoint written to {path}");
             }
             Ok(())
@@ -616,31 +617,38 @@ fn cmd_scenario(args: &[String]) -> Result<(), Error> {
 }
 
 fn main() {
-    // One reader for every knob: CLI > env > default (DESIGN.md §11).
-    let env_cfg = match EnvConfig::from_process() {
-        Ok(cfg) => cfg,
-        Err(e) => {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = argv.first().map_or("", String::as_str);
+    let Some(grammar) = grammar(cmd, argv.get(1).map(String::as_str)) else {
+        usage()
+    };
+    // The subcommand's flags and the process knobs, CLI > env > default
+    // (DESIGN.md §11), all read before anything runs.
+    let env_cfg = EnvConfig::resolve(|k| std::env::var(k).ok(), &grammar, &argv[1..])
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
+        });
+    // `presets` and `metrics` only read: a metrics sink would truncate
+    // the very file `metrics` summarizes.
+    if !matches!(cmd, "presets" | "metrics") {
+        if let Err(e) = env_cfg.apply() {
+            eprintln!("error: could not install metrics sink: {e}");
+            std::process::exit(1);
         }
-    };
-    if let Err(e) = env_cfg.apply() {
-        eprintln!("error: could not install metrics sink: {e}");
-        std::process::exit(1);
     }
     let args = &env_cfg.rest;
-    let result = match args.first().map(String::as_str) {
-        Some("presets") => {
+    let result = match cmd {
+        "presets" => {
             cmd_presets();
             Ok(())
         }
-        Some("run") => cmd_run(&args[1..], &env_cfg),
-        Some("tabular") => cmd_tabular(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..], &env_cfg),
-        Some("serve") => cmd_serve(&args[1..], &env_cfg),
-        Some("query") => cmd_query(&args[1..], &env_cfg),
-        Some("scenario") => cmd_scenario(&args[1..]),
-        _ => usage(),
+        "run" => cmd_run(args),
+        "tabular" => cmd_tabular(args),
+        "metrics" => cmd_metrics(args, &env_cfg.obs_path),
+        "serve" => cmd_serve(args),
+        "query" => cmd_query(args),
+        _ => cmd_scenario(args),
     };
     // Pool occupancy is cumulative over the whole run; emit it last so
     // the JSONL tail carries the final busy-time split, then flush.
@@ -649,5 +657,84 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `edsr serve`'s arguments as `main` reads them.
+    fn serve_args(list: &[&str]) -> Args {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        grammar("serve", None).unwrap().parse(&args).unwrap()
+    }
+
+    #[test]
+    fn serve_flags_default_to_the_server_defaults() {
+        let (cfg, poll) = server_config(&serve_args(&["snaps"])).unwrap();
+        let default = ServerConfig::default();
+        assert_eq!(cfg.max_batch, default.max_batch);
+        assert_eq!(cfg.window, default.window);
+        assert_eq!(cfg.deadline, None);
+        assert_eq!(cfg.queue_cap, default.queue_cap);
+        assert_eq!(cfg.stall_cap, default.stall_cap);
+        assert_eq!(cfg.fault_seed, None);
+        assert_eq!(poll, Duration::from_secs(1));
+    }
+
+    #[test]
+    fn serve_flags_set_the_server_config() {
+        let (cfg, poll) = server_config(&serve_args(&[
+            "--serve-batch",
+            "4",
+            "--serve-window-us=1000",
+            "--serve-deadline-ms",
+            "40",
+            "--serve-queue=8",
+            "--serve-stall-ms",
+            "300",
+            "--serve-rotate-ms",
+            "50",
+            "--chaos-seed",
+            "5",
+        ]))
+        .unwrap();
+        assert_eq!(cfg.max_batch, 4);
+        assert_eq!(cfg.window, Duration::from_micros(1000));
+        assert_eq!(cfg.deadline, Some(Duration::from_millis(40)));
+        assert_eq!(cfg.queue_cap, 8);
+        assert_eq!(cfg.stall_cap, Duration::from_millis(300));
+        assert_eq!(cfg.fault_seed, Some(5));
+        assert_eq!(poll, Duration::from_millis(50));
+        // A zero window is valid: flush as soon as a request lands.
+        let (cfg, _) = server_config(&serve_args(&["--serve-window-us", "0"])).unwrap();
+        assert_eq!(cfg.window, Duration::ZERO);
+        // A zero deadline explicitly disables it.
+        let (cfg, _) = server_config(&serve_args(&["--serve-deadline-ms", "0"])).unwrap();
+        assert_eq!(cfg.deadline, None);
+    }
+
+    #[test]
+    fn bad_serve_flag_values_are_errors_naming_the_flag() {
+        for (flag, value) in [
+            // A zero batch or queue could never admit a request, and a
+            // zero rotation poll or stall cap would spin.
+            ("--serve-batch", "0"),
+            ("--serve-queue", "0"),
+            ("--serve-rotate-ms", "0"),
+            ("--serve-stall-ms", "0"),
+            ("--serve-batch", "lots"),
+            ("--serve-window-us", "-5"),
+            ("--serve-deadline-ms", "soon"),
+            ("--serve-stall-ms", "1.5"),
+            ("--chaos-seed", "x"),
+        ] {
+            let err = server_config(&serve_args(&[flag, value]))
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
     }
 }

@@ -19,6 +19,14 @@
 //!   an `Engine` either fails with a structured error or gives an engine
 //!   that answers one embed and one kNN.
 //!
+//! - `mutated_jsonl_parses_or_fails_structurally` does the same for the
+//!   one text format, the JSONL metrics stream: every truncation of a
+//!   small document, every character replaced by and every position given
+//!   a string delimiter, escape, `\u` sequence or multi-byte character,
+//!   and seeded runs of such edits. The mutants stay valid UTF-8, since
+//!   `parse_jsonl` takes a `&str`; each parses or returns a `ParseError`,
+//!   under the same allocation bound.
+//!
 //! Enveloped formats are attacked below the envelope: the payload decoder
 //! is what a mutated file with a re-sealed CRC reaches. The manifest's
 //! payload decoder is private, so its mutations are re-sealed into a file.
@@ -42,6 +50,7 @@ use edsr::data::{Dataset, ShardManifest, Task};
 use edsr::linalg::Metric;
 use edsr::nn::io::{optim_state_from_bytes, optim_state_to_bytes, params_from_bytes};
 use edsr::nn::{OptimState, ParamSet};
+use edsr::obs::{parse_jsonl, Event, EventKind};
 use edsr::quant::QuantSnapshot;
 use edsr::serve::{Engine, Request, Response, StatsReply, WireMetric, WireNeighbor};
 use edsr::ssl::SslVariant;
@@ -602,4 +611,136 @@ fn corrupted_payloads_decode_or_fail_structurally() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The JSONL metrics reader.
+// ---------------------------------------------------------------------------
+
+/// A metrics document whose names carry every escape the encoder writes
+/// and characters of two to four UTF-8 bytes, with a non-finite value and
+/// `u64::MAX` counters.
+fn golden_jsonl() -> String {
+    let event = |seq, kind, name: &'static str, index, value| Event {
+        seq,
+        kind,
+        name: name.into(),
+        index,
+        value,
+    };
+    [
+        event(0, EventKind::SpanEnter, "run", 0, 0.0),
+        event(
+            1,
+            EventKind::Gauge,
+            "loss/css \"q\" \\ é€𝄞\n\r\t\u{1}",
+            3,
+            -1.25e-7,
+        ),
+        event(
+            u64::MAX,
+            EventKind::Counter,
+            "serve/rejected",
+            u64::MAX,
+            f64::NAN,
+        ),
+        event(3, EventKind::Histogram, "serve/latency_us", 1, 1e300),
+        event(4, EventKind::SpanExit, "run", 0, 42.0),
+    ]
+    .iter()
+    .map(|e| e.to_json() + "\n")
+    .collect()
+}
+
+/// What a JSONL mutation splices in: string delimiters, escapes (whole,
+/// cut short, a lone surrogate, not hex), structure, and characters of two
+/// and four UTF-8 bytes.
+const JSONL_PIECES: [&str; 16] = [
+    "\"", "\\", "\\u", "\\u00", "\\u0041", "\\ud800", "\\uZZZZ", "\\u+12", "{", "}", ":", ",", "-",
+    "é", "𝄞", "\n",
+];
+const JSONL_RANDOM_CASES: usize = 2000;
+
+/// The character boundaries of `doc`, its end included.
+fn char_bounds(doc: &str) -> Vec<usize> {
+    doc.char_indices()
+        .map(|(i, _)| i)
+        .chain([doc.len()])
+        .collect()
+}
+
+/// Every mutated document of `golden`, labelled; all stay valid UTF-8:
+/// each truncation at a character boundary, each character replaced by
+/// each piece, each piece inserted at each boundary, and seeded runs of
+/// one to four random replacements or insertions.
+fn jsonl_mutations(golden: &str, seed: u64) -> Vec<(String, String)> {
+    let bounds = char_bounds(golden);
+    let mut out = Vec::new();
+    for &cut in &bounds {
+        out.push((
+            format!("truncated to {cut} bytes"),
+            golden[..cut].to_string(),
+        ));
+    }
+    for (i, &at) in bounds.iter().enumerate() {
+        let next = bounds.get(i + 1).copied();
+        for piece in JSONL_PIECES {
+            let inserted = format!("{}{piece}{}", &golden[..at], &golden[at..]);
+            out.push((format!("{piece:?} inserted at byte {at}"), inserted));
+            if let Some(next) = next {
+                let replaced = format!("{}{piece}{}", &golden[..at], &golden[next..]);
+                out.push((format!("{piece:?} replaces byte {at}"), replaced));
+            }
+        }
+    }
+    let mut rng = seeded(seed);
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    for case in 0..JSONL_RANDOM_CASES {
+        let mut doc = golden.to_string();
+        for _ in 0..1 + pick(4) {
+            let bounds = char_bounds(&doc);
+            let at = pick(bounds.len());
+            // Replace the character at `at`, or insert before it.
+            let end = bounds[(at + pick(2)).min(bounds.len() - 1)];
+            doc.replace_range(bounds[at]..end, JSONL_PIECES[pick(JSONL_PIECES.len())]);
+        }
+        out.push((format!("random case {case}"), doc));
+    }
+    out
+}
+
+#[test]
+fn mutated_jsonl_parses_or_fails_structurally() {
+    let _serial = measure_alone();
+    let golden = golden_jsonl();
+    let events = parse_jsonl(&golden).expect("the golden document parses");
+    let again: String = events.iter().map(|e| e.to_json() + "\n").collect();
+    assert_eq!(again, golden, "the golden document does not round-trip");
+    let (mut parsed, mut rejected, mut worst) = (0usize, 0usize, 0.0f64);
+    for (case, doc) in jsonl_mutations(&golden, 77) {
+        let (result, largest) = largest_alloc(|| catch_unwind(|| parse_jsonl(&doc)));
+        match result {
+            Ok(Ok(_)) => parsed += 1,
+            Ok(Err(e)) => {
+                assert!(e.at <= doc.len(), "JSONL: {case}: error past the end: {e}");
+                rejected += 1;
+            }
+            Err(p) => panic!(
+                "JSONL: {case}: parse_jsonl panicked: {}",
+                panic_message(&*p)
+            ),
+        }
+        let bound = ALLOC_FACTOR * doc.len().max(ALLOC_FLOOR);
+        assert!(
+            largest <= bound,
+            "JSONL: {case}: a {largest}-byte allocation while parsing {} bytes (bound {bound})",
+            doc.len()
+        );
+        worst = worst.max(largest as f64 / doc.len().max(ALLOC_FLOOR) as f64);
+    }
+    println!(
+        "{:<24} {:>5} document bytes, {parsed} mutations parsed, {rejected} rejected, largest allocation {worst:.2}x",
+        "JSONL metrics",
+        golden.len()
+    );
 }
