@@ -41,6 +41,24 @@ echo "== cargo test --release -q --workspace =="
 # thread start-up, which optimisation shifts.
 cargo test --release -q --workspace
 
+echo "== examples (release; all but method_comparison) =="
+# `cargo test` only compiles the examples; running them makes the asserts
+# inside hold too: checkpointing's bit-identical resume, data_inspection's
+# CSV round trip, serving's batched answer equal to the single-request
+# one. method_comparison (~15 s) is left out. Each runs from a temp
+# directory with TMPDIR pointed there, so what it writes goes with it.
+cargo build --release -q --examples
+EXAMPLES="$PWD/target/release/examples"
+EX_DIR=$(mktemp -d)
+for SRC in examples/*.rs; do
+    EX=$(basename "$SRC" .rs)
+    [ "$EX" = method_comparison ] && continue
+    (cd "$EX_DIR" && TMPDIR="$EX_DIR" "$EXAMPLES/$EX" > "$EX_DIR/$EX.log" 2>&1) \
+        || { echo "example $EX failed"; cat "$EX_DIR/$EX.log"; exit 1; }
+    echo "example $EX: ok"
+done
+rm -rf "$EX_DIR"
+
 echo "== bench bin smoke (BENCH_par.json + thread hand-off gate) =="
 # The bench binary exits non-zero itself if any row outside the kernel
 # layer (the `<product>/<implementation>` rows) runs more than 1.5x slower
@@ -333,21 +351,23 @@ cmp ci_metrics.jsonl ci_metrics.before \
     || { echo "obs smoke: edsr metrics changed the file it read"; exit 1; }
 rm -f ci_metrics.jsonl ci_metrics.before
 
-echo "== flag grammar smoke (an undeclared flag exits 2) =="
-# Every binary declares the flags it reads: any other flag is an `error:`
-# line naming it and exit 2, before any work. The bench binary runs from
-# an empty directory and must leave no results/ there.
+echo "== flag grammar smoke (an undeclared flag or a stray positional exits 2) =="
+# Every binary declares the flags it reads and the most positionals it
+# takes: any other argument is an `error:` line naming it and exit 2,
+# before any work. The bench binary runs from an empty directory and must
+# leave no results/ there.
 grammar_probe() {
-    local label=$1 status=0 err
-    shift
+    local label=$1 arg=$2 status=0 err
+    shift 2
     err=$("$@" 2>&1 > /dev/null) || status=$?
-    { [ "$status" -eq 2 ] && grep -q "^error: .*--bogus" <<< "$err"; } \
+    { [ "$status" -eq 2 ] && grep -q "^error: .*$arg" <<< "$err"; } \
         || { echo "flag grammar smoke: $label exited $status: $err"; exit 1; }
     echo "flag grammar smoke: $label -> $err"
 }
-grammar_probe "edsr run" "$EDSR" run test edsr --epochs 1 --bogus 1
+grammar_probe "edsr run" --bogus "$EDSR" run test edsr --epochs 1 --bogus 1
+grammar_probe "edsr presets" extra "$EDSR" presets extra
 GRAMMAR_DIR=$(mktemp -d)
-(cd "$GRAMMAR_DIR" && grammar_probe table5 env EDSR_BENCH_QUICK=1 "$RELEASE/table5" --bogus)
+(cd "$GRAMMAR_DIR" && grammar_probe table5 --bogus env EDSR_BENCH_QUICK=1 "$RELEASE/table5" --bogus)
 [ ! -e "$GRAMMAR_DIR/results" ] \
     || { echo "flag grammar smoke: table5 wrote results/"; exit 1; }
 rm -rf "$GRAMMAR_DIR"

@@ -339,7 +339,7 @@ fn main() -> Result<(), edsr_core::Error> {
     bench.op("edsr_step", &step_size, || {
         black_box(edsr.train_step(
             &mut model,
-            opt.as_mut(),
+            &mut opt,
             &augs,
             &edsr_batch,
             1,
@@ -350,9 +350,9 @@ fn main() -> Result<(), edsr_core::Error> {
 
     // The tabular (SCARF) augmenter's positive pair as `table7` draws it:
     // a 64-row batch of the widest Table II corpus (blastchar, d=20), its
-    // corruption reference the increment's train rows, corruption 0.4.
+    // corruption reference the increment's train rows, at `TABULAR_CORRUPTION`.
     let tab_seq = tabular_sequence(&TabularConfig::default(), &mut seeded(9007));
-    let tab_augs = tabular_augmenters(&mut &tab_seq, 0.4)?;
+    let tab_augs = tabular_augmenters(&mut &tab_seq)?;
     let widest = (0..TABULAR_SPECS.len())
         .max_by_key(|&i| TABULAR_SPECS[i].input_dim)
         .expect("five Table II corpora");

@@ -42,7 +42,7 @@ fn main() {
     let model_cfg = ModelConfig::tabular(input_dims);
     let seeded_stream = |seed| {
         let seq = tabular_sequence(&data_cfg, &mut seeded(seed));
-        let augs = tabular_augmenters(&mut &seq, 0.4)?;
+        let augs = tabular_augmenters(&mut &seq)?;
         let (model, run_rng) = seeded_run(&model_cfg, seed);
         Ok::<_, TrainError>((seq, augs, model, run_rng))
     };

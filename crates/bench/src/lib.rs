@@ -600,11 +600,9 @@ fn resolve_from(
         name,
         values: &[],
         switches: &["--quick"],
+        max_positionals: 0,
     };
     let env_cfg = EnvConfig::resolve(&env, &grammar, args)?;
-    if let Some(p) = env_cfg.rest.positionals.first() {
-        return Err(format!("{name}: unexpected argument {p:?}"));
-    }
     let quick =
         env_cfg.rest.switch("--quick") || env("EDSR_BENCH_QUICK").is_some_and(|v| truthy(&v));
     let seed_cap =

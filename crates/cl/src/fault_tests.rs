@@ -11,10 +11,10 @@ use edsr_tensor::Matrix;
 use crate::checkpoint::{list_snapshots, CheckpointConfig};
 use crate::error::TrainError;
 use crate::fault::{truncate_file, FaultInjector, FaultPlan};
-use crate::guard::GuardConfig;
+use crate::guard::MAX_RETRIES;
 use crate::methods::{Der, Finetune};
 use crate::model::{ContinualModel, ModelConfig};
-use crate::trainer::{OptimizerKind, RunBuilder, TrainConfig};
+use crate::trainer::{RunBuilder, TrainConfig};
 
 /// Two-increment toy stream with clearly clustered 8-d inputs.
 fn toy_sequence(seed: u64) -> TaskSequence {
@@ -50,12 +50,9 @@ fn tiny_cfg() -> TrainConfig {
         batch_size: 8,
         replay_batch: 4,
         lr: 1e-3,
-        momentum: 0.9,
         weight_decay: 0.0,
-        optimizer: OptimizerKind::Adam,
         eval_k: 3,
         multitask_epoch_multiplier: 1,
-        cosine_floor: 1.0,
     }
 }
 
@@ -136,16 +133,12 @@ fn persistent_divergence_exhausts_retries_with_structured_error() {
     let cfg = tiny_cfg();
     let mut rng = seeded(48);
     let err = RunBuilder::new(&cfg)
-        .guard(GuardConfig {
-            max_retries: 2,
-            ..GuardConfig::default()
-        })
         .run(&mut method, &mut model, &mut &seq, &augs, &mut rng)
         .unwrap_err();
     match err {
         TrainError::Diverged { task, retries, .. } => {
             assert_eq!(task, 0);
-            assert_eq!(retries, 2);
+            assert_eq!(retries, MAX_RETRIES);
         }
         other => panic!("expected Diverged, got {other}"),
     }
@@ -325,43 +318,4 @@ fn resume_without_snapshot_source_is_an_explicit_error() {
         }
         other => panic!("expected InvalidConfig, got {other}"),
     }
-}
-
-/// `resume_from` pairs an explicit snapshot source with a (possibly
-/// different) destination: resuming from run A's snapshots while writing
-/// new snapshots to run B works, and B ends with its own full history.
-#[test]
-fn resume_from_reads_one_dir_while_checkpointing_to_another() {
-    let seq = toy_sequence(63);
-    let augs = toy_augmenters(seq.len());
-    let cfg = tiny_cfg();
-    let source = temp_ckpt("resume-from-src");
-    let dest = temp_ckpt("resume-from-dst");
-
-    // Seed the source with a 1-increment partial run.
-    let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(64));
-    let mut method = Finetune::new();
-    let mut rng = seeded(65);
-    RunBuilder::new(&cfg)
-        .checkpoint(source.clone())
-        .stop_after(1)
-        .run(&mut method, &mut model, &mut &seq, &augs, &mut rng)
-        .expect("partial run");
-
-    // Resume from `source` but snapshot the continuation into `dest`.
-    let mut model2 = ContinualModel::new(&ModelConfig::image(8), &mut seeded(64));
-    let mut method2 = Finetune::new();
-    let mut rng2 = seeded(888);
-    let full = RunBuilder::new(&cfg)
-        .checkpoint(dest.clone())
-        .resume_from(source.clone())
-        .run(&mut method2, &mut model2, &mut &seq, &augs, &mut rng2)
-        .expect("cross-dir resume");
-    assert_eq!(full.matrix.num_increments(), 2);
-    let source_snaps = list_snapshots(&source);
-    let dest_snaps = list_snapshots(&dest);
-    assert_eq!(source_snaps.len(), 1, "source dir must stay untouched");
-    assert!(!dest_snaps.is_empty(), "continuation was not checkpointed");
-    let _ = std::fs::remove_dir_all(&source.dir);
-    let _ = std::fs::remove_dir_all(&dest.dir);
 }

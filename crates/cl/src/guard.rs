@@ -11,30 +11,15 @@ use edsr_tensor::Matrix;
 
 use crate::error::TrainError;
 
-/// Tunables of the divergence guard.
-#[derive(Debug, Clone)]
-pub struct GuardConfig {
-    /// Recovery attempts per increment before giving up.
-    pub max_retries: usize,
-    /// LR multiplier applied on each recovery (0 < backoff < 1).
-    pub lr_backoff: f32,
-    /// A finite loss counts as exploded when its magnitude exceeds
-    /// `explode_factor × (1 + |running mean|)`.
-    pub explode_factor: f32,
-    /// Recovery fails once backing off would push the LR below this.
-    pub min_lr: f32,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            lr_backoff: 0.5,
-            explode_factor: 1e3,
-            min_lr: 1e-8,
-        }
-    }
-}
+/// Recovery attempts per increment before giving up.
+pub(crate) const MAX_RETRIES: usize = 4;
+/// LR multiplier applied on each recovery.
+const LR_BACKOFF: f32 = 0.5;
+/// A finite loss counts as exploded when its magnitude exceeds
+/// `EXPLODE_FACTOR × (1 + |running mean|)`.
+const EXPLODE_FACTOR: f32 = 1e3;
+/// Recovery fails once backing off would push the LR below this.
+const MIN_LR: f32 = 1e-8;
 
 /// Epoch-granular rollback state.
 ///
@@ -50,7 +35,6 @@ impl Default for GuardConfig {
 /// moments after a rollback wash out within a few steps at the reduced
 /// LR.
 pub struct StepGuard {
-    cfg: GuardConfig,
     last_good: Vec<Matrix>,
     loss_mean: Option<f32>,
     retries: usize,
@@ -59,9 +43,8 @@ pub struct StepGuard {
 
 impl StepGuard {
     /// Creates a guard whose first rollback target is `params` as-is.
-    pub fn new(cfg: GuardConfig, params: &ParamSet) -> Self {
+    pub fn new(params: &ParamSet) -> Self {
         Self {
-            cfg,
             last_good: params.snapshot(),
             loss_mean: None,
             retries: 0,
@@ -70,7 +53,7 @@ impl StepGuard {
     }
 
     /// Cumulative LR multiplier from recoveries (1.0 = never backed off).
-    /// Schedulers must fold this into every LR they set, or an epoch
+    /// The runner multiplies every LR it sets by this, or an epoch
     /// boundary would silently undo the backoff.
     pub fn lr_scale(&self) -> f32 {
         self.lr_scale
@@ -83,11 +66,6 @@ impl StepGuard {
         } else {
             1.0
         };
-    }
-
-    /// Recovery attempts consumed in the current increment.
-    pub fn retries(&self) -> usize {
-        self.retries
     }
 
     /// Starts an increment: fresh rollback target, fresh retry budget.
@@ -104,7 +82,7 @@ impl StepGuard {
             return true;
         }
         match self.loss_mean {
-            Some(mean) => loss.abs() > self.cfg.explode_factor * (1.0 + mean.abs()),
+            Some(mean) => loss.abs() > EXPLODE_FACTOR * (1.0 + mean.abs()),
             None => false,
         }
     }
@@ -137,8 +115,8 @@ impl StepGuard {
         last_loss: f32,
     ) -> Result<(), TrainError> {
         self.retries += 1;
-        let new_lr = opt.lr() * self.cfg.lr_backoff;
-        if self.retries > self.cfg.max_retries || new_lr < self.cfg.min_lr {
+        let new_lr = opt.lr() * LR_BACKOFF;
+        if self.retries > MAX_RETRIES || new_lr < MIN_LR {
             return Err(TrainError::Diverged {
                 method: method.to_string(),
                 task,
@@ -149,7 +127,7 @@ impl StepGuard {
             });
         }
         params.restore(&self.last_good);
-        self.lr_scale *= self.cfg.lr_backoff;
+        self.lr_scale *= LR_BACKOFF;
         opt.set_lr(new_lr);
         self.loss_mean = None;
         Ok(())
@@ -159,7 +137,7 @@ impl StepGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edsr_nn::Sgd;
+    use edsr_nn::Adam;
     use edsr_tensor::rng::seeded;
 
     fn small_params() -> ParamSet {
@@ -171,7 +149,7 @@ mod tests {
 
     #[test]
     fn nonfinite_losses_are_divergent() {
-        let guard = StepGuard::new(GuardConfig::default(), &small_params());
+        let guard = StepGuard::new(&small_params());
         assert!(guard.is_divergent(f32::NAN));
         assert!(guard.is_divergent(f32::INFINITY));
         assert!(!guard.is_divergent(1.5));
@@ -179,7 +157,7 @@ mod tests {
 
     #[test]
     fn explosion_relative_to_running_mean() {
-        let mut guard = StepGuard::new(GuardConfig::default(), &small_params());
+        let mut guard = StepGuard::new(&small_params());
         // No history yet: any finite loss is accepted.
         assert!(!guard.is_divergent(1e9));
         guard.observe(1.0);
@@ -191,12 +169,12 @@ mod tests {
     fn recover_rolls_back_and_halves_lr() {
         let mut ps = small_params();
         let before = ps.snapshot();
-        let mut guard = StepGuard::new(GuardConfig::default(), &ps);
+        let mut guard = StepGuard::new(&ps);
         // Corrupt the live parameters, as a diverged step would.
         for id in ps.ids().collect::<Vec<_>>() {
             ps.value_mut(id).scale_inplace(f32::NAN);
         }
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
+        let mut opt = Adam::new(0.1, 0.0);
         guard
             .recover(&mut ps, &mut opt, "t", 0, 0, f32::NAN)
             .expect("budget left");
@@ -213,19 +191,14 @@ mod tests {
     #[test]
     fn retry_budget_is_bounded() {
         let ps = small_params();
-        let cfg = GuardConfig {
-            max_retries: 2,
-            ..GuardConfig::default()
-        };
-        let mut guard = StepGuard::new(cfg, &ps);
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
+        let mut guard = StepGuard::new(&ps);
+        let mut opt = Adam::new(0.1, 0.0);
         let mut ps = small_params();
-        assert!(guard
-            .recover(&mut ps, &mut opt, "t", 1, 0, f32::NAN)
-            .is_ok());
-        assert!(guard
-            .recover(&mut ps, &mut opt, "t", 1, 0, f32::NAN)
-            .is_ok());
+        for _ in 0..MAX_RETRIES {
+            assert!(guard
+                .recover(&mut ps, &mut opt, "t", 1, 0, f32::NAN)
+                .is_ok());
+        }
         let err = guard
             .recover(&mut ps, &mut opt, "t", 1, 3, f32::NAN)
             .unwrap_err();
@@ -236,7 +209,7 @@ mod tests {
                 retries,
                 ..
             } => {
-                assert_eq!((task, epoch, retries), (1, 3, 2));
+                assert_eq!((task, epoch, retries), (1, 3, MAX_RETRIES));
             }
             other => panic!("expected Diverged, got {other}"),
         }
@@ -245,15 +218,10 @@ mod tests {
     #[test]
     fn lr_floor_stops_recovery() {
         let ps = small_params();
-        let cfg = GuardConfig {
-            max_retries: 100,
-            min_lr: 1e-3,
-            ..GuardConfig::default()
-        };
-        let mut guard = StepGuard::new(cfg, &ps);
-        let mut opt = Sgd::new(2e-3, 0.0, 0.0);
+        let mut guard = StepGuard::new(&ps);
+        let mut opt = Adam::new(2.0 * MIN_LR, 0.0);
         let mut ps = small_params();
-        assert!(guard.recover(&mut ps, &mut opt, "t", 0, 0, 1e9).is_ok()); // 1e-3: at floor
-        assert!(guard.recover(&mut ps, &mut opt, "t", 0, 0, 1e9).is_err()); // 5e-4: below
+        assert!(guard.recover(&mut ps, &mut opt, "t", 0, 0, 1e9).is_ok()); // MIN_LR: at floor
+        assert!(guard.recover(&mut ps, &mut opt, "t", 0, 0, 1e9).is_err()); // MIN_LR / 2: below
     }
 }

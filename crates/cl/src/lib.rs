@@ -28,14 +28,14 @@ pub use checkpoint::{
 pub use error::TrainError;
 pub use eval::{accuracy, knn_classify};
 pub use fault::{Fault, FaultInjector, FaultPlan};
-pub use guard::{GuardConfig, StepGuard};
+pub use guard::StepGuard;
 pub use memory::{MemoryBatch, MemoryBuffer, MemoryItem};
 pub use methods::{Der, Finetune, Lump, Si};
 pub use metrics::{mean_std, AccuracyMatrix};
 pub use model::{ContinualModel, FrozenModel, ModelConfig};
 pub use trainer::{
     apply_step, evaluate_row, image_augmenters, run_multitask, tabular_augmenters, Method,
-    MultitaskResult, OptimizerKind, RunBuilder, RunResult, TrainConfig,
+    MultitaskResult, RunBuilder, RunResult, TrainConfig, TABULAR_CORRUPTION,
 };
 
 #[cfg(test)]

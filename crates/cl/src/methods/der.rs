@@ -140,7 +140,7 @@ mod tests {
     fn replay_term_pulls_features_toward_stored() {
         let mut rng = seeded(351);
         let mut model = ContinualModel::new(&ModelConfig::image(16), &mut rng);
-        let mut opt = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let mut opt = edsr_nn::Adam::new(3e-3, 0.0);
         let aug = Augmenter::standard_image(GridSpec::new(4, 4, 1));
         let old_batch = Matrix::randn(10, 16, 1.0, &mut rng);
         let train = Dataset::new("d", old_batch.clone(), vec![0; 10]);
@@ -152,7 +152,7 @@ mod tests {
         // stay closer with DER than with plain finetuning.
         let new_batch = Matrix::randn(16, 16, 1.0, &mut rng).scale(2.0);
         let mut ft_model = ContinualModel::new(&ModelConfig::image(16), &mut seeded(351));
-        let mut ft_opt = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let mut ft_opt = edsr_nn::Adam::new(3e-3, 0.0);
         let mut ft = crate::methods::finetune::Finetune::new();
         let mut rng_a = seeded(352);
         let mut rng_b = seeded(352);

@@ -63,7 +63,7 @@ mod tests {
     fn step_reduces_css_loss_over_time() {
         let mut rng = seeded(330);
         let mut model = ContinualModel::new(&ModelConfig::image(16), &mut rng);
-        let mut opt = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let mut opt = edsr_nn::Adam::new(3e-3, 0.0);
         let aug = Augmenter::standard_image(GridSpec::new(4, 4, 1));
         let batch = Matrix::randn(24, 16, 1.0, &mut rng);
         let mut m = Finetune::new();

@@ -152,7 +152,7 @@ mod tests {
     fn full_step_runs() {
         let mut rng = seeded(363);
         let mut model = ContinualModel::new(&ModelConfig::image(16), &mut rng);
-        let mut opt = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let mut opt = edsr_nn::Adam::new(3e-3, 0.0);
         let aug = Augmenter::standard_image(GridSpec::new(4, 4, 1));
         let mut lump = Lump::new(4);
         let train = Dataset::new("d", Matrix::randn(12, 16, 1.0, &mut rng), vec![0; 12]);

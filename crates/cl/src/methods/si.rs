@@ -220,10 +220,10 @@ mod tests {
     use edsr_data::GridSpec;
     use edsr_tensor::rng::seeded;
 
-    fn setup(seed: u64) -> (ContinualModel, edsr_nn::Sgd, Augmenter, Matrix) {
+    fn setup(seed: u64) -> (ContinualModel, edsr_nn::Adam, Augmenter, Matrix) {
         let mut rng = seeded(seed);
         let model = ContinualModel::new(&ModelConfig::image(16), &mut rng);
-        let opt = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let opt = edsr_nn::Adam::new(3e-3, 0.0);
         let aug = Augmenter::standard_image(GridSpec::new(4, 4, 1));
         let batch = Matrix::randn(16, 16, 1.0, &mut rng);
         (model, opt, aug, batch)
@@ -260,10 +260,10 @@ mod tests {
         let batch2 = Matrix::randn(16, 16, 1.0, &mut rng);
         // Copy the starting point for a strong-λ run.
         let mut strong_model = ContinualModel::new(&ModelConfig::image(16), &mut seeded(343));
-        let mut opt_s = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let mut opt_s = edsr_nn::Adam::new(3e-3, 0.0);
         let train = Dataset::new("d", batch1.clone(), vec![0; batch1.rows()]);
 
-        let run = |si: &mut Si, model: &mut ContinualModel, opt: &mut edsr_nn::Sgd| {
+        let run = |si: &mut Si, model: &mut ContinualModel, opt: &mut edsr_nn::Adam| {
             let mut rng = seeded(344);
             let mut ws = Workspace::new();
             si.begin_task(model, 0, &train, &mut rng);

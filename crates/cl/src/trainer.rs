@@ -3,14 +3,14 @@
 //!
 //! Fault tolerance (DESIGN.md §7): every step's loss passes through a
 //! [`StepGuard`]; divergence rolls the model back to the last good epoch
-//! boundary and backs the LR off before retrying. With a
+//! boundary and halves the LR before retrying. With a
 //! [`CheckpointConfig`], the runner snapshots the full run state after
 //! each increment and resume continues from the newest valid snapshot —
 //! bit-identically, because the snapshot carries the exact RNG position,
 //! optimizer moments, and method state.
 //!
 //! Observability (DESIGN.md §11): runs are launched through a single
-//! [`RunBuilder`] that composes checkpointing, resume, guard tuning and
+//! [`RunBuilder`] that composes checkpointing, serve snapshots, resume and
 //! early stop. The runner reports through `edsr-obs` alone: spans
 //! (`run`/`task`/`epoch`/`step`/`select`/`eval`), per-step loss and
 //! per-epoch LR gauges, and recovery/resume/checkpoint counters; the
@@ -25,7 +25,7 @@ use edsr_data::{materialize, Augmenter, BatchIter, Dataset, TaskSource};
 use edsr_nn::io::{
     optim_state_from_bytes, optim_state_to_bytes, params_from_bytes, params_to_bytes,
 };
-use edsr_nn::{Adam, Binder, CosineSchedule, Optimizer, Sgd, Workspace};
+use edsr_nn::{Adam, Binder, Optimizer, Workspace};
 use edsr_tensor::{Matrix, Tape, Var};
 use rand::rngs::StdRng;
 
@@ -35,20 +35,13 @@ use crate::checkpoint::{
 };
 use crate::error::TrainError;
 use crate::eval::{accuracy, knn_classify};
-use crate::guard::{GuardConfig, StepGuard};
+use crate::guard::StepGuard;
 use crate::metrics::AccuracyMatrix;
 use crate::model::ContinualModel;
 
-/// Optimizer choice (paper: SGD for images, Adam for tabular).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// SGD with momentum.
-    Sgd,
-    /// Adam.
-    Adam,
-}
-
-/// Hyper-parameters of a continual run.
+/// Hyper-parameters of a continual run. Every run trains with [`Adam`]
+/// at the flat learning rate `lr` (DESIGN.md §2); only the divergence
+/// guard's backoff lowers it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Epochs per increment.
@@ -57,14 +50,10 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Memory samples replayed per step (methods that replay).
     pub replay_batch: usize,
-    /// Base learning rate.
+    /// Learning rate.
     pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
     /// L2 weight decay.
     pub weight_decay: f32,
-    /// Which optimizer to instantiate.
-    pub optimizer: OptimizerKind,
     /// `k` for the kNN-classifier evaluation.
     pub eval_k: usize,
     /// Epoch multiplier for the Multitask upper bound: joint training on
@@ -72,10 +61,6 @@ pub struct TrainConfig {
     /// training at simulation scale, so the upper bound gets extra passes
     /// (the paper's Multitask is trained to convergence).
     pub multitask_epoch_multiplier: usize,
-    /// Cosine-decay the learning rate within each increment from `lr`
-    /// down to `lr × cosine_floor` (1.0 disables the schedule; the paper
-    /// trains with a per-task schedule at full scale).
-    pub cosine_floor: f32,
 }
 
 impl TrainConfig {
@@ -88,12 +73,9 @@ impl TrainConfig {
             batch_size: 64,
             replay_batch: 16,
             lr: 3e-3,
-            momentum: 0.9,
             weight_decay: 1e-5,
-            optimizer: OptimizerKind::Adam,
             eval_k: 15,
             multitask_epoch_multiplier: 4,
-            cosine_floor: 1.0,
         }
     }
 
@@ -104,39 +86,15 @@ impl TrainConfig {
             batch_size: 64,
             replay_batch: 16,
             lr: 1e-3,
-            momentum: 0.0,
             weight_decay: 1e-5,
-            optimizer: OptimizerKind::Adam,
             eval_k: 15,
             multitask_epoch_multiplier: 2,
-            cosine_floor: 1.0,
         }
     }
 
-    /// Instantiates the configured optimizer.
-    pub fn build_optimizer(&self) -> Box<dyn Optimizer> {
-        match self.optimizer {
-            OptimizerKind::Sgd => Box::new(Sgd::new(self.lr, self.momentum, self.weight_decay)),
-            OptimizerKind::Adam => Box::new(Adam::new(self.lr, self.weight_decay)),
-        }
-    }
-}
-
-/// The schedule's base learning rate for `epoch` of an increment —
-/// cosine decay from `cfg.lr` down to `cfg.lr × cosine_floor` when the
-/// floor is below 1.0, flat `cfg.lr` otherwise. The divergence guard's
-/// backoff multiplies on top of this value.
-fn epoch_base_lr(cfg: &TrainConfig, epoch: usize) -> f32 {
-    if cfg.cosine_floor < 1.0 {
-        CosineSchedule::new(
-            cfg.lr,
-            cfg.lr * cfg.cosine_floor,
-            0,
-            cfg.epochs_per_task.max(1),
-        )
-        .lr_at(epoch)
-    } else {
-        cfg.lr
+    /// The run's optimizer: Adam at `lr` with `weight_decay`.
+    pub fn build_optimizer(&self) -> Adam {
+        Adam::new(self.lr, self.weight_decay)
     }
 }
 
@@ -370,7 +328,7 @@ pub fn evaluate_row(
 }
 
 /// Builder for a continual run, and the only training loop: checkpointing,
-/// resume, guard tuning and early stop all plug in here.
+/// serve snapshots, resume and early stop all plug in here.
 ///
 /// ```no_run
 /// # use edsr_cl::trainer::{RunBuilder, TrainConfig};
@@ -392,14 +350,12 @@ pub struct RunBuilder<'a> {
     serve_snapshots: Option<CheckpointConfig>,
     quantize_serve: bool,
     resume: bool,
-    resume_source: Option<CheckpointConfig>,
-    guard: GuardConfig,
     stop_after: Option<usize>,
 }
 
 impl<'a> RunBuilder<'a> {
     /// Starts a builder over the given hyper-parameters (no
-    /// checkpointing, default guard).
+    /// checkpointing, no serve snapshots, no resume).
     pub fn new(cfg: &'a TrainConfig) -> Self {
         Self {
             cfg,
@@ -407,8 +363,6 @@ impl<'a> RunBuilder<'a> {
             serve_snapshots: None,
             quantize_serve: false,
             resume: false,
-            resume_source: None,
-            guard: GuardConfig::default(),
             stop_after: None,
         }
     }
@@ -451,22 +405,6 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Resumes from the newest valid snapshot under an explicit
-    /// `source`, which may differ from the [`checkpoint`](Self::checkpoint)
-    /// write location (e.g. continue an old run into a new snapshot
-    /// dir). Implies [`resume`](Self::resume).
-    pub fn resume_from(mut self, source: CheckpointConfig) -> Self {
-        self.resume = true;
-        self.resume_source = Some(source);
-        self
-    }
-
-    /// Overrides the divergence-guard tunables.
-    pub fn guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
-    }
-
     /// Returns early (with a partial result) after `n` increments — an
     /// interruption hook for resume tests and budgeted sweeps.
     pub fn stop_after(mut self, n: usize) -> Self {
@@ -506,8 +444,6 @@ impl<'a> RunBuilder<'a> {
             serve_snapshots,
             quantize_serve,
             resume,
-            resume_source,
-            guard: guard_cfg,
             stop_after,
         } = self;
 
@@ -526,10 +462,9 @@ impl<'a> RunBuilder<'a> {
                 method.name()
             )));
         }
-        if resume && resume_source.is_none() && checkpoint.is_none() {
+        if resume && checkpoint.is_none() {
             return Err(TrainError::InvalidConfig(
-                "resume requested without a snapshot source: pair .resume() with \
-                 .checkpoint(cfg), or point .resume_from(cfg) at the snapshot dir"
+                "resume requested without a snapshot source: pair .resume() with .checkpoint(cfg)"
                     .into(),
             ));
         }
@@ -542,13 +477,9 @@ impl<'a> RunBuilder<'a> {
         let mut start_task = 0usize;
         let mut resumed_lr_scale = 1.0f32;
 
-        if resume {
-            let resume_src = resume_source
-                .as_ref()
-                .or(checkpoint.as_ref())
-                .expect("validated above");
-            if let Some((_, state)) = latest_valid_run_state(resume_src) {
-                restore_from_state(method, model, opt.as_mut(), rng, &benchmark, &state)?;
+        if let Some(ckpt) = checkpoint.as_ref().filter(|_| resume) {
+            if let Some((_, state)) = latest_valid_run_state(ckpt) {
+                restore_from_state(method, model, &mut opt, rng, &benchmark, &state)?;
                 for row in &state.matrix_rows {
                     matrix.push_row(row.clone());
                 }
@@ -560,7 +491,7 @@ impl<'a> RunBuilder<'a> {
             }
         }
 
-        let mut guard = StepGuard::new(guard_cfg, &model.params);
+        let mut guard = StepGuard::new(&model.params);
         guard.set_lr_scale(resumed_lr_scale);
         let until = stop_after.map_or(source.len(), |n| n.min(source.len()));
         let _run_span = edsr_obs::span!("run");
@@ -578,7 +509,7 @@ impl<'a> RunBuilder<'a> {
             let mut loss_count = 0usize;
             let mut epoch = 0usize;
             while epoch < cfg.epochs_per_task {
-                let lr = epoch_base_lr(cfg, epoch) * guard.lr_scale();
+                let lr = cfg.lr * guard.lr_scale();
                 opt.set_lr(lr);
                 let _epoch_span = edsr_obs::span!("epoch", epoch);
                 if edsr_obs::enabled() {
@@ -596,15 +527,8 @@ impl<'a> RunBuilder<'a> {
                     let batch = task.train.inputs.select_rows(&batch_idx);
                     let loss = {
                         let _step_span = edsr_obs::span!("step", step);
-                        method.train_step(
-                            model,
-                            opt.as_mut(),
-                            augmenters,
-                            &batch,
-                            task_idx,
-                            &mut ws,
-                            rng,
-                        )
+                        method
+                            .train_step(model, &mut opt, augmenters, &batch, task_idx, &mut ws, rng)
                     };
                     if edsr_obs::enabled() {
                         edsr_obs::gauge_at("train/loss", task_idx as u64, f64::from(loss));
@@ -620,7 +544,7 @@ impl<'a> RunBuilder<'a> {
                 if let Some(bad) = diverged_loss {
                     guard.recover(
                         &mut model.params,
-                        opt.as_mut(),
+                        &mut opt,
                         &method.name(),
                         task_idx,
                         epoch,
@@ -792,7 +716,7 @@ pub fn run_multitask(
     let seq = materialize(source)?;
     let seq = &seq;
     let mut opt = cfg.build_optimizer();
-    let mut guard = StepGuard::new(GuardConfig::default(), &model.params);
+    let mut guard = StepGuard::new(&model.params);
     guard.begin_task(&model.params);
     let start = Instant::now();
     let _run_span = edsr_obs::span!("multitask");
@@ -830,7 +754,7 @@ pub fn run_multitask(
                         *task_idx,
                         rng,
                     );
-                    let value = apply_step(model, opt.as_mut(), &mut ws.tape, &ws.binder, loss);
+                    let value = apply_step(model, &mut opt, &mut ws.tape, &ws.binder, loss);
                     if edsr_obs::enabled() {
                         edsr_obs::gauge_at("train/loss", *task_idx as u64, f64::from(value));
                     }
@@ -843,7 +767,7 @@ pub fn run_multitask(
             }
         }
         if let Some(bad) = diverged_loss {
-            guard.recover(&mut model.params, opt.as_mut(), "Multitask", 0, epoch, bad)?;
+            guard.recover(&mut model.params, &mut opt, "Multitask", 0, epoch, bad)?;
             continue;
         }
         guard.commit(&model.params);
@@ -867,20 +791,20 @@ pub fn image_augmenters(source: &dyn TaskSource, grid: edsr_data::GridSpec) -> V
         .collect()
 }
 
+/// The share of features SCARF corruption replaces in each tabular view.
+pub const TABULAR_CORRUPTION: f32 = 0.4;
+
 /// Builds the per-task augmenters for the tabular stream (SCARF
-/// corruption referencing each increment's own train split). Fetches
-/// every increment once, in order — a streaming source pays one
-/// sequential pass.
-pub fn tabular_augmenters(
-    source: &mut dyn TaskSource,
-    corruption_prob: f32,
-) -> Result<Vec<Augmenter>, TrainError> {
+/// corruption at [`TABULAR_CORRUPTION`], referencing each increment's own
+/// train split). Fetches every increment once, in order — a streaming
+/// source pays one sequential pass.
+pub fn tabular_augmenters(source: &mut dyn TaskSource) -> Result<Vec<Augmenter>, TrainError> {
     (0..source.len())
         .map(|i| {
             let task = source.fetch(i)?;
             Ok(Augmenter::tabular(
                 task.train.inputs.clone(),
-                corruption_prob,
+                TABULAR_CORRUPTION,
             ))
         })
         .collect()

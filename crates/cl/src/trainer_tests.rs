@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use crate::methods::Finetune;
 use crate::model::{ContinualModel, ModelConfig};
 use crate::trainer::{
-    evaluate_row, run_multitask, tabular_augmenters, Method, OptimizerKind, RunBuilder, TrainConfig,
+    evaluate_row, run_multitask, tabular_augmenters, Method, RunBuilder, TrainConfig,
+    TABULAR_CORRUPTION,
 };
 
 /// Two-increment toy stream with clearly clustered 8-d inputs.
@@ -49,39 +50,10 @@ fn tiny_cfg() -> TrainConfig {
         batch_size: 8,
         replay_batch: 4,
         lr: 1e-3,
-        momentum: 0.9,
         weight_decay: 0.0,
-        optimizer: OptimizerKind::Adam,
         eval_k: 3,
         multitask_epoch_multiplier: 1,
-        cosine_floor: 1.0,
     }
-}
-
-#[test]
-fn cosine_floor_schedules_lr_without_breaking_training() {
-    let seq = toy_sequence(20);
-    let augs = toy_augmenters(seq.len());
-    let mut model = ContinualModel::new(&ModelConfig::image(8), &mut seeded(21));
-    let mut method = Finetune::new();
-    let mut cfg = tiny_cfg();
-    cfg.epochs_per_task = 4;
-    cfg.cosine_floor = 0.05;
-    let mut rng = seeded(22);
-    let result = RunBuilder::new(&cfg)
-        .run(&mut method, &mut model, &mut &seq, &augs, &mut rng)
-        .expect("run");
-    assert_eq!(result.matrix.num_increments(), 2);
-    assert!(result.task_losses.iter().all(|l| l.is_finite()));
-}
-
-#[test]
-fn optimizer_kind_builds_requested_optimizer() {
-    let mut cfg = tiny_cfg();
-    cfg.optimizer = OptimizerKind::Sgd;
-    assert!((cfg.build_optimizer().lr() - cfg.lr).abs() < 1e-9);
-    cfg.optimizer = OptimizerKind::Adam;
-    assert!((cfg.build_optimizer().lr() - cfg.lr).abs() < 1e-9);
 }
 
 #[test]
@@ -147,7 +119,7 @@ fn run_multitask_reports_all_tasks() {
 #[test]
 fn tabular_augmenters_reference_each_increment() {
     let seq = toy_sequence(12);
-    let augs = tabular_augmenters(&mut &seq, 0.5).expect("tabular augmenters");
+    let augs = tabular_augmenters(&mut &seq).expect("tabular augmenters");
     assert_eq!(augs.len(), seq.len());
     for (aug, task) in augs.iter().zip(&seq.tasks) {
         match aug {
@@ -156,7 +128,7 @@ fn tabular_augmenters_reference_each_increment() {
                 corruption_prob,
             } => {
                 assert_eq!(reference.rows(), task.train.len());
-                assert_eq!(*corruption_prob, 0.5);
+                assert_eq!(*corruption_prob, TABULAR_CORRUPTION);
             }
             other => panic!("expected TabularCrop, got {other:?}"),
         }

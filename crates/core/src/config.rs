@@ -10,10 +10,11 @@
 //! - a switch is a bare `--name`;
 //! - the last occurrence of a flag wins;
 //! - every argument that does not start with `--` is a positional, kept
-//!   in order.
+//!   in order, up to the grammar's `max_positionals`.
 //!
-//! A flag the grammar does not declare, a valued flag with no value and a
-//! switch given `=value` are errors that name the grammar and the flag.
+//! A flag the grammar does not declare, a valued flag with no value, a
+//! switch given `=value` and a positional past `max_positionals` are
+//! errors that name the grammar and the argument.
 //! Binaries print them as `error: …` and exit 2 before they build data or
 //! write a file.
 //!
@@ -48,6 +49,8 @@ pub struct Grammar<'a> {
     pub values: &'a [&'static str],
     /// Flags that take none.
     pub switches: &'a [&'static str],
+    /// The most positionals it accepts.
+    pub max_positionals: usize,
 }
 
 /// Arguments read by [`Grammar::parse`].
@@ -79,6 +82,9 @@ impl Grammar<'_> {
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             if !arg.starts_with("--") {
+                if out.positionals.len() == self.max_positionals {
+                    return Err(format!("{}: unexpected argument {arg:?}", self.name));
+                }
                 out.positionals.push(arg.clone());
                 continue;
             }
@@ -204,6 +210,7 @@ mod tests {
         name: "edsr run",
         values: &["--seed", "--input", "--save"],
         switches: &["--resume"],
+        max_positionals: 4,
     };
 
     fn no_env(_: &str) -> Option<String> {
@@ -275,6 +282,10 @@ mod tests {
             "edsr run: --seed requires a value"
         );
         assert_eq!(err(&["--resume=yes"]), "edsr run: --resume takes no value");
+        assert_eq!(
+            err(&["a", "b", "--seed", "3", "c", "d", "e"]),
+            "edsr run: unexpected argument \"e\""
+        );
         // A process flag is a flag of the grammar only through `EnvConfig`.
         assert_eq!(err(&["--threads", "2"]), "edsr run: unknown flag --threads");
     }

@@ -77,6 +77,10 @@ pub enum ReplaySampling {
     SimilarityWeighted,
 }
 
+/// Views drawn per train sample when estimating Min-Var's and Max-Var's
+/// augmentation variance.
+const MIN_VAR_VIEWS: usize = 4;
+
 /// Full EDSR configuration.
 #[derive(Debug, Clone)]
 pub struct EdsrConfig {
@@ -95,9 +99,6 @@ pub struct EdsrConfig {
     /// Keep the CaSSLe-style distillation on *new* data (the paper's full
     /// objective includes it; disable to isolate replay).
     pub distill_new: bool,
-    /// Views of the train split drawn per sample when estimating Min-Var's
-    /// and Max-Var's augmentation variance.
-    pub min_var_views: usize,
 }
 
 impl EdsrConfig {
@@ -116,7 +117,6 @@ impl EdsrConfig {
             replay_loss: ReplayLoss::Rpl,
             replay_sampling: ReplaySampling::Uniform,
             distill_new: true,
-            min_var_views: 4,
         }
     }
 }
@@ -370,13 +370,12 @@ impl Method for Edsr {
             self.cfg.selection,
             SelectionStrategy::MinVar | SelectionStrategy::MaxVar
         ) {
-            let views = self.cfg.min_var_views.max(2);
             Some(
                 (0..train.len())
                     .map(|i| {
                         let row = train.inputs.select_rows(&[i]);
-                        let mut view_reps = Matrix::zeros(views, model.repr_dim());
-                        for v in 0..views {
+                        let mut view_reps = Matrix::zeros(MIN_VAR_VIEWS, model.repr_dim());
+                        for v in 0..MIN_VAR_VIEWS {
                             let view = aug.view_batch(&row, rng);
                             let rep = model.represent(&view, task_idx);
                             view_reps.row_mut(v).copy_from_slice(rep.row(0));
@@ -484,10 +483,10 @@ mod tests {
     use edsr_data::GridSpec;
     use edsr_tensor::rng::seeded;
 
-    fn setup(seed: u64) -> (ContinualModel, edsr_nn::Sgd, Augmenter, Dataset) {
+    fn setup(seed: u64) -> (ContinualModel, edsr_nn::Adam, Augmenter, Dataset) {
         let mut rng = seeded(seed);
         let model = ContinualModel::new(&ModelConfig::image(16), &mut rng);
-        let opt = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let opt = edsr_nn::Adam::new(3e-3, 0.0);
         let aug = Augmenter::standard_image(GridSpec::new(4, 4, 1));
         let train = Dataset::new(
             "d",
@@ -588,7 +587,6 @@ mod tests {
         let mut rng = seeded(437);
         let mut cfg = EdsrConfig::paper_default(4, 4, 3);
         cfg.selection = SelectionStrategy::MinVar;
-        cfg.min_var_views = 2;
         let mut edsr = Edsr::new(cfg);
         edsr.end_task(&mut model, 0, &train, &aug, &mut rng);
         assert_eq!(edsr.memory_len(), 4);
@@ -667,7 +665,6 @@ mod tests {
         let (mut model, mut opt, aug, train) = setup(920);
         let mut rng = seeded(921);
         let mut m = registry("r2r", 6, 4);
-        m.cfg.min_var_views = 3;
         m.end_task(&mut model, 0, &train, &aug, &mut rng);
         assert_eq!(m.memory_len(), 6);
         m.begin_task(&mut model, 1, &train, &mut rng);
@@ -691,7 +688,6 @@ mod tests {
         let mut rng = seeded(931);
         for name in ["compemb", "r2r"] {
             let mut method = registry(name, 4, 4);
-            method.cfg.min_var_views = 2;
             method.end_task(&mut model, 0, &train, &aug, &mut rng);
             let bytes = method.save_state().expect("state bytes");
             let mut fresh = registry(name, 4, 4);
@@ -781,8 +777,8 @@ mod tests {
 
         let mut cassle = registry("cassle", 4, 4);
         let mut ft = edsr_cl::Finetune::new();
-        let mut opt_a = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
-        let mut opt_b = edsr_nn::Sgd::new(0.05, 0.9, 0.0);
+        let mut opt_a = edsr_nn::Adam::new(3e-3, 0.0);
+        let mut opt_b = edsr_nn::Adam::new(3e-3, 0.0);
 
         // Properly learn task 0 first (identical trajectories: CaSSLe has
         // no distillation term on the first increment).

@@ -29,11 +29,6 @@ impl BatchIter {
             cursor: 0,
         }
     }
-
-    /// Number of batches this epoch will yield.
-    pub fn num_batches(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for BatchIter {
@@ -71,7 +66,6 @@ mod tests {
     fn batch_sizes() {
         let mut rng = seeded(181);
         let it = BatchIter::new(10, 4, &mut rng);
-        assert_eq!(it.num_batches(), 3);
         let sizes: Vec<usize> = it.map(|b| b.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
     }

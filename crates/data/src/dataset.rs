@@ -175,12 +175,6 @@ impl TaskSequence {
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
-
-    /// Union of all train splits (the Multitask upper-bound's data).
-    pub fn joint_train(&self) -> Dataset {
-        let parts: Vec<&Dataset> = self.tasks.iter().map(|t| &t.train).collect();
-        Dataset::concat(format!("{}-joint", self.name), &parts)
-    }
 }
 
 #[cfg(test)]
@@ -292,25 +286,5 @@ mod tests {
             .collect();
         assert_eq!(f.labels, expect);
         assert!(!f.is_empty());
-    }
-
-    #[test]
-    fn joint_train_unions_tasks() {
-        let d = toy();
-        let t1 = Task {
-            train: d.filter_classes(&[0]),
-            test: d.filter_classes(&[0]),
-            classes: vec![0],
-        };
-        let t2 = Task {
-            train: d.filter_classes(&[1]),
-            test: d.filter_classes(&[1]),
-            classes: vec![1],
-        };
-        let seq = TaskSequence {
-            name: "toy".into(),
-            tasks: vec![t1, t2],
-        };
-        assert_eq!(seq.joint_train().len(), 4);
     }
 }

@@ -3,11 +3,6 @@
 
 use edsr_tensor::Matrix;
 
-/// Per-column mean as a `1 x d` row vector.
-pub fn col_mean(x: &Matrix) -> Matrix {
-    x.col_means()
-}
-
 /// Per-column standard deviation (population) as a `1 x d` row vector.
 pub fn col_std(x: &Matrix) -> Matrix {
     let mean = x.col_means();
@@ -45,21 +40,6 @@ pub fn center_columns(x: &Matrix) -> (Matrix, Matrix) {
         }
     }
     (out, mean)
-}
-
-/// Standardizes columns to zero mean, unit variance (std floor `1e-6`).
-pub fn standardize_columns(x: &Matrix) -> Matrix {
-    let (centered, _) = center_columns(x);
-    let std = col_std(x);
-    let mut out = centered;
-    for r in 0..out.rows() {
-        for c in 0..out.cols() {
-            let s = std.get(0, c).max(1e-6);
-            let v = out.get(r, c) / s;
-            out.set(r, c, v);
-        }
-    }
-    out
 }
 
 /// Gram covariance `Cov(A) = AᵀA` as used by the paper's entropy estimate
@@ -135,7 +115,7 @@ mod tests {
     #[test]
     fn col_mean_and_std_known() {
         let x = Matrix::from_vec(2, 2, vec![1.0, 10.0, 3.0, 20.0]);
-        assert_eq!(col_mean(&x).data(), &[2.0, 15.0]);
+        assert_eq!(x.col_means().data(), &[2.0, 15.0]);
         let s = col_std(&x);
         assert!((s.get(0, 0) - 1.0).abs() < 1e-6);
         assert!((s.get(0, 1) - 5.0).abs() < 1e-6);
@@ -154,15 +134,6 @@ mod tests {
         let (c, mean) = center_columns(&x);
         assert!(c.col_means().data().iter().all(|m| m.abs() < 1e-4));
         assert!(mean.data().iter().all(|&m| (m - 7.0).abs() < 2.0));
-    }
-
-    #[test]
-    fn standardize_unit_variance() {
-        let mut rng = seeded(41);
-        let x = Matrix::randn(200, 3, 5.0, &mut rng);
-        let s = standardize_columns(&x);
-        let std = col_std(&s);
-        assert!(std.data().iter().all(|v| (v - 1.0).abs() < 1e-3), "{std:?}");
     }
 
     #[test]

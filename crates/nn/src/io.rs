@@ -230,30 +230,20 @@ pub fn params_from_bytes(params: &mut ParamSet, payload: &[u8]) -> Result<(), Ch
 // Optimizer-state codec (run-state checkpoints persist optimizer moments).
 // ---------------------------------------------------------------------------
 
-/// Serializes an exported optimizer state.
+/// The kind tag every optimizer-state payload starts with: Adam's. Any
+/// other tag (1 was SGD momentum) fails to decode.
+const ADAM_KIND: u32 = 2;
+
+/// Serializes an exported optimizer state: the kind tag, `lr`, `t`, the
+/// moment count, then every first moment and every second moment.
 pub fn optim_state_to_bytes(state: &OptimState) -> Vec<u8> {
     let mut buf = Vec::new();
-    match state {
-        OptimState::Sgd { lr, velocity } => {
-            put_u32(&mut buf, 1);
-            put_f32(&mut buf, *lr);
-            put_u32(&mut buf, velocity.len() as u32);
-            for m in velocity {
-                put_matrix(&mut buf, m);
-            }
-        }
-        OptimState::Adam { lr, t, m, v } => {
-            put_u32(&mut buf, 2);
-            put_f32(&mut buf, *lr);
-            put_u64(&mut buf, *t);
-            put_u32(&mut buf, m.len() as u32);
-            for mm in m {
-                put_matrix(&mut buf, mm);
-            }
-            for vv in v {
-                put_matrix(&mut buf, vv);
-            }
-        }
+    put_u32(&mut buf, ADAM_KIND);
+    put_f32(&mut buf, state.lr);
+    put_u64(&mut buf, state.t);
+    put_u32(&mut buf, state.m.len() as u32);
+    for m in state.m.iter().chain(&state.v) {
+        put_matrix(&mut buf, m);
     }
     buf
 }
@@ -270,31 +260,22 @@ pub fn read_matrices(r: &mut Reader<'_>, n: u64) -> Result<Vec<Matrix>, DecodeEr
 }
 
 /// Deserializes an optimizer state written by [`optim_state_to_bytes`].
+/// Any kind tag but Adam's is a [`CheckpointError::Mismatch`].
 pub fn optim_state_from_bytes(payload: &[u8]) -> Result<OptimState, CheckpointError> {
     let mut r = Reader::new(payload);
-    let state = match r.u32()? {
-        1 => {
-            let lr = r.f32()?;
-            let n = r.u32()?;
-            let velocity = read_matrices(&mut r, n.into())?;
-            OptimState::Sgd { lr, velocity }
-        }
-        2 => {
-            let lr = r.f32()?;
-            let t = r.u64()?;
-            let n = r.u32()?;
-            let m = read_matrices(&mut r, n.into())?;
-            let v = read_matrices(&mut r, n.into())?;
-            OptimState::Adam { lr, t, m, v }
-        }
-        k => {
-            return Err(CheckpointError::Mismatch(format!(
-                "unknown optimizer-state kind {k}"
-            )))
-        }
-    };
+    let kind = r.u32()?;
+    if kind != ADAM_KIND {
+        return Err(CheckpointError::Mismatch(format!(
+            "optimizer-state kind {kind} is not Adam's ({ADAM_KIND})"
+        )));
+    }
+    let lr = r.f32()?;
+    let t = r.u64()?;
+    let n = r.u32()?;
+    let m = read_matrices(&mut r, n.into())?;
+    let v = read_matrices(&mut r, n.into())?;
     r.finish()?;
-    Ok(state)
+    Ok(OptimState { lr, t, m, v })
 }
 
 // ---------------------------------------------------------------------------
@@ -487,28 +468,30 @@ mod tests {
         let mut rng = seeded(530);
         let m1 = Matrix::randn(2, 3, 1.0, &mut rng);
         let m2 = Matrix::randn(3, 1, 1.0, &mut rng);
-        let state = OptimState::Adam {
+        let state = OptimState {
             lr: 0.25,
             t: 17,
             m: vec![m1.clone(), m2.clone()],
             v: vec![m2.clone(), m1.clone()],
         };
         let bytes = optim_state_to_bytes(&state);
-        match optim_state_from_bytes(&bytes).expect("decode") {
-            OptimState::Adam { lr, t, m, v } => {
-                assert_eq!(lr, 0.25);
-                assert_eq!(t, 17);
-                assert_eq!(m, vec![m1.clone(), m2.clone()]);
-                assert_eq!(v, vec![m2, m1]);
-            }
-            other => panic!("wrong kind decoded: {other:?}"),
-        }
-        let sgd = OptimState::Sgd {
-            lr: 0.5,
-            velocity: vec![Matrix::zeros(1, 4)],
-        };
-        let decoded = optim_state_from_bytes(&optim_state_to_bytes(&sgd)).expect("decode sgd");
-        assert!(matches!(decoded, OptimState::Sgd { lr, ref velocity }
-            if lr == 0.5 && velocity.len() == 1));
+        let OptimState { lr, t, m, v } = optim_state_from_bytes(&bytes).expect("decode");
+        assert_eq!(lr, 0.25);
+        assert_eq!(t, 17);
+        assert_eq!(m, vec![m1.clone(), m2.clone()]);
+        assert_eq!(v, vec![m2, m1]);
+    }
+
+    #[test]
+    fn sgd_optimizer_state_is_a_mismatch() {
+        // The kind-1 layout SGD's momentum state was written in: tag, lr,
+        // velocity count, velocities.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 1);
+        put_f32(&mut bytes, 0.5);
+        put_u32(&mut bytes, 1);
+        put_matrix(&mut bytes, &Matrix::zeros(1, 4));
+        let err = optim_state_from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
     }
 }

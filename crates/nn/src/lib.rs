@@ -2,8 +2,8 @@
 //!
 //! Neural-network building blocks for the EDSR reproduction: parameter
 //! storage ([`ParamSet`]) with tape binding, linear layers and MLPs, and
-//! the two optimizers the paper uses (SGD with momentum for images, Adam
-//! for tabular data) plus a cosine learning-rate schedule.
+//! the optimizer every run trains with: [`Adam`] at a flat learning rate
+//! (DESIGN.md §2).
 
 pub mod conv;
 pub mod io;
@@ -15,7 +15,7 @@ pub mod workspace;
 pub use conv::{Conv2d, ConvShape};
 pub use io::{load_params, save_params, CheckpointError};
 pub use layers::{Activation, Init, Linear, Mlp};
-pub use optim::{Adam, CosineSchedule, OptimState, Optimizer, Sgd};
+pub use optim::{Adam, OptimState, Optimizer};
 pub use params::{Binder, ParamId, ParamSet};
 pub use workspace::Workspace;
 

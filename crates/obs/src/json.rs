@@ -129,9 +129,12 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .and_then(char::from_u32);
@@ -352,6 +355,13 @@ mod tests {
                 .is_err(),
             "unknown kind"
         );
+        // A `\u` escape takes exactly four hex digits, with no sign.
+        for name in ["a\\u+041b", "a\\u004gb", "a\\u04"] {
+            let line = format!(
+                "{{\"seq\":1,\"kind\":\"gauge\",\"name\":\"{name}\",\"index\":0,\"value\":1}}"
+            );
+            assert!(parse_line(&line).is_err(), "{name} parsed");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 
 use crate::kernel;
-use crate::rng::{gaussian, uniform};
+use crate::rng::gaussian;
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -131,15 +131,6 @@ impl Matrix {
         let mut m = Self::zeros(rows, cols);
         for v in &mut m.data {
             *v = gaussian(rng) * std;
-        }
-        m
-    }
-
-    /// Creates a matrix with entries drawn i.i.d. from `U[lo, hi)`.
-    pub fn rand_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut StdRng) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        for v in &mut m.data {
-            *v = uniform(rng, lo, hi);
         }
         m
     }
@@ -269,13 +260,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
@@ -471,18 +455,9 @@ impl Matrix {
         kernel::transpose(&self.data, &mut out.data, self.rows, self.cols);
     }
 
-    /// Adds a `1 x cols` row vector to every row.
-    ///
-    /// # Panics
-    /// Panics unless `bias` is `1 x self.cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        self.add_row_broadcast_into(bias, &mut out);
-        out
-    }
-
-    /// Row-broadcast add written into a caller-provided matrix in a single
-    /// pass (no intermediate full-matrix copy).
+    /// Adds a `1 x cols` row vector to every row, written into a
+    /// caller-provided matrix in a single pass (no intermediate
+    /// full-matrix copy).
     ///
     /// # Panics
     /// Panics unless `bias` is `1 x self.cols` and `out` matches `self`.
@@ -539,15 +514,6 @@ impl Matrix {
         out
     }
 
-    /// Row sums as a `rows x 1` column vector.
-    pub fn row_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
-        }
-        out
-    }
-
     /// Euclidean (L2) norm of each row, as a `rows x 1` column vector.
     pub fn row_norms(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, 1);
@@ -569,22 +535,6 @@ impl Matrix {
     pub fn trace(&self) -> f32 {
         assert_eq!(self.rows, self.cols, "trace: matrix must be square");
         (0..self.rows).map(|i| self.get(i, i)).sum()
-    }
-
-    /// Index of the maximum element in each row.
-    pub fn row_argmax(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
     }
 
     /// Maximum absolute elementwise difference against `other`.
@@ -728,7 +678,8 @@ mod tests {
     fn broadcast_row_add() {
         let a = m2x3();
         let bias = Matrix::row_vector(&[10.0, 20.0, 30.0]);
-        let out = a.add_row_broadcast(&bias);
+        let mut out = Matrix::zeros(2, 3);
+        a.add_row_broadcast_into(&bias, &mut out);
         assert_eq!(out.row(0), &[11.0, 22.0, 33.0]);
         assert_eq!(out.row(1), &[14.0, 25.0, 36.0]);
     }
@@ -740,7 +691,6 @@ mod tests {
         assert_eq!(m.mean(), 3.5);
         assert_eq!(m.col_sums().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(m.col_means().data(), &[2.5, 3.5, 4.5]);
-        assert_eq!(m.row_sums().data(), &[6.0, 15.0]);
     }
 
     #[test]
@@ -752,12 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_per_row() {
-        let m = Matrix::from_vec(2, 3, vec![0.1, 0.9, 0.5, 2.0, -1.0, 0.0]);
-        assert_eq!(m.row_argmax(), vec![1, 0]);
-    }
-
-    #[test]
     fn randn_statistics() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let m = Matrix::randn(100, 100, 1.0, &mut rng);
@@ -765,13 +709,6 @@ mod tests {
         let var = m.map(|v| v * v).mean() - mean * mean;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn rand_uniform_bounds() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let m = Matrix::rand_uniform(50, 50, -2.0, 3.0, &mut rng);
-        assert!(m.data().iter().all(|&v| (-2.0..3.0).contains(&v)));
     }
 
     #[test]
@@ -807,7 +744,7 @@ mod tests {
     fn broadcast_width_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let bias = Matrix::row_vector(&[1.0, 2.0]);
-        let _ = a.add_row_broadcast(&bias);
+        a.add_row_broadcast_into(&bias, &mut Matrix::zeros(2, 3));
     }
 
     #[test]
@@ -828,13 +765,6 @@ mod tests {
     fn into_vec_roundtrip() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn map_inplace_applies() {
-        let mut m = m2x3();
-        m.map_inplace(|v| v * 2.0);
-        assert_eq!(m.row(0), &[2.0, 4.0, 6.0]);
     }
 
     #[test]

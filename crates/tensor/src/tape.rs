@@ -53,7 +53,6 @@ enum Op {
     MulElem(Var, Var),
     AddRow(Var, Var),
     Scale(Var, f32),
-    AddConst(Var),
     Relu(Var),
     Tanh(Var),
     Square(Var),
@@ -86,7 +85,6 @@ impl Op {
             | Op::AddRow(a, b)
             | Op::MseLoss(a, b) => [Some(a), Some(b)],
             Op::Scale(a, _)
-            | Op::AddConst(a)
             | Op::Relu(a)
             | Op::Tanh(a)
             | Op::Square(a)
@@ -309,16 +307,6 @@ impl Tape {
         let mut out = scratch.take_matrix(va.rows(), va.cols());
         va.scale_into(&mut out, c);
         self.push(Op::Scale(a, c), out)
-    }
-
-    /// Adds a constant matrix (no gradient into the constant). Used for the
-    /// noise term `r(x^m)·σ` of the replay loss.
-    pub fn add_const(&mut self, a: Var, constant: &Matrix) -> Var {
-        let Self { nodes, scratch, .. } = self;
-        let va = &nodes[a.0].value;
-        let mut out = scratch.take_matrix(va.rows(), va.cols());
-        va.zip_map_into(constant, &mut out, |x, y| x + y);
-        self.push(Op::AddConst(a), out)
     }
 
     /// Rectified linear unit.
@@ -595,10 +583,6 @@ impl Tape {
                 Op::Scale(a, c) => {
                     let mut ga = scratch.take_matrix(g.rows(), g.cols());
                     g.scale_into(&mut ga, *c);
-                    accumulate(&mut grads, scratch, *a, ga);
-                }
-                Op::AddConst(a) => {
-                    let ga = scratch.take_copy(&g);
                     accumulate(&mut grads, scratch, *a, ga);
                 }
                 Op::Relu(a) => {
@@ -1187,19 +1171,6 @@ mod tests {
         for (a, b) in leaf_gp.data().iter().zip(const_gp.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient changed");
         }
-    }
-
-    #[test]
-    fn add_const_passes_gradient() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::filled(1, 2, 1.0));
-        let noise = Matrix::filled(1, 2, 0.5);
-        let y = t.add_const(x, &noise);
-        let sq = t.square(y);
-        let loss = t.sum(sq);
-        assert_eq!(t.value(y).data(), &[1.5, 1.5]);
-        let g = t.backward(loss);
-        assert_eq!(g.get(x).unwrap().data(), &[3.0, 3.0]);
     }
 
     /// `col_standardize` and its backward as per-column loops (the

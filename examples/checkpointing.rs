@@ -21,7 +21,6 @@ fn main() -> Result<(), Error> {
     let (sequence, augmenters) = preset.build_with_augmenters(&mut seeded(31));
     let mut cfg = TrainConfig::image();
     cfg.epochs_per_task = 15;
-    cfg.cosine_floor = 0.1; // per-increment cosine LR decay
 
     let mut model = ContinualModel::new(&ModelConfig::image(preset.grid.dim()), &mut seeded(32));
     let mut edsr = Edsr::paper_default(preset.per_task_budget(), 8, preset.noise_neighbors);

@@ -31,7 +31,7 @@ fn main() -> Result<(), Error> {
     }
 
     // SCARF corruption referencing each increment's own train split.
-    let augmenters = tabular_augmenters(&mut &sequence, 0.4)?;
+    let augmenters = tabular_augmenters(&mut &sequence)?;
 
     // Encoder with one input adapter per increment (paper: "the first
     // layer of f(·) is data-specific").

@@ -45,10 +45,11 @@
 //!                        (one stats round-trip) before sending the op
 //! ```
 //!
-//! Each subcommand declares the flags it reads ([`grammar`]); any other
-//! flag, a valued flag without its value, or a switch given `=value`
-//! prints `error: edsr <subcommand>: …` and exits 2 before any data is
-//! built or file written. Every subcommand also takes `--threads`,
+//! Each subcommand declares the flags it reads and the most positionals
+//! it takes ([`grammar`]); any other flag, a valued flag without its
+//! value, a switch given `=value` or a stray positional prints
+//! `error: edsr <subcommand>: …` and exits 2 before any data is built or
+//! file written. Every subcommand also takes `--threads`,
 //! `--obs` and `--obs-path`, which fall back to `EDSR_THREADS` /
 //! `EDSR_OBS` / `EDSR_OBS_PATH` ([`EnvConfig`]). `presets` and `metrics`
 //! install no metrics sink, so `metrics` never truncates what it reads.
@@ -87,31 +88,33 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The flags `edsr <cmd>` reads, for `scenario` by its first argument
-/// `sub`; `None` for an unknown subcommand. One subcommand per line.
+/// The grammar of `edsr <cmd>`: the flags it reads and the most
+/// positionals it takes. `scenario` has one grammar per first argument
+/// `sub`, which counts as a positional. `None` for an unknown subcommand.
+/// One subcommand per line.
 #[rustfmt::skip]
 fn grammar(cmd: &str, sub: Option<&str>) -> Option<Grammar<'static>> {
-    let (name, values, switches): (_, &[_], &[_]) = match (cmd, sub) {
-        ("presets", _) => ("edsr presets", &[], &[]),
+    let (name, values, switches, max_positionals): (_, &[_], &[_], _) = match (cmd, sub) {
+        ("presets", _) => ("edsr presets", &[], &[], 0),
         ("run", _) => ("edsr run",
             &["--seed", "--epochs", "--memory", "--save", "--checkpoint", "--serve-snapshot"],
-            &["--resume", "--quantize"]),
-        ("tabular", _) => ("edsr tabular", &["--seed", "--epochs"], &[]),
-        ("metrics", _) => ("edsr metrics", &[], &[]),
+            &["--resume", "--quantize"], 2),
+        ("tabular", _) => ("edsr tabular", &["--seed", "--epochs"], &[], 1),
+        ("metrics", _) => ("edsr metrics", &[], &[], 1),
         ("serve", _) => ("edsr serve",
             &["--port", "--cache", "--serve-batch", "--serve-window-us", "--serve-rotate-ms",
               "--serve-deadline-ms", "--serve-queue", "--serve-stall-ms", "--chaos-seed"],
-            &["--quantized"]),
+            &["--quantized"], 1),
         ("query", _) => ("edsr query",
             &["--input", "--task", "--k", "--metric", "--retries"],
-            &["--retry-rejections", "--quantized"]),
-        ("scenario", Some("list")) => ("edsr scenario list", &["--seed"], &[]),
-        ("scenario", Some("write")) => ("edsr scenario write", &["--seed"], &[]),
+            &["--retry-rejections", "--quantized"], 2),
+        ("scenario", Some("list")) => ("edsr scenario list", &["--seed"], &[], 1),
+        ("scenario", Some("write")) => ("edsr scenario write", &["--seed"], &[], 3),
         ("scenario", Some("run")) => ("edsr scenario run",
-            &["--seed", "--epochs", "--stream", "--save"], &[]),
+            &["--seed", "--epochs", "--stream", "--save"], &[], 3),
         _ => return None,
     };
-    Some(Grammar { name, values, switches })
+    Some(Grammar { name, values, switches, max_positionals })
 }
 
 /// The value of `flag` as a `T`, `None` when the flag is absent. A value
@@ -268,7 +271,7 @@ fn cmd_tabular(args: &Args) -> Result<(), Error> {
         cfg.epochs_per_task = e;
     }
     let mut sequence = tabular_sequence(&TabularConfig::default(), &mut seeded(seed));
-    let augmenters = tabular_augmenters(&mut sequence, 0.4)?;
+    let augmenters = tabular_augmenters(&mut sequence)?;
     let input_dims: Vec<usize> = TABULAR_SPECS.iter().map(|s| s.input_dim).collect();
     let (mut model, mut run_rng) = seeded_run(&ModelConfig::tabular(input_dims), seed);
 

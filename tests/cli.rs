@@ -1,10 +1,11 @@
 //! The `edsr` binary's argument grammar, end to end.
 //!
-//! Every subcommand declares the flags it reads; anything else is an
-//! `error:` line naming the flag and exit 2, before any data is built or
-//! any file is written. `edsr metrics` only reads: it installs no metrics
-//! sink, so it cannot truncate the file it summarizes. Every run here is
-//! the `test` preset at one epoch, in a scratch directory of its own.
+//! Every subcommand declares the flags it reads and the most positionals
+//! it takes; anything else is an `error:` line naming the argument and
+//! exit 2, before any data is built or any file is written. `edsr
+//! metrics` only reads: it installs no metrics sink, so it cannot
+//! truncate the file it summarizes. Every run here is the `test` preset
+//! at one epoch, in a scratch directory of its own.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -70,6 +71,11 @@ fn undeclared_or_malformed_flags_exit_2_before_any_work() {
         ("run test edsr --resume=yes", "--resume"),
         ("tabular lin --epochs 1 --memory 8", "--memory"),
         ("metrics --obs-path", "--obs-path"),
+        // A positional past the subcommand's count.
+        ("presets extra", "\"extra\""),
+        ("run test edsr extra --epochs 1", "\"extra\""),
+        ("scenario list extra", "\"extra\""),
+        ("tabular lin extra --epochs 1", "\"extra\""),
     ];
     for (probe, flag) in probes {
         // Each probe alone, then with a checkpoint directory and a metrics

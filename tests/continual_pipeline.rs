@@ -153,7 +153,6 @@ fn all_selection_strategies_fill_memory() {
     ] {
         let mut c = EdsrConfig::paper_default(preset.per_task_budget(), 6, 3);
         c.selection = strategy;
-        c.min_var_views = 2;
         let mut m = Edsr::new(c);
         let _ = run_method(&mut m, 700, &cfg);
         assert_eq!(
@@ -186,7 +185,7 @@ fn tabular_stream_with_heterogeneous_adapters() {
     };
     let mut data_rng = seeded(900);
     let seq = tabular_sequence(&data_cfg, &mut data_rng);
-    let augs = edsr::cl::tabular_augmenters(&mut &seq, 0.4).expect("tabular augmenters");
+    let augs = edsr::cl::tabular_augmenters(&mut &seq).expect("tabular augmenters");
     let input_dims: Vec<usize> = TABULAR_SPECS.iter().map(|s| s.input_dim).collect();
     let mut model = ContinualModel::new(&ModelConfig::tabular(input_dims), &mut seeded(901));
     let mut cfg = TrainConfig::tabular();

@@ -151,7 +151,7 @@ fn golden_params() -> ParamSet {
 
 fn golden_optim() -> OptimState {
     let mut rng = seeded(17);
-    OptimState::Adam {
+    OptimState {
         lr: 0.25,
         t: 9,
         m: vec![

@@ -112,7 +112,7 @@ fn tabular_run(name: &str) -> RunResult {
         ..Default::default()
     };
     let mut seq = tabular_sequence(&data_cfg, &mut seeded(5));
-    let augs = tabular_augmenters(&mut seq, 0.4).expect("tabular augmenters");
+    let augs = tabular_augmenters(&mut seq).expect("tabular augmenters");
     let dims: Vec<usize> = TABULAR_SPECS.iter().map(|s| s.input_dim).collect();
     let mut cfg = TrainConfig::tabular();
     cfg.epochs_per_task = 2;

@@ -14,8 +14,8 @@ use std::sync::Mutex;
 
 use edsr::cl::ServeSnapshot;
 use edsr::cl::{
-    CheckpointConfig, ContinualModel, FaultInjector, FaultPlan, Finetune, GuardConfig, ModelConfig,
-    OptimizerKind, RunBuilder, TrainConfig, TrainError,
+    CheckpointConfig, ContinualModel, FaultInjector, FaultPlan, Finetune, ModelConfig, RunBuilder,
+    TrainConfig, TrainError,
 };
 use edsr::core::Edsr;
 use edsr::data::{Augmenter, Dataset, Task, TaskSequence};
@@ -59,12 +59,9 @@ fn tiny_cfg() -> TrainConfig {
         batch_size: 8,
         replay_batch: 4,
         lr: 1e-3,
-        momentum: 0.9,
         weight_decay: 0.0,
-        optimizer: OptimizerKind::Adam,
         eval_k: 3,
         multitask_epoch_multiplier: 1,
-        cosine_floor: 1.0,
     }
 }
 
@@ -190,10 +187,6 @@ fn spans_stay_balanced_when_a_run_diverges() {
     let ring = RingSink::with_capacity(edsr::obs::DEFAULT_RING_CAPACITY);
     edsr::obs::install(Box::new(ring.clone()));
     let err = RunBuilder::new(&cfg)
-        .guard(GuardConfig {
-            max_retries: 2,
-            ..GuardConfig::default()
-        })
         .run(&mut method, &mut model, &mut &seq, &augs, &mut rng)
         .unwrap_err();
     edsr::obs::uninstall();
