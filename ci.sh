@@ -431,8 +431,22 @@ echo "== bench regression gate (vs BENCH_baseline.json) =="
 # Within the quick BENCH_par.json, the 22-row epoch-tail product
 # (train_matmul_tail) must not take longer than the full 64-row batch
 # (train_matmul) at one thread: a slower tail means edge tiles fell off
-# the register tile.
-python3 - "$BENCH_DIR/BENCH_par.json" <<'EOF'
+# the register tile. One `boundary` eval cell's cosine kNN
+# (eval_knn_cosine) must take at most 3x its forward (eval_forward) at
+# one thread, within a run: a slower search means scores no longer come
+# eight reference rows per block-scorer call, or selection no longer
+# works from the score row (one-dot-per-pair scoring reads about 4x, the
+# insertion-only search before it about 6x). That gate reads the median
+# ratio of three quick runs (two more, 1.6 s each; their own hand-off
+# gate is the first run's): on a shared host one run can catch
+# contention that hits only the kNN row (a tree reading 2.0-2.7x read
+# 3.8x once in 22 runs).
+for run in 2 3; do
+    mkdir "$BENCH_DIR/run$run"
+    (cd "$BENCH_DIR/run$run" && EDSR_BENCH_QUICK=1 "$RELEASE/bench" > /dev/null) || true
+done
+python3 - "$BENCH_DIR/BENCH_par.json" "$BENCH_DIR/run2/BENCH_par.json" \
+    "$BENCH_DIR/run3/BENCH_par.json" <<'EOF'
 import json, sys
 
 def one_thread_ns(path):
@@ -460,6 +474,13 @@ status = "FAIL" if tail > full else "ok"
 print(f"bench gate: train_matmul_tail {tail:>8.0f} ns vs train_matmul {full:>8.0f} ns "
       f"({tail / full:.2f}x) {status}")
 failed |= tail > full
+runs = [current] + [one_thread_ns(path) for path in sys.argv[2:]]
+ratios = sorted(run["eval_knn_cosine"] / run["eval_forward"] for run in runs)
+ratio = ratios[len(ratios) // 2]
+status = "FAIL" if ratio > 3 else "ok"
+print(f"bench gate: eval_knn_cosine vs eval_forward "
+      f"{' '.join(f'{r:.2f}x' for r in ratios)}, median {ratio:.2f}x (limit 3x) {status}")
+failed |= ratio > 3
 sys.exit(1 if failed else 0)
 EOF
 rm -rf "$BENCH_DIR"

@@ -23,13 +23,10 @@ pub fn noise_magnitudes(all_reps: &Matrix, selected: &[usize], k: usize) -> Vec<
     if k == 0 {
         return vec![0.0; selected.len()];
     }
-    let mut neighbors = Vec::with_capacity(k);
-    let mags: Vec<f32> = selected
+    let mags: Vec<f32> = KnnQuery::new(all_reps, k)
+        .search_rows(selected)
         .iter()
-        .map(|&idx| {
-            KnnQuery::new(all_reps, k)
-                .exclude(idx)
-                .search_into(all_reps.row(idx), &mut neighbors);
+        .map(|neighbors| {
             if neighbors.is_empty() {
                 return 0.0;
             }
@@ -107,6 +104,51 @@ mod tests {
         let reps = Matrix::randn(3, 2, 1.0, &mut rng);
         let mags = noise_magnitudes(&reps, &[0], 1);
         assert_eq!(mags[0], 0.0);
+    }
+
+    /// `noise_magnitudes` as it ran before the batched self-search: one
+    /// single search per selected row, with that row excluded.
+    fn per_row_reference(all_reps: &Matrix, selected: &[usize], k: usize) -> Vec<f32> {
+        selected
+            .iter()
+            .map(|&idx| {
+                let found = KnnQuery::new(all_reps, k)
+                    .exclude(idx)
+                    .search(all_reps.row(idx));
+                if found.is_empty() {
+                    return 0.0;
+                }
+                let rows: Vec<usize> = found.iter().map(|n| n.index).collect();
+                scalar_std(&all_reps.select_rows(&rows))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_self_search_matches_per_row_loop() {
+        // 240 selected rows of 600 at d=32 (4.6M multiply-adds, past two
+        // `edsr_par::CUT`s), so two threads split the batch. Every fourth
+        // row repeats an earlier one, so distances tie.
+        let (n, d) = (600, 32);
+        let mut rng = seeded(424);
+        let mut reps = Matrix::randn(n, d, 1.0, &mut rng);
+        for r in (4..n).step_by(4) {
+            let src = reps.row(r / 3).to_vec();
+            reps.row_mut(r).copy_from_slice(&src);
+        }
+        let selected: Vec<usize> = (0..240)
+            .map(|i| (i * 37 + 5) % n)
+            .chain([0, n - 1])
+            .collect();
+        assert!(selected.len() * n * d >= 2 * edsr_par::CUT);
+        for k in [1, 15, n + 3] {
+            let want = per_row_reference(&reps, &selected, k);
+            for threads in [1usize, 2] {
+                let got = edsr_par::with_threads(threads, || noise_magnitudes(&reps, &selected, k));
+                let bits = |v: &[f32]| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "k={k} threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use edsr_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use crate::grid::GridSpec;
+use crate::grid::{GridSpec, Tap};
 
 /// One augmentation operation on a grid sample.
 #[derive(Debug, Clone)]
@@ -55,11 +55,21 @@ pub enum AugOp {
     },
 }
 
+/// Buffers the image ops reuse from one view to the next: the copy of
+/// the sample that crop and blur read from, and crop's source taps per
+/// output row and per output column.
+#[derive(Default)]
+struct Scratch {
+    src: Vec<f32>,
+    rows: Vec<Tap>,
+    cols: Vec<Tap>,
+}
+
 impl AugOp {
     /// Applies the op in place (Eq. 2: ops compose sequentially).
-    pub fn apply(&self, sample: &mut [f32], grid: GridSpec, rng: &mut StdRng) {
+    fn apply(&self, sample: &mut [f32], grid: GridSpec, scratch: &mut Scratch, rng: &mut StdRng) {
         match *self {
-            AugOp::Crop { min_scale } => crop_resize(sample, grid, min_scale, rng),
+            AugOp::Crop { min_scale } => crop_resize(sample, grid, min_scale, scratch, rng),
             AugOp::HorizontalFlip { p } => {
                 if rng.random::<f32>() < p {
                     horizontal_flip(sample, grid);
@@ -73,7 +83,7 @@ impl AugOp {
             }
             AugOp::GaussianBlur { p } => {
                 if rng.random::<f32>() < p {
-                    box_blur(sample, grid);
+                    box_blur(sample, grid, scratch);
                 }
             }
             AugOp::PatternJitter {
@@ -91,7 +101,13 @@ impl AugOp {
     }
 }
 
-fn crop_resize(sample: &mut [f32], grid: GridSpec, min_scale: f32, rng: &mut StdRng) {
+fn crop_resize(
+    sample: &mut [f32],
+    grid: GridSpec,
+    min_scale: f32,
+    scratch: &mut Scratch,
+    rng: &mut StdRng,
+) {
     let scale = uniform(rng, min_scale.clamp(0.05, 1.0), 1.0);
     let ch = ((grid.height as f32 * scale).round() as usize).clamp(1, grid.height);
     let cw = ((grid.width as f32 * scale).round() as usize).clamp(1, grid.width);
@@ -106,13 +122,25 @@ fn crop_resize(sample: &mut [f32], grid: GridSpec, min_scale: f32, rng: &mut Std
         0
     };
 
-    let src = sample.to_vec();
-    for c in 0..grid.channels {
-        for r in 0..grid.height {
-            for col in 0..grid.width {
-                let y = top as f32 + r as f32 / (grid.height - 1).max(1) as f32 * (ch - 1) as f32;
-                let x = left as f32 + col as f32 / (grid.width - 1).max(1) as f32 * (cw - 1) as f32;
-                sample[grid.index(c, r, col)] = grid.bilinear(&src, c, y, x);
+    // Output position `i` of an axis `n` long samples the crop window
+    // `start..start + len` at `start + i / (n - 1) * (len - 1)`.
+    let taps = |taps: &mut Vec<Tap>, start: usize, len: usize, n: usize| {
+        taps.clear();
+        taps.extend((0..n).map(|i| {
+            let p = start as f32 + i as f32 / (n - 1).max(1) as f32 * (len - 1) as f32;
+            Tap::new(p, n)
+        }));
+    };
+    taps(&mut scratch.rows, top, ch, grid.height);
+    taps(&mut scratch.cols, left, cw, grid.width);
+    let Scratch { src, rows, cols } = scratch;
+    src.clear();
+    src.extend_from_slice(sample);
+    let plane = grid.height * grid.width;
+    for (out, src) in sample.chunks_exact_mut(plane).zip(src.chunks_exact(plane)) {
+        for (out, &y) in out.chunks_exact_mut(grid.width).zip(rows.iter()) {
+            for (v, &x) in out.iter_mut().zip(cols.iter()) {
+                *v = grid.bilinear_taps(src, y, x);
             }
         }
     }
@@ -157,8 +185,10 @@ fn gray_scale(sample: &mut [f32], grid: GridSpec) {
     }
 }
 
-fn box_blur(sample: &mut [f32], grid: GridSpec) {
-    let src = sample.to_vec();
+fn box_blur(sample: &mut [f32], grid: GridSpec, scratch: &mut Scratch) {
+    let src = &mut scratch.src;
+    src.clear();
+    src.extend_from_slice(sample);
     for c in 0..grid.channels {
         for r in 0..grid.height {
             for col in 0..grid.width {
@@ -181,6 +211,20 @@ fn box_blur(sample: &mut [f32], grid: GridSpec) {
                 sample[grid.index(c, r, col)] = acc / n as f32;
             }
         }
+    }
+}
+
+/// Runs the image `ops` in order over `sample` in place.
+fn image_view(
+    grid: GridSpec,
+    ops: &[AugOp],
+    sample: &mut [f32],
+    scratch: &mut Scratch,
+    rng: &mut StdRng,
+) {
+    debug_assert_eq!(sample.len(), grid.dim(), "augment: sample/grid mismatch");
+    for op in ops {
+        op.apply(sample, grid, scratch, rng);
     }
 }
 
@@ -257,11 +301,8 @@ impl Augmenter {
     pub fn view(&self, sample: &[f32], rng: &mut StdRng) -> Vec<f32> {
         match self {
             Augmenter::Image { grid, ops } => {
-                debug_assert_eq!(sample.len(), grid.dim(), "augment: sample/grid mismatch");
                 let mut out = sample.to_vec();
-                for op in ops {
-                    op.apply(&mut out, *grid, rng);
-                }
+                image_view(*grid, ops, &mut out, &mut Scratch::default(), rng);
                 out
             }
             Augmenter::TabularCrop {
@@ -281,12 +322,19 @@ impl Augmenter {
         }
     }
 
-    /// Augments each row of `batch`, producing one full view matrix.
+    /// Augments each row of `batch`, producing one full view matrix. The
+    /// image pipeline writes each view in place into its output row.
     pub fn view_batch(&self, batch: &Matrix, rng: &mut StdRng) -> Matrix {
         let mut out = Matrix::zeros(batch.rows(), batch.cols());
+        let mut scratch = Scratch::default();
         for r in 0..batch.rows() {
-            let v = self.view(batch.row(r), rng);
-            out.row_mut(r).copy_from_slice(&v);
+            if let Augmenter::Image { grid, ops } = self {
+                out.row_mut(r).copy_from_slice(batch.row(r));
+                image_view(*grid, ops, out.row_mut(r), &mut scratch, rng);
+            } else {
+                let v = self.view(batch.row(r), rng);
+                out.row_mut(r).copy_from_slice(&v);
+            }
         }
         out
     }
@@ -336,7 +384,7 @@ mod tests {
     fn blur_preserves_constant_images() {
         let g = grid();
         let mut s = vec![3.5f32; g.dim()];
-        box_blur(&mut s, g);
+        box_blur(&mut s, g, &mut Scratch::default());
         assert!(s.iter().all(|&v| (v - 3.5).abs() < 1e-6));
     }
 
@@ -345,7 +393,7 @@ mod tests {
         let g = GridSpec::new(5, 5, 1);
         let mut s = vec![0.0f32; g.dim()];
         s[g.index(0, 2, 2)] = 9.0;
-        box_blur(&mut s, g);
+        box_blur(&mut s, g, &mut Scratch::default());
         assert!((s[g.index(0, 2, 2)] - 1.0).abs() < 1e-6); // 9/9
         assert!(s[g.index(0, 1, 2)] > 0.0);
         assert_eq!(s[g.index(0, 0, 0)], 0.0);
@@ -357,9 +405,84 @@ mod tests {
         let mut rng = seeded(150);
         let mut s = ramp_sample(g);
         let orig = s.clone();
-        crop_resize(&mut s, g, 1.0, &mut rng);
+        crop_resize(&mut s, g, 1.0, &mut Scratch::default(), &mut rng);
         for (a, b) in s.iter().zip(&orig) {
             assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    /// The image pipeline as it ran before views were written in place:
+    /// crop samples through [`GridSpec::bilinear`] at each (channel,
+    /// pixel) from a fresh copy of the sample.
+    fn per_pixel_view(aug: &Augmenter, sample: &[f32], rng: &mut StdRng) -> Vec<f32> {
+        let Augmenter::Image { grid: g, ops } = aug else {
+            panic!("image augmenter expected");
+        };
+        let mut out = sample.to_vec();
+        for op in ops {
+            let AugOp::Crop { min_scale } = *op else {
+                op.apply(&mut out, *g, &mut Scratch::default(), rng);
+                continue;
+            };
+            let scale = uniform(rng, min_scale.clamp(0.05, 1.0), 1.0);
+            let ch = ((g.height as f32 * scale).round() as usize).clamp(1, g.height);
+            let cw = ((g.width as f32 * scale).round() as usize).clamp(1, g.width);
+            let top = if g.height > ch {
+                index(rng, g.height - ch + 1)
+            } else {
+                0
+            };
+            let left = if g.width > cw {
+                index(rng, g.width - cw + 1)
+            } else {
+                0
+            };
+            let src = out.clone();
+            for c in 0..g.channels {
+                for r in 0..g.height {
+                    for col in 0..g.width {
+                        let y =
+                            top as f32 + r as f32 / (g.height - 1).max(1) as f32 * (ch - 1) as f32;
+                        let x = left as f32
+                            + col as f32 / (g.width - 1).max(1) as f32 * (cw - 1) as f32;
+                        out[g.index(c, r, col)] = g.bilinear(&src, c, y, x);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_views_match_per_pixel_views_bit_for_bit() {
+        for (h, w, c) in [(6, 6, 2), (10, 10, 3), (8, 8, 3), (1, 5, 1), (4, 1, 2)] {
+            let g = GridSpec::new(h, w, c);
+            let mut rng = seeded(158);
+            let patterns = (0..3)
+                .map(|_| Matrix::randn(1, g.dim(), 1.0, &mut rng).data().to_vec())
+                .collect();
+            let batch = Matrix::randn(9, g.dim(), 1.0, &mut rng);
+            for aug in [
+                Augmenter::standard_image(g),
+                Augmenter::standard_image_with_patterns(g, std::sync::Arc::new(patterns), 0.5),
+            ] {
+                let views = aug.view_batch(&batch, &mut seeded(159));
+                let mut rng = seeded(159);
+                for r in 0..batch.rows() {
+                    let want = per_pixel_view(&aug, batch.row(r), &mut rng);
+                    let got = views.row(r);
+                    assert!(
+                        got.iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{h}x{w}x{c} row {r}: {got:?} vs {want:?}"
+                    );
+                }
+                let mut single_rng = seeded(159);
+                for r in 0..batch.rows() {
+                    assert_eq!(aug.view(batch.row(r), &mut single_rng), views.row(r));
+                }
+            }
         }
     }
 
@@ -421,7 +544,7 @@ mod tests {
         let g = GridSpec::new(2, 2, 1);
         let base = vec![5.0f32, 6.0, 7.0, 8.0];
         let mut v = base.clone();
-        op.apply(&mut v, g, &mut rng);
+        op.apply(&mut v, g, &mut Scratch::default(), &mut rng);
         assert_eq!(v[2], 7.0, "outside-span coordinate changed");
         assert_eq!(v[3], 8.0, "outside-span coordinate changed");
         assert!(
@@ -440,7 +563,7 @@ mod tests {
         };
         let g = GridSpec::new(2, 2, 1);
         let mut v = vec![1.0f32, 2.0, 3.0, 4.0];
-        op.apply(&mut v, g, &mut rng);
+        op.apply(&mut v, g, &mut Scratch::default(), &mut rng);
         assert_eq!(v, vec![1.0, 2.0, 3.0, 4.0]);
     }
 

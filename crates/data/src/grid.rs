@@ -48,22 +48,45 @@ impl GridSpec {
     /// Bilinear sample at fractional coordinates `(y, x)` within a channel
     /// plane of `data` (clamped to borders).
     pub fn bilinear(&self, data: &[f32], channel: usize, y: f32, x: f32) -> f32 {
-        let y = y.clamp(0.0, (self.height - 1) as f32);
-        let x = x.clamp(0.0, (self.width - 1) as f32);
-        let y0 = y.floor() as usize;
-        let x0 = x.floor() as usize;
-        let y1 = (y0 + 1).min(self.height - 1);
-        let x1 = (x0 + 1).min(self.width - 1);
-        let fy = y - y0 as f32;
-        let fx = x - x0 as f32;
-        let v00 = data[self.index(channel, y0, x0)];
-        let v01 = data[self.index(channel, y0, x1)];
-        let v10 = data[self.index(channel, y1, x0)];
-        let v11 = data[self.index(channel, y1, x1)];
-        v00 * (1.0 - fy) * (1.0 - fx)
-            + v01 * (1.0 - fy) * fx
-            + v10 * fy * (1.0 - fx)
-            + v11 * fy * fx
+        let plane = self.height * self.width;
+        let (y, x) = (Tap::new(y, self.height), Tap::new(x, self.width));
+        self.bilinear_taps(&data[channel * plane..], y, x)
+    }
+
+    /// [`bilinear`](Self::bilinear) in the channel plane that `plane`
+    /// starts with, at source taps already resolved along each axis.
+    pub(crate) fn bilinear_taps(&self, plane: &[f32], y: Tap, x: Tap) -> f32 {
+        let (top, bottom) = (y.lo * self.width, y.hi * self.width);
+        plane[top + x.lo] * y.w_lo * x.w_lo
+            + plane[top + x.hi] * y.w_lo * x.w_hi
+            + plane[bottom + x.lo] * y.w_hi * x.w_lo
+            + plane[bottom + x.hi] * y.w_hi * x.w_hi
+    }
+}
+
+/// One axis of a bilinear sample: the two neighbouring indices and their
+/// weights.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tap {
+    lo: usize,
+    hi: usize,
+    w_lo: f32,
+    w_hi: f32,
+}
+
+impl Tap {
+    /// Clamps `p` to an axis `n` long and splits it into floor and
+    /// fraction.
+    pub(crate) fn new(p: f32, n: usize) -> Self {
+        let p = p.clamp(0.0, (n - 1) as f32);
+        let lo = p.floor() as usize;
+        let frac = p - lo as f32;
+        Self {
+            lo,
+            hi: (lo + 1).min(n - 1),
+            w_lo: 1.0 - frac,
+            w_hi: frac,
+        }
     }
 }
 

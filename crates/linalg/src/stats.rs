@@ -29,33 +29,10 @@ pub fn scalar_std(x: &Matrix) -> f32 {
     col_std(x).mean()
 }
 
-/// Centers columns to zero mean; returns `(centered, mean)`.
-pub fn center_columns(x: &Matrix) -> (Matrix, Matrix) {
-    let mean = x.col_means();
-    let mut out = x.clone();
-    for r in 0..out.rows() {
-        for c in 0..out.cols() {
-            let v = out.get(r, c) - mean.get(0, c);
-            out.set(r, c, v);
-        }
-    }
-    (out, mean)
-}
-
 /// Gram covariance `Cov(A) = AᵀA` as used by the paper's entropy estimate
 /// (Eq. 14 context; note: *not* mean-centered).
 pub fn gram_covariance(x: &Matrix) -> Matrix {
     x.transpose_matmul(x)
-}
-
-/// Mean-centered covariance `(X-μ)ᵀ(X-μ) / n`.
-pub fn centered_covariance(x: &Matrix) -> Matrix {
-    let (centered, _) = center_columns(x);
-    let mut cov = centered.transpose_matmul(&centered);
-    if x.rows() > 0 {
-        cov.scale_inplace(1.0 / x.rows() as f32);
-    }
-    cov
 }
 
 /// Squared Euclidean distance between two equal-length slices.
@@ -128,15 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn center_columns_zero_mean() {
-        let mut rng = seeded(40);
-        let x = Matrix::randn(20, 4, 2.0, &mut rng).map(|v| v + 7.0);
-        let (c, mean) = center_columns(&x);
-        assert!(c.col_means().data().iter().all(|m| m.abs() < 1e-4));
-        assert!(mean.data().iter().all(|&m| (m - 7.0).abs() < 2.0));
-    }
-
-    #[test]
     fn gram_covariance_is_symmetric_psd_diagonal() {
         let mut rng = seeded(42);
         let x = Matrix::randn(10, 5, 1.0, &mut rng);
@@ -176,12 +144,5 @@ mod tests {
             assert!(d.get(i, i).abs() < 1e-6);
         }
         assert!((d.get(0, 1) - d.get(1, 0)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn centered_covariance_of_constant_is_zero() {
-        let x = Matrix::filled(10, 3, 4.2);
-        let c = centered_covariance(&x);
-        assert!(c.frobenius_norm() < 1e-6);
     }
 }

@@ -139,17 +139,15 @@ pub fn knn_gate(memory: &Matrix, tasks: &[u64], qmem: &QuantMemory) -> GateRepor
             int8_accuracy: 100.0,
         };
     }
-    let mut f32_hits = 0usize;
+    let rows: Vec<usize> = (0..n).collect();
+    let f32_found = KnnQuery::new(memory, 1).search_rows(&rows);
+    let f32_hits = (0..n)
+        .filter(|&r| tasks[f32_found[r][0].index] == tasks[r])
+        .count();
     let mut int8_hits = 0usize;
     let mut qbuf = Vec::new();
     let mut out = Vec::new();
     for r in 0..n {
-        KnnQuery::new(memory, 1)
-            .exclude(r)
-            .search_into(memory.row(r), &mut out);
-        if tasks[out[0].index] == tasks[r] {
-            f32_hits += 1;
-        }
         qmem.search_into(
             memory.row(r),
             1,
@@ -228,6 +226,39 @@ mod tests {
         assert_eq!(report.f32_accuracy, 100.0);
         assert_eq!(report.int8_accuracy, 100.0);
         assert_eq!(report.delta(), 0.0);
+    }
+
+    /// The f32 half of [`knn_gate`] as it ran before the batched
+    /// self-search: one single search per memory row, that row excluded.
+    fn f32_hits_per_row(memory: &Matrix, tasks: &[u64]) -> usize {
+        let mut out = Vec::new();
+        (0..memory.rows())
+            .filter(|&r| {
+                KnnQuery::new(memory, 1)
+                    .exclude(r)
+                    .search_into(memory.row(r), &mut out);
+                tasks[out[0].index] == tasks[r]
+            })
+            .count()
+    }
+
+    #[test]
+    fn gate_f32_half_matches_per_row_loop() {
+        // Every third row copies a row of another task: the tie at distance
+        // 0 goes to the lower index, so the order decides hits.
+        let mut rng = edsr_tensor::rng::seeded(61);
+        for n in [2, 9, 64, 203] {
+            let mut m = Matrix::randn(n, 12, 1.0, &mut rng);
+            let tasks: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
+            for r in (3..n).step_by(3) {
+                let src = m.row(r - 2).to_vec();
+                m.row_mut(r).copy_from_slice(&src);
+            }
+            let qmem = QuantMemory::from_matrix(&m);
+            let want = 100.0 * f32_hits_per_row(&m, &tasks) as f32 / n as f32;
+            let report = knn_gate(&m, &tasks, &qmem);
+            assert_eq!(report.f32_accuracy.to_bits(), want.to_bits(), "n={n}");
+        }
     }
 
     #[test]

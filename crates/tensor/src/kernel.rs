@@ -679,6 +679,66 @@ mod proptests {
             }
         }
 
+        /// Each of the block scorers' outputs equals the single-pair
+        /// reduction of its row, bit for bit, at every width from 0 to 64,
+        /// with ±0, ±inf, NaN and subnormals mixed into rows and queries.
+        /// Checked for the compiled bodies and for the portable ones. A
+        /// NaN result must meet a NaN: Rust leaves the sign and payload of
+        /// a NaN an operation produces unspecified, so even one body
+        /// compiled twice may differ there, and the kNN ordering ranks
+        /// every NaN alike.
+        #[test]
+        fn block_scorers_bit_identical_to_single_pair(seed in 0u64..=u64::MAX) {
+            const SPECIALS: [f32; 8] = [
+                0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN,
+                1e-40, -3e-39, f32::MIN_POSITIVE,
+            ];
+            let mut rng = seeded(seed);
+            let mut draw = |len: usize| -> Vec<f32> {
+                let mut v = Matrix::randn(1, len, 1.0, &mut rng).data().to_vec();
+                for x in &mut v {
+                    let pick = rng.next_u64();
+                    if pick.is_multiple_of(16) {
+                        *x = SPECIALS[(pick >> 8) as usize % SPECIALS.len()];
+                    }
+                }
+                v
+            };
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            // Two blocks, so the second block's offsets are checked too.
+            let n = 2 * simd::BLOCK;
+            type Score = fn(&[f32], &[f32], &mut [f32]);
+            for d in 0usize..=64 {
+                let rows = draw(n * d);
+                let query = draw(d);
+                let run = |score: Score| {
+                    let mut out = vec![0.0; n];
+                    score(&rows, &query, &mut out);
+                    out
+                };
+                let bodies = [
+                    ("compiled", run(simd::dot8), run(simd::sq_euclidean8)),
+                    ("portable", run(simd::scalar::dot8), run(simd::scalar::sq_euclidean8)),
+                ];
+                for (body, dots, dists) in bodies {
+                    for p in 0..n {
+                        let row = &rows[p * d..][..d];
+                        let (dot, dist) = (simd::dot(row, &query), simd::sq_euclidean(row, &query));
+                        prop_assert!(
+                            same(dots[p], dot),
+                            "{} dot8 width {} row {}: {} vs dot {}",
+                            body, d, p, dots[p], dot,
+                        );
+                        prop_assert!(
+                            same(dists[p], dist),
+                            "{} sq_euclidean8 width {} row {}: {} vs {}",
+                            body, d, p, dists[p], dist,
+                        );
+                    }
+                }
+            }
+        }
+
         /// The int8 reductions are exact i32 accumulations, so the compiled
         /// bodies (at any thread count) must agree with a plain sequential
         /// reference sum to the bit (DESIGN.md §17). Lengths straddle the

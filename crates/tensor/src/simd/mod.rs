@@ -38,6 +38,8 @@
 //!   `i ≡ j (mod 8)` in ascending order, tail elements fold into lanes
 //!   `0..rem`, and the eight partials collapse left-to-right. The portable
 //!   body writes this tree out; the AVX2 body holds it in one ymm register.
+//!   The block scorers (`dot8`, `sq_euclidean8`) keep one such tree per
+//!   (query, row) pair.
 //! - **Elementwise** (`axpy`, `add_assign`, `scale`, `scale_into`,
 //!   `div_scalar`): one output per element, no cross-lane interaction;
 //!   any vector width is bit-identical by construction.
@@ -64,6 +66,10 @@ pub use scalar::{add_assign, axpy, div_scalar, scale, scale_into};
 /// Canonical reduction lane count. Reductions accumulate an 8-lane
 /// interleaved partial-sum tree regardless of register width.
 pub const LANES: usize = 8;
+
+/// Reference rows a block scorer ([`dot8`], [`sq_euclidean8`]) scores per
+/// pass.
+pub const BLOCK: usize = 8;
 
 /// An x86 instruction-set level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,6 +178,60 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
     {
         scalar::sq_euclidean(a, b)
     }
+}
+
+/// Block scorer: [`dot`] of every row of `rows` (row-major, as wide as
+/// `query`) with `query`, into `out[r]`, bit for bit. The AVX2 body scores
+/// each block of [`BLOCK`] rows side by side, one 8-lane tree per row, so
+/// the eight folds of a block overlap.
+///
+/// # Panics
+/// Panics unless `out` holds a whole number of blocks and `rows` holds
+/// that many rows, each as wide as `query`.
+#[inline]
+pub fn dot8(rows: &[f32], query: &[f32], out: &mut [f32]) {
+    check_block(rows, query, out);
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    {
+        // SAFETY: compiled only when the build enables avx2; the check
+        // covers every load and store.
+        unsafe { avx2::dot8(rows, query, out) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    {
+        scalar::dot8(rows, query, out)
+    }
+}
+
+/// Block scorer: [`sq_euclidean`] of every row of `rows` with `query`,
+/// bit for bit (see [`dot8`]).
+///
+/// # Panics
+/// As [`dot8`].
+#[inline]
+pub fn sq_euclidean8(rows: &[f32], query: &[f32], out: &mut [f32]) {
+    check_block(rows, query, out);
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    {
+        // SAFETY: compiled only when the build enables avx2; the check
+        // covers every load and store.
+        unsafe { avx2::sq_euclidean8(rows, query, out) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    {
+        scalar::sq_euclidean8(rows, query, out)
+    }
+}
+
+/// The block scorers' shape contract.
+fn check_block(rows: &[f32], query: &[f32], out: &[f32]) {
+    assert!(
+        out.len().is_multiple_of(BLOCK) && rows.len() == out.len() * query.len(),
+        "block scorer: {} values for {} rows of {}",
+        rows.len(),
+        out.len(),
+        query.len()
+    );
 }
 
 /// Exact int8 dot product with an `i32` accumulator (`a.len() ==

@@ -94,6 +94,27 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
     lanes.iter().fold(0.0, |s, &v| s + v)
 }
 
+/// [`dot`] of every row of `rows` (row-major, as wide as `query`) with
+/// `query`, into `out[r]`: the reference the block bodies must match, one
+/// pair at a time.
+pub fn dot8(rows: &[f32], query: &[f32], out: &mut [f32]) {
+    each_row(rows, query, out, dot);
+}
+
+/// [`sq_euclidean`] of every row of `rows` with `query`, into `out[r]`,
+/// one pair at a time.
+pub fn sq_euclidean8(rows: &[f32], query: &[f32], out: &mut [f32]) {
+    each_row(rows, query, out, sq_euclidean);
+}
+
+/// `out[r] = reduce(row r, query)`.
+fn each_row(rows: &[f32], query: &[f32], out: &mut [f32], reduce: fn(&[f32], &[f32]) -> f32) {
+    let d = query.len();
+    for (r, v) in out.iter_mut().enumerate() {
+        *v = reduce(&rows[r * d..][..d], query);
+    }
+}
+
 /// Exact int8 dot product with a single `i32` accumulator.
 ///
 /// Integer addition is associative, so — unlike the f32 reductions above —

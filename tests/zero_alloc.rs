@@ -22,6 +22,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use edsr::cl::{apply_step, quantize_serve_snapshot, ContinualModel, ModelConfig, ServeSnapshot};
+use edsr::linalg::Metric;
 use edsr::nn::{Adam, Workspace};
 use edsr::serve::{Batcher, Engine, RotateConfig, ServerConfig};
 use edsr::tensor::rng::seeded;
@@ -297,4 +298,40 @@ fn warm_quantized_serve_embed_is_alloc_free_on_hits() {
         "warm quantized cache-hit embeds allocated {hit_allocs} times"
     );
     batcher.stop();
+}
+
+#[test]
+fn warm_f32_engine_knn_is_alloc_free() {
+    let _serialized = measure_alone();
+
+    // A 61-row replay memory: seven full 8-row blocks and a 5-row tail.
+    // A search scores into a per-thread scratch and copies only its `k`
+    // winners into `out`, so once one search has grown the scratch and
+    // `out` holds `k`, searches for other queries must not touch the
+    // allocator, however many rows each one's selection sorts.
+    let mut rng = seeded(41);
+    let model = ContinualModel::new(&ModelConfig::image(16), &mut rng);
+    let mem = Matrix::randn(61, 16, 1.0, &mut rng);
+    let reprs = model.represent_eval(&mem, 0);
+    let queries = model.represent_eval(&Matrix::randn(40, 16, 1.0, &mut rng), 0);
+    let snap = ServeSnapshot::capture(&model, reprs, vec![0; 61], "za", 1).unwrap();
+    let mut engine = Engine::from_snapshot(snap, 8).unwrap();
+    assert!(!engine.quantized());
+    let mut out = Vec::new();
+    let mut search = |engine: &mut Engine, rows: std::ops::Range<usize>| {
+        for q in rows {
+            engine
+                .knn_into(queries.row(q), 5, Metric::Cosine, &mut out)
+                .expect("knn");
+            assert_eq!(out.len(), 5);
+        }
+    };
+    search(&mut engine, 0..1);
+    let before = allocations();
+    search(&mut engine, 1..queries.rows());
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "warm f32 cosine kNN searches allocated {allocs} times"
+    );
 }
